@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     FieldState,
@@ -266,8 +268,7 @@ class SeasonResult:
     policy: str
     events: list[IrrigationEvent] = field(default_factory=list)
     daily: list[DailyRecord] = field(default_factory=list)
-    samples: list[tuple[float, float, float, float]] = field(default_factory=list)
-    advices: list[IrrigationAdvice] = field(default_factory=list)
+    samples: list[tuple[int, float, float, float]] = field(default_factory=list)
     alerts: list[Alert] = field(default_factory=list)
     irrigation_total_mm: float = 0.0
     eta_total_mm: float = 0.0
@@ -297,10 +298,20 @@ class SeasonSetup:
     field_id: str = "field-1"
 
 
-def _diurnal_temp(w: WeatherDay, hour: float) -> float:
-    """Sinusoidal diurnal cycle between the day's extremes, peaking at 14:00."""
+def _diurnal_cosines(interval_s: int, samples_per_day: int) -> np.ndarray:
+    """cos(2 pi (hour - 14) / 24) at each sampling slot of a day, so the
+    diurnal cycle peaks at 14:00. math.cos, not np.cos: the two can differ
+    in the last bit, and the readings would change."""
+    hours = [(k * interval_s % SECONDS_PER_DAY) / 3600.0
+             for k in range(1, samples_per_day + 1)]
+    return np.array([math.cos(2.0 * math.pi * (h - 14.0) / 24.0)
+                     for h in hours])
+
+
+def _diurnal_temp(w: WeatherDay, cosines: np.ndarray) -> np.ndarray:
+    """Sinusoidal diurnal cycle between the day's extremes."""
     half_range = (w.t_max_c - w.t_min_c) / 2.0
-    return w.t_mean_c + half_range * math.cos(2.0 * math.pi * (hour - 14.0) / 24.0)
+    return w.t_mean_c + half_range * cosines
 
 
 def schedule_season(policy: str, setup: SeasonSetup,
@@ -314,7 +325,11 @@ def schedule_season(policy: str, setup: SeasonSetup,
     fixed depth on a fixed day interval regardless of state.
 
     The soil balance itself advances daily; irrigation decided mid-day is
-    applied within that day's step.
+    applied within that day's step. Within a day the ground truth is the
+    no-irrigation projection, so no reading depends on that day's decision
+    and a whole day of readings is computed as arrays. Only readings that
+    cross a threshold can raise an alert or trigger irrigation, so only
+    those go through ``evaluate``.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
@@ -324,6 +339,10 @@ def schedule_season(policy: str, setup: SeasonSetup,
     interval = setup.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
     taw = setup.profile.taw_mm
+    frac = np.arange(1, samples_per_day + 1) / samples_per_day
+    cosines = _diurnal_cosines(interval, samples_per_day)
+    thr = setup.thresholds
+    rh_lo, rh_hi = thr.humidity_range_pct
 
     for w in setup.weather:
         et0 = et0_hargreaves(w.t_min_c, w.t_max_c, setup.latitude_deg,
@@ -341,40 +360,41 @@ def schedule_season(policy: str, setup: SeasonSetup,
                 w.day_index, w.day_index * SECONDS_PER_DAY,
                 setup.baseline_depth_mm, float("nan"), "calendar interval"))
 
-        for k in range(samples_per_day):
-            ts = w.day_index * SECONDS_PER_DAY + (k + 1) * interval
-            hour = ((k + 1) * interval % SECONDS_PER_DAY) / 3600.0
-            frac = (k + 1) / samples_per_day
-            true_dep = dep0 + frac * (dep1 - dep0)
-            true_moist = depletion_to_moisture_pct(min(true_dep, taw),
-                                                   setup.profile)
-            m_reading = sample_soil_sensor(true_moist, setup.soil_sensor,
-                                           noise, ts)
-            t_reading, rh_reading = sample_air_sensor(
-                _diurnal_temp(w, hour), w.rh_mean_pct, setup.air_sensor,
-                noise, ts)
-            result.samples.append((ts, m_reading.value, t_reading.value,
-                                   rh_reading.value))
+        # one standard normal per reading, in (soil, temp, rh) order per slot
+        z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
+        true_dep = dep0 + frac * (dep1 - dep0)
+        true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
+                                               setup.profile)
+        moisture = sample_soil_sensor(true_moist, setup.soil_sensor, z[:, 0])
+        temp, rh = sample_air_sensor(_diurnal_temp(w, cosines),
+                                     w.rh_mean_pct, setup.air_sensor,
+                                     z[:, 1], z[:, 2])
+        day_start = w.day_index * SECONDS_PER_DAY
+        timestamps = range(day_start + interval,
+                           day_start + samples_per_day * interval + 1, interval)
+        m_values, t_values, rh_values = (moisture.tolist(), temp.tolist(),
+                                         rh.tolist())
+        result.samples.extend(zip(timestamps, m_values, t_values, rh_values))
 
-            if policy != SENSOR_DRIVEN:
-                continue
-            sensed_dep = min(max(
-                moisture_pct_to_depletion(m_reading.value, setup.profile),
-                0.0), taw)
-            advice, alerts = evaluate(
-                {"moisture_pct": m_reading.value, "temp_c": t_reading.value,
-                 "humidity_pct": rh_reading.value},
-                setup.thresholds,
-                FieldState(depletion_mm=sensed_dep, day_index=w.day_index),
-                setup.profile, cap_mm=setup.irrigation_cap_mm,
-                field_id=setup.field_id, timestamp_s=ts)
-            result.alerts.extend(alerts)
-            if advice.action == IRRIGATE and irrigation_today == 0.0:
-                irrigation_today = advice.depth_mm
-                result.advices.append(advice)
-                result.events.append(IrrigationEvent(
-                    w.day_index, ts, advice.depth_mm,
-                    advice.observed_moisture_pct, advice.reason))
+        if policy == SENSOR_DRIVEN:
+            flagged = np.flatnonzero(
+                (temp > thr.temp_alert_c) | (rh < rh_lo) | (rh > rh_hi)
+                | (moisture < thr.soil_moisture_trigger_pct))
+            sensed_dep = np.clip(moisture_pct_to_depletion(
+                moisture[flagged], setup.profile), 0.0, taw)
+            for k, dep in zip(flagged.tolist(), sensed_dep.tolist()):
+                advice, alerts = evaluate(
+                    {"moisture_pct": m_values[k], "temp_c": t_values[k],
+                     "humidity_pct": rh_values[k]},
+                    thr, FieldState(depletion_mm=dep, day_index=w.day_index),
+                    setup.profile, cap_mm=setup.irrigation_cap_mm,
+                    field_id=setup.field_id, timestamp_s=timestamps[k])
+                result.alerts.extend(alerts)
+                if advice.action == IRRIGATE and irrigation_today == 0.0:
+                    irrigation_today = advice.depth_mm
+                    result.events.append(IrrigationEvent(
+                        w.day_index, timestamps[k], advice.depth_mm,
+                        advice.observed_moisture_pct, advice.reason))
 
         new_state = step_soil_water(state, w, irrigation_today, etc,
                                     setup.profile)
@@ -387,8 +407,8 @@ def schedule_season(policy: str, setup: SeasonSetup,
             drainage_mm=(new_state.cumulative_drainage_mm
                          - state.cumulative_drainage_mm),
             irrigation_mm=irrigation_today,
-            moisture_end_pct=depletion_to_moisture_pct(
-                new_state.depletion_mm, setup.profile),
+            moisture_end_pct=float(depletion_to_moisture_pct(
+                new_state.depletion_mm, setup.profile)),
         ))
         result.etm_total_mm += etc
         state = new_state

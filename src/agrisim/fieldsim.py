@@ -24,10 +24,6 @@ from agrisim.errors import ConfigurationError, InputError
 SOIL_MOISTURE = "soil_moisture"
 AIR_TEMP_HUMIDITY = "air_temp_humidity"
 
-UNIT_PCT_MOISTURE = "pct_moisture"
-UNIT_DEG_C = "deg_c"
-UNIT_PCT_RH = "pct_rh"
-
 SENSOR_TEMP_MIN_C = -40.0
 SENSOR_TEMP_MAX_C = 80.0
 
@@ -84,6 +80,10 @@ class SeasonConfig:
             raise ConfigurationError("humidity envelope outside [0, 100]")
         if not 1 <= self.start_day_of_year <= 365:
             raise ConfigurationError("start_day_of_year must be in [1, 365]")
+        # the sunset-hour-angle formula has no solution beyond the polar circles
+        if not -66.0 <= self.latitude_deg <= 66.0:
+            raise ConfigurationError(
+                f"latitude_deg outside [-66, 66]: {self.latitude_deg}")
 
 
 @dataclass(frozen=True)
@@ -161,31 +161,21 @@ class SensorSpec:
             raise ConfigurationError("noise_sigma must be non-negative")
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    timestamp_s: float
-    sensor_id: str
-    kind: str
-    value: float
-    unit: str
-
-
 class NoiseStream:
     """Seeded standard-normal stream that hashes every draw it hands out.
 
     The hash lets an output manifest prove that two simulation arms consumed
-    identical noise.
+    identical noise. A block of n draws yields the same values and the same
+    hash as n draws of one.
     """
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self._hasher = hashlib.sha256()
-        self.draw_count = 0
 
-    def draw(self) -> float:
-        z = float(self._rng.standard_normal())
-        self._hasher.update(np.float64(z).tobytes())
-        self.draw_count += 1
+    def draw(self, n: int) -> np.ndarray:
+        z = self._rng.standard_normal(n)
+        self._hasher.update(z.tobytes())
         return z
 
     def digest(self) -> str:
@@ -282,14 +272,19 @@ def ks_stress(depletion_mm: float, profile: SoilProfile) -> float:
     return float(np.clip(ks, 0.0, 1.0))
 
 
-def depletion_to_moisture_pct(depletion_mm: float, profile: SoilProfile) -> float:
-    """Map bucket depletion onto the 0-100% air-dry..saturation display scale."""
+def depletion_to_moisture_pct(depletion_mm, profile: SoilProfile) -> np.ndarray:
+    """Map bucket depletion onto the 0-100% air-dry..saturation display scale.
+
+    Works elementwise on an array of depletions (a scalar gives a 0-d array).
+    """
+    dep = np.asarray(depletion_mm, dtype=np.float64)
     taw = profile.taw_mm
-    if not 0.0 <= depletion_mm <= taw + 1e-9:
-        raise InputError(f"depletion {depletion_mm} outside [0, TAW={taw}]")
-    theta = profile.theta_fc - depletion_mm / (1000.0 * profile.root_depth_m)
+    inside = (dep >= 0.0) & (dep <= taw + 1e-9)
+    if not inside.all():
+        raise InputError(f"depletion {dep[~inside][0]} outside [0, TAW={taw}]")
+    theta = profile.theta_fc - dep / (1000.0 * profile.root_depth_m)
     pct = 100.0 * (theta - profile.theta_ad) / (profile.theta_sat - profile.theta_ad)
-    return float(np.clip(pct, 0.0, 100.0))
+    return np.clip(pct, 0.0, 100.0)
 
 
 def moisture_pct_to_depletion(moisture_pct: float, profile: SoilProfile) -> float:
@@ -306,36 +301,34 @@ def soil_raw_counts(true_moisture_pct: float, spec: SensorSpec) -> float:
     return spec.air_counts + frac * (spec.water_counts - spec.air_counts)
 
 
-def sample_soil_sensor(true_moisture_pct: float, spec: SensorSpec,
-                       noise: NoiseStream, timestamp_s: float = 0.0,
-                       sensor_id: str = "soil-1") -> SensorReading:
-    """Simulate one soil-probe reading: raw counts plus Gaussian noise,
-    clamped to the ADC range, then two-point calibrated back to percent."""
+def sample_soil_sensor(true_moisture_pct: np.ndarray, spec: SensorSpec,
+                       noise_z: np.ndarray) -> np.ndarray:
+    """Simulate soil-probe readings: raw counts plus Gaussian noise (one
+    standard normal per reading), clamped to the ADC range, then two-point
+    calibrated back to percent."""
     if spec.kind != SOIL_MOISTURE:
         raise InputError(f"not a soil sensor: {spec.kind}")
-    if spec.air_counts == spec.water_counts:
-        raise ConfigurationError("degenerate calibration: air_counts == water_counts")
     raw = soil_raw_counts(true_moisture_pct, spec)
-    raw += spec.noise_sigma * noise.draw()
-    raw = float(np.clip(raw, 0.0, 2 ** spec.adc_bits - 1))
+    raw = raw + spec.noise_sigma * noise_z
+    raw = np.clip(raw, 0.0, 2 ** spec.adc_bits - 1)
     value = 100.0 * (spec.air_counts - raw) / (spec.air_counts - spec.water_counts)
-    value = float(np.clip(value, 0.0, 100.0))
-    return SensorReading(timestamp_s, sensor_id, SOIL_MOISTURE, value,
-                         UNIT_PCT_MOISTURE)
+    return np.clip(value, 0.0, 100.0)
 
 
-def sample_air_sensor(t_true_c: float, rh_true_pct: float, spec: SensorSpec,
-                      noise: NoiseStream, timestamp_s: float = 0.0,
-                      sensor_id: str = "air-1"
-                      ) -> tuple[SensorReading, SensorReading]:
-    """Simulate a paired temperature/humidity reading quantized to 0.1."""
+def _round_tenths(values: np.ndarray) -> np.ndarray:
+    # Python's round is exact on the binary value; np.round scales by 10
+    # first and can differ on halfway cases
+    return np.array([round(v, 1) for v in values.tolist()])
+
+
+def sample_air_sensor(t_true_c: np.ndarray, rh_true_pct: float,
+                      spec: SensorSpec, temp_z: np.ndarray, rh_z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate paired temperature/humidity readings quantized to 0.1, one
+    standard normal per reading in each noise column."""
     if spec.kind != AIR_TEMP_HUMIDITY:
         raise InputError(f"not an air sensor: {spec.kind}")
-    t = t_true_c + spec.noise_sigma * noise.draw()
-    t = round(float(np.clip(t, SENSOR_TEMP_MIN_C, SENSOR_TEMP_MAX_C)), 1)
-    rh = rh_true_pct + spec.noise_sigma * noise.draw()
-    rh = round(float(np.clip(rh, 0.0, 100.0)), 1)
-    return (
-        SensorReading(timestamp_s, sensor_id, AIR_TEMP_HUMIDITY, t, UNIT_DEG_C),
-        SensorReading(timestamp_s, sensor_id, AIR_TEMP_HUMIDITY, rh, UNIT_PCT_RH),
-    )
+    t = np.clip(t_true_c + spec.noise_sigma * temp_z,
+                SENSOR_TEMP_MIN_C, SENSOR_TEMP_MAX_C)
+    rh = np.clip(rh_true_pct + spec.noise_sigma * rh_z, 0.0, 100.0)
+    return _round_tenths(t), _round_tenths(rh)

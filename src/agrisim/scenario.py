@@ -156,6 +156,14 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     air_sec = _section(sensors, "air", {"noise_sigma", "sample_interval_s"})
     soil_sensor = SensorSpec(kind=SOIL_MOISTURE, **soil_sec)
     air_sensor = SensorSpec(kind=AIR_TEMP_HUMIDITY, **air_sec)
+    # the season kernel samples both sensors together on whole-day grids
+    transport.season_packet_count(season.days, soil_sensor.sample_interval_s)
+    if air_sensor.sample_interval_s != soil_sensor.sample_interval_s:
+        raise ConfigurationError(
+            f"sensors.air.sample_interval_s {air_sensor.sample_interval_s} "
+            f"!= sensors.soil.sample_interval_s "
+            f"{soil_sensor.sample_interval_s}: both sensors share one "
+            f"sampling schedule")
 
     thr_sec = _section(raw, "thresholds",
                        {"soil_moisture_trigger_pct", "temp_alert_c",
@@ -182,7 +190,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     link_sec = _section(raw, "link", {"loss_prob", "latency_s", "max_retries",
                                       "qos"})
-    qos = link_sec.pop("qos", 0) if "qos" in link_sec else 0
+    qos = link_sec.get("qos", 0)
+    link_sec = {k: v for k, v in link_sec.items() if k != "qos"}
     if qos not in (0, 1):
         raise ConfigurationError(f"qos must be 0 or 1: {qos}")
     if "latency_s" in link_sec:
@@ -211,6 +220,11 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         **_section(raw, "economics",
                    {"maize_price_ugx_per_kg", "water_cost_ugx_per_l",
                     "labor_cost_ugx_per_event"}))
+    if (economics.water_cost_ugx_per_l == 0.0
+            and economics.labor_cost_ugx_per_event == 0.0):
+        raise ConfigurationError(
+            "water_cost_ugx_per_l and labor_cost_ugx_per_event are both 0: "
+            "the baseline cost that cost savings are a fraction of is 0")
     yield_model = YieldModelParams(
         **_section(raw, "yield_model", {"ky", "max_yield_kg_per_acre"}))
 

@@ -180,9 +180,11 @@ def season_packet_count(days: int, interval_s: int) -> int:
     """Number of consolidated messages in a season of daily sampling."""
     if days < 1:
         raise InputError(f"days must be >= 1: {days}")
-    if interval_s <= 0 or SECONDS_PER_DAY % interval_s != 0:
+    if (not isinstance(interval_s, int) or interval_s <= 0
+            or SECONDS_PER_DAY % interval_s != 0):
         raise ConfigurationError(
-            f"interval_s must divide {SECONDS_PER_DAY}: {interval_s}")
+            f"interval_s must be a whole number of seconds dividing "
+            f"{SECONDS_PER_DAY}: {interval_s}")
     return days * (SECONDS_PER_DAY // interval_s)
 
 

@@ -35,6 +35,7 @@ from agrisim.fieldsim import (
     SensorSpec,
     SoilProfile,
     generate_weather,
+    moisture_pct_to_depletion,
 )
 
 PROFILE = SoilProfile()
@@ -307,3 +308,30 @@ class TestScheduleSeason:
         assert a.samples == b.samples
         assert a.events == b.events
         assert a.noise_digest == b.noise_digest
+
+    def test_alerts_and_events_match_rules_on_every_sample(self):
+        # oracle: the threshold rules applied to each sample in turn; tight
+        # thresholds and noisy air readings fire every alert kind
+        setup = _setup(
+            thresholds=Thresholds(temp_alert_c=26.0,
+                                  humidity_range_pct=(42.0, 50.0)),
+            air_sensor=SensorSpec(kind="air_temp_humidity", noise_sigma=3.0))
+        result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(7))
+        alerts, events = [], {}
+        for ts, m, t, rh in result.samples:
+            day = (ts - 1) // 86_400
+            dep = min(max(moisture_pct_to_depletion(m, PROFILE), 0.0),
+                      PROFILE.taw_mm)
+            advice, fired = evaluate(
+                {"moisture_pct": m, "temp_c": t, "humidity_pct": rh},
+                setup.thresholds, FieldState(depletion_mm=dep), PROFILE,
+                cap_mm=setup.irrigation_cap_mm, timestamp_s=ts)
+            alerts.extend(fired)
+            if advice.action == IRRIGATE:
+                events.setdefault(day, (ts, advice.depth_mm))
+        assert {a.kind for a in alerts} == {HEAT, HUMIDITY_LOW, HUMIDITY_HIGH,
+                                            MOISTURE_LOW}
+        assert result.alerts == alerts
+        assert {e.day_index: (e.timestamp_s, e.depth_mm)
+                for e in result.events} == events
+

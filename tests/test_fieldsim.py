@@ -156,6 +156,11 @@ class TestDisplayScale:
         with pytest.raises(InputError):
             depletion_to_moisture_pct(PROFILE.taw_mm + 1.0, PROFILE)
 
+    def test_one_out_of_range_element_rejects_the_array(self):
+        deps = np.array([0.0, PROFILE.taw_mm / 2, PROFILE.taw_mm + 1.0])
+        with pytest.raises(InputError):
+            depletion_to_moisture_pct(deps, PROFILE)
+
     @given(st.floats(0.0, 1.0))
     def test_round_trip_within_taw(self, frac):
         dep = frac * PROFILE.taw_mm
@@ -164,22 +169,30 @@ class TestDisplayScale:
             dep, abs=1e-9)
 
 
+def _soil(true_pct, spec, noise_z):
+    return sample_soil_sensor(np.array([true_pct]), spec, noise_z)[0]
+
+
+def _air(t_true, rh_true, spec, noise):
+    z = noise.draw(2)
+    t, rh = sample_air_sensor(np.array([t_true]), rh_true, spec, z[:1], z[1:])
+    return t[0], rh[0]
+
+
 class TestSoilSensor:
     def test_noiseless_round_trip(self):
         spec = SensorSpec(noise_sigma=0.0)
-        reading = sample_soil_sensor(50.0, spec, NoiseStream(0))
-        assert reading.value == pytest.approx(50.0)
+        assert _soil(50.0, spec, NoiseStream(0).draw(1)) == pytest.approx(50.0)
 
     @given(st.floats(0.0, 100.0))
     def test_noiseless_round_trip_any_moisture(self, true_pct):
         spec = SensorSpec(noise_sigma=0.0)
-        reading = sample_soil_sensor(true_pct, spec, NoiseStream(0))
-        assert reading.value == pytest.approx(true_pct, abs=1e-9)
+        assert _soil(true_pct, spec, NoiseStream(0).draw(1)) == pytest.approx(
+            true_pct, abs=1e-9)
 
     def test_air_counts_anchor(self):
         spec = SensorSpec(noise_sigma=0.0)
-        reading = sample_soil_sensor(0.0, spec, NoiseStream(0))
-        assert reading.value == 0.0
+        assert _soil(0.0, spec, NoiseStream(0).draw(1)) == 0.0
 
     def test_degenerate_calibration_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -188,45 +201,50 @@ class TestSoilSensor:
     def test_noise_is_unbiased(self):
         # Monte-Carlo: symmetric noise without clamping keeps the mean
         spec = SensorSpec(noise_sigma=40.0)
-        noise = NoiseStream(11)
-        values = [sample_soil_sensor(40.0, spec, noise).value
-                  for _ in range(10_000)]
+        values = sample_soil_sensor(np.full(10_000, 40.0), spec,
+                                    NoiseStream(11).draw(10_000))
         assert abs(np.mean(values) - 40.0) < 0.5
 
     def test_identical_seed_identical_stream(self):
         spec = SensorSpec(noise_sigma=25.0)
-        a = [sample_soil_sensor(40.0, spec, NoiseStream(5)).value]
-        b = [sample_soil_sensor(40.0, spec, NoiseStream(5)).value]
+        a = [_soil(40.0, spec, NoiseStream(5).draw(1))]
+        b = [_soil(40.0, spec, NoiseStream(5).draw(1))]
         assert a == b
 
 
 class TestAirSensor:
     def test_values_pass_through_noiselessly(self):
-        t, rh = sample_air_sensor(32.6, 38.0, AIR_SPEC, NoiseStream(0))
-        assert (t.value, rh.value) == (32.6, 38.0)
+        assert _air(32.6, 38.0, AIR_SPEC, NoiseStream(0)) == (32.6, 38.0)
 
     def test_humidity_clamped_at_100(self):
         spec = SensorSpec(kind="air_temp_humidity", noise_sigma=5.0)
         noise = NoiseStream(1)
         for _ in range(200):
-            _, rh = sample_air_sensor(25.0, 100.0, spec, noise)
-            assert rh.value <= 100.0
+            _, rh = _air(25.0, 100.0, spec, noise)
+            assert rh <= 100.0
 
     def test_quantization_to_tenths(self):
-        t, _ = sample_air_sensor(20.24, 50.0, AIR_SPEC, NoiseStream(0))
-        assert t.value == 20.2
+        t, _ = _air(20.24, 50.0, AIR_SPEC, NoiseStream(0))
+        assert t == 20.2
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
-            sample_air_sensor(20.0, 50.0, SensorSpec(), NoiseStream(0))
+            _air(20.0, 50.0, SensorSpec(), NoiseStream(0))
 
 
 class TestNoiseStream:
     def test_digest_tracks_consumption(self):
         a, b = NoiseStream(9), NoiseStream(9)
         for _ in range(50):
-            a.draw()
-            b.draw()
+            a.draw(1)
+            b.draw(1)
         assert a.digest() == b.digest()
-        a.draw()
+        a.draw(1)
         assert a.digest() != b.digest()
+
+    def test_block_draw_matches_single_draws(self):
+        block, single = NoiseStream(13), NoiseStream(13)
+        values = block.draw(864)
+        singles = [single.draw(1)[0] for _ in range(864)]
+        assert values.tolist() == singles
+        assert block.digest() == single.digest()

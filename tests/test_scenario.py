@@ -100,6 +100,32 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="qos"):
             parse_scenario(raw)
 
+    def test_interval_must_divide_a_day(self):
+        raw = default_raw()
+        raw["sensors"]["soil"]["sample_interval_s"] = 7
+        raw["sensors"]["air"]["sample_interval_s"] = 7
+        with pytest.raises(ConfigurationError, match="dividing 86400"):
+            parse_scenario(raw)
+
+    def test_air_interval_must_match_soil(self):
+        raw = default_raw()
+        raw["sensors"]["air"]["sample_interval_s"] = 3600
+        with pytest.raises(ConfigurationError, match="air.sample_interval_s"):
+            parse_scenario(raw)
+
+    def test_polar_latitude_rejected(self):
+        raw = default_raw()
+        raw["season"]["latitude_deg"] = 80.0
+        with pytest.raises(ConfigurationError, match="latitude"):
+            parse_scenario(raw)
+
+    def test_zero_water_and_labor_cost_rejected(self):
+        raw = default_raw()
+        raw["economics"].update(water_cost_ugx_per_l=0.0,
+                                labor_cost_ugx_per_event=0.0)
+        with pytest.raises(ConfigurationError, match="both 0"):
+            parse_scenario(raw)
+
     def test_invalid_locale(self):
         raw = default_raw()
         raw["alerting"]["locale"] = "fr"
@@ -123,6 +149,14 @@ class TestDeterministicParsing:
     def test_same_raw_same_scenario(self):
         raw = default_raw()
         assert parse_scenario(copy.deepcopy(raw)) == parse_scenario(raw)
+
+    def test_parsing_leaves_the_mapping_unchanged(self):
+        raw = default_raw()
+        raw["link"]["qos"] = 1
+        before = copy.deepcopy(raw)
+        assert parse_scenario(raw).qos == 1
+        assert parse_scenario(raw).qos == 1
+        assert raw == before
 
     def test_file_and_default_loader_agree(self):
         with default_scenario_path() as path:
