@@ -2,9 +2,10 @@
 
 Decision outputs are rendered from a bilingual message catalog (English and
 Luganda; the Luganda entries are marked pending review) and handed to a
-pluggable gateway client. Only mock clients ship in-repo: the request line is
-built exactly as a free WhatsApp-gateway or SMS GET call would be, but
-nothing ever touches the network.
+pluggable gateway client: any object with a ``send(request_line)`` method
+that raises on failure. Only a recording mock client ships in-repo: the
+request line is built exactly as a free WhatsApp-gateway or SMS GET call
+would be, but nothing ever touches the network.
 
 Identical messages for the same field are deduplicated within a configurable
 window so 5-minute sampling cannot spam a farmer.
@@ -39,10 +40,6 @@ class RenderError(AgrisimError):
 
 
 class TemplateNotFound(AgrisimError):
-    pass
-
-
-class GatewaySendError(AgrisimError):
     pass
 
 
@@ -117,12 +114,6 @@ class MessageCatalog:
         except KeyError:
             raise TemplateNotFound(f"{template_id}/{locale}") from None
 
-    def template_ids(self) -> list[str]:
-        return sorted({tid for tid, _ in self._templates})
-
-    def locales(self, template_id: str) -> list[str]:
-        return sorted(loc for tid, loc in self._templates if tid == template_id)
-
     def render(self, template_id: str, locale: str, params: dict) -> str:
         """Substitute parameters into a template. Pure: same inputs, same
         bytes out."""
@@ -171,16 +162,6 @@ class RecordingGatewayClient:
 
     def send(self, request_line: str) -> None:
         self.requests.append(request_line)
-
-
-class FailingGatewayClient:
-    """Mock client that always fails, for failure-path tests."""
-
-    def __init__(self, reason: str = "gateway unreachable"):
-        self.reason = reason
-
-    def send(self, request_line: str) -> None:
-        raise GatewaySendError(self.reason)
 
 
 @dataclass(frozen=True)
@@ -249,14 +230,6 @@ class Dispatcher:
                                         self.locale, text, SENT, key)
         self.records.append(record)
         return record
-
-    def dispatch_advice(self, advice: decision.IrrigationAdvice,
-                        clock_s: float) -> DispatchRecord | None:
-        if advice.action != decision.IRRIGATE:
-            return None
-        return self.dispatch("irrigate_low_moisture",
-                             {"moisture_pct": advice.observed_moisture_pct},
-                             clock_s, advice.field_id)
 
     def dispatch_alert(self, alert: decision.Alert, clock_s: float,
                        field_id: str = "field-1") -> DispatchRecord:

@@ -2,7 +2,7 @@
 
 Subcommands:
   run <scenario> [--out DIR] [--seed N]   full two-arm season + artifacts
-  bench-transport <scenario> [--out FILE] per-protocol transport comparison
+  bench-transport <scenario> [--out FILE] per-protocol transport stats of a run
   report <out-dir>                        re-render tables from stored totals
 """
 
@@ -49,7 +49,9 @@ def cmd_run(args) -> int:
 def cmd_bench_transport(args) -> int:
     scenario = _load(args.scenario, args.seed)
     out_path = args.out
-    stats = pipeline.bench_transport(scenario, out_path=out_path)
+    stats = pipeline.run_season(scenario).transport_stats
+    if out_path:
+        pipeline.write_transport_csv(out_path, stats)
     ps, rr = stats[transport.PUBSUB], stats[transport.REQRESP]
     for name, s in ((transport.PUBSUB, ps), (transport.REQRESP, rr)):
         print(f"{name:8s} attempted={s.attempted} delivered={s.delivered} "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,15 +24,17 @@ from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     FieldState,
     NoiseStream,
-    SensorSpec,
-    SoilProfile,
     WeatherDay,
     depletion_to_moisture_pct,
+    generate_weather,
     moisture_pct_to_depletion,
     sample_air_sensor,
     sample_soil_sensor,
     step_soil_water,
 )
+
+if TYPE_CHECKING:  # scenario imports this module
+    from agrisim.scenario import Scenario
 
 SOLAR_CONSTANT_MJ = 0.0820  # MJ m-2 min-1
 RA_TO_MM = 0.408            # evaporation equivalent of 1 MJ m-2 day-1
@@ -171,8 +174,6 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class IrrigationAdvice:
-    field_id: str
-    timestamp_s: float
     action: str
     depth_mm: float
     reason: str
@@ -192,22 +193,15 @@ class Alert:
     timestamp_s: float = 0.0
 
 
-def refill_depth(state: FieldState, profile: SoilProfile,
-                 cap_mm: float) -> float:
-    """Application depth that refills the root zone, capped per event."""
-    return min(state.depletion_mm, cap_mm)
-
-
 def evaluate(readings: dict, thresholds: Thresholds, field_state: FieldState,
-             profile: SoilProfile, cap_mm: float = 25.0,
-             field_id: str = "field-1", timestamp_s: float = 0.0
+             cap_mm: float = 25.0, timestamp_s: float = 0.0
              ) -> tuple[IrrigationAdvice, list[Alert]]:
     """Apply the threshold rules to the latest reading set.
 
     ``readings`` must provide moisture_pct, temp_c and humidity_pct. Returns
-    irrigation advice (IRRIGATE with a refill depth, or NONE) plus zero or
-    more environmental alerts, each carrying the observed value and the
-    threshold it crossed.
+    irrigation advice (IRRIGATE with a depth that refills the root zone,
+    capped at ``cap_mm``, or NONE) plus zero or more environmental alerts,
+    each carrying the observed value and the threshold it crossed.
     """
     missing = {"moisture_pct", "temp_c", "humidity_pct"} - readings.keys()
     if missing:
@@ -229,15 +223,15 @@ def evaluate(readings: dict, thresholds: Thresholds, field_state: FieldState,
     trigger = thresholds.soil_moisture_trigger_pct
     if moisture < trigger:
         alerts.append(Alert(MOISTURE_LOW, "high", moisture, trigger, timestamp_s))
-        depth = refill_depth(field_state, profile, cap_mm)
+        depth = min(field_state.depletion_mm, cap_mm)
         if depth > 0.0:
             advice = IrrigationAdvice(
-                field_id, timestamp_s, IRRIGATE, depth,
+                IRRIGATE, depth,
                 f"soil moisture {moisture:.1f}% below trigger {trigger:.0f}%",
                 moisture)
             return advice, alerts
-    return (IrrigationAdvice(field_id, timestamp_s, NONE, 0.0,
-                             "all thresholds satisfied", moisture), alerts)
+    return (IrrigationAdvice(NONE, 0.0, "all thresholds satisfied", moisture),
+            alerts)
 
 
 @dataclass(frozen=True)
@@ -280,24 +274,6 @@ class SeasonResult:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class SeasonSetup:
-    """Everything one policy arm needs to run a season."""
-
-    weather: list[WeatherDay]
-    profile: SoilProfile
-    calendar: CropCalendar
-    thresholds: Thresholds
-    soil_sensor: SensorSpec
-    air_sensor: SensorSpec
-    latitude_deg: float
-    irrigation_cap_mm: float = 25.0
-    baseline_interval_days: int = 4
-    baseline_depth_mm: float = 12.0
-    initial_depletion_mm: float = 0.0
-    field_id: str = "field-1"
-
-
 def _diurnal_cosines(interval_s: int, samples_per_day: int) -> np.ndarray:
     """cos(2 pi (hour - 14) / 24) at each sampling slot of a day, so the
     diurnal cycle peaks at 14:00. math.cos, not np.cos: the two can differ
@@ -314,9 +290,12 @@ def _diurnal_temp(w: WeatherDay, cosines: np.ndarray) -> np.ndarray:
     return w.t_mean_c + half_range * cosines
 
 
-def schedule_season(policy: str, setup: SeasonSetup,
+def schedule_season(policy: str, scenario: Scenario,
                     noise: NoiseStream) -> SeasonResult:
-    """Run one policy arm over the season.
+    """Run one policy arm over the scenario's season.
+
+    The weather is generated from the scenario's season and seed, so every
+    arm of one scenario sees the same weather.
 
     SENSOR_DRIVEN evaluates the threshold rules at every sampling step on
     noisy sensor readings (ground truth interpolated between daily states)
@@ -335,39 +314,43 @@ def schedule_season(policy: str, setup: SeasonSetup,
         raise InputError(f"unknown policy: {policy}")
 
     result = SeasonResult(policy=policy)
-    state = FieldState(depletion_mm=setup.initial_depletion_mm)
-    interval = setup.soil_sensor.sample_interval_s
+    state = FieldState(depletion_mm=scenario.irrigation.initial_depletion_mm)
+    interval = scenario.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
-    taw = setup.profile.taw_mm
+    profile = scenario.profile
+    taw = profile.taw_mm
     frac = np.arange(1, samples_per_day + 1) / samples_per_day
     cosines = _diurnal_cosines(interval, samples_per_day)
-    thr = setup.thresholds
+    thr = scenario.thresholds
     rh_lo, rh_hi = thr.humidity_range_pct
 
-    for w in setup.weather:
-        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, setup.latitude_deg,
-                             w.day_of_year)
-        etc = crop_et(et0, w.day_index, setup.calendar)
+    baseline = scenario.baseline
+    latitude = scenario.season.latitude_deg
+
+    for w in generate_weather(scenario.season, scenario.seed):
+        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
+        etc = crop_et(et0, w.day_index, scenario.calendar)
 
         # no-irrigation projection used to interpolate within-day ground truth
-        projected = step_soil_water(state, w, 0.0, etc, setup.profile)
+        projected = step_soil_water(state, w, 0.0, etc, profile)
         dep0, dep1 = state.depletion_mm, projected.depletion_mm
 
         irrigation_today = 0.0
-        if policy == CALENDAR_BASELINE and w.day_index % setup.baseline_interval_days == 0:
-            irrigation_today = setup.baseline_depth_mm
+        if policy == CALENDAR_BASELINE and w.day_index % baseline.interval_days == 0:
+            irrigation_today = baseline.depth_mm
             result.events.append(IrrigationEvent(
                 w.day_index, w.day_index * SECONDS_PER_DAY,
-                setup.baseline_depth_mm, float("nan"), "calendar interval"))
+                baseline.depth_mm, float("nan"), "calendar interval"))
 
         # one standard normal per reading, in (soil, temp, rh) order per slot
         z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
         true_dep = dep0 + frac * (dep1 - dep0)
         true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
-                                               setup.profile)
-        moisture = sample_soil_sensor(true_moist, setup.soil_sensor, z[:, 0])
+                                               profile)
+        moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
+                                      z[:, 0])
         temp, rh = sample_air_sensor(_diurnal_temp(w, cosines),
-                                     w.rh_mean_pct, setup.air_sensor,
+                                     w.rh_mean_pct, scenario.air_noise_sigma,
                                      z[:, 1], z[:, 2])
         day_start = w.day_index * SECONDS_PER_DAY
         timestamps = range(day_start + interval,
@@ -381,14 +364,13 @@ def schedule_season(policy: str, setup: SeasonSetup,
                 (temp > thr.temp_alert_c) | (rh < rh_lo) | (rh > rh_hi)
                 | (moisture < thr.soil_moisture_trigger_pct))
             sensed_dep = np.clip(moisture_pct_to_depletion(
-                moisture[flagged], setup.profile), 0.0, taw)
+                moisture[flagged], profile), 0.0, taw)
             for k, dep in zip(flagged.tolist(), sensed_dep.tolist()):
                 advice, alerts = evaluate(
                     {"moisture_pct": m_values[k], "temp_c": t_values[k],
                      "humidity_pct": rh_values[k]},
-                    thr, FieldState(depletion_mm=dep, day_index=w.day_index),
-                    setup.profile, cap_mm=setup.irrigation_cap_mm,
-                    field_id=setup.field_id, timestamp_s=timestamps[k])
+                    thr, FieldState(depletion_mm=dep),
+                    cap_mm=scenario.irrigation.cap_mm, timestamp_s=timestamps[k])
                 result.alerts.extend(alerts)
                 if advice.action == IRRIGATE and irrigation_today == 0.0:
                     irrigation_today = advice.depth_mm
@@ -396,8 +378,7 @@ def schedule_season(policy: str, setup: SeasonSetup,
                         w.day_index, timestamps[k], advice.depth_mm,
                         advice.observed_moisture_pct, advice.reason))
 
-        new_state = step_soil_water(state, w, irrigation_today, etc,
-                                    setup.profile)
+        new_state = step_soil_water(state, w, irrigation_today, etc, profile)
         result.daily.append(DailyRecord(
             day_index=w.day_index,
             depletion_start_mm=state.depletion_mm,
@@ -408,7 +389,7 @@ def schedule_season(policy: str, setup: SeasonSetup,
                          - state.cumulative_drainage_mm),
             irrigation_mm=irrigation_today,
             moisture_end_pct=float(depletion_to_moisture_pct(
-                new_state.depletion_mm, setup.profile)),
+                new_state.depletion_mm, profile)),
         ))
         result.etm_total_mm += etc
         state = new_state

@@ -21,9 +21,6 @@ import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
 
-SOIL_MOISTURE = "soil_moisture"
-AIR_TEMP_HUMIDITY = "air_temp_humidity"
-
 SENSOR_TEMP_MIN_C = -40.0
 SENSOR_TEMP_MAX_C = 80.0
 
@@ -119,11 +116,6 @@ class SoilProfile:
         """Total available water in the root zone (mm)."""
         return 1000.0 * (self.theta_fc - self.theta_wp) * self.root_depth_m
 
-    @property
-    def raw_mm(self) -> float:
-        """Readily available water (mm); depletion beyond this causes stress."""
-        return self.depletion_fraction_p * self.taw_mm
-
 
 @dataclass(frozen=True)
 class FieldState:
@@ -133,24 +125,19 @@ class FieldState:
     cumulative_drainage_mm: float = 0.0
     cumulative_irrigation_mm: float = 0.0
     cumulative_eta_mm: float = 0.0
-    day_index: int = 0
 
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """A buried soil probe or an air temperature/humidity sensor."""
+    """A buried capacitive soil-moisture probe behind an ADC."""
 
-    kind: str = SOIL_MOISTURE
     adc_bits: int = 12
     air_counts: float = 3500.0
     water_counts: float = 1200.0
     noise_sigma: float = 0.0
     sample_interval_s: int = 300
-    depth_cm: float = 15.0
 
     def __post_init__(self):
-        if self.kind not in (SOIL_MOISTURE, AIR_TEMP_HUMIDITY):
-            raise ConfigurationError(f"unknown sensor kind: {self.kind}")
         if self.water_counts >= self.air_counts:
             raise ConfigurationError(
                 "water_counts must be below air_counts (wetter soil reads lower)"
@@ -259,7 +246,6 @@ def step_soil_water(state: FieldState, weather: WeatherDay,
         cumulative_drainage_mm=state.cumulative_drainage_mm + drainage,
         cumulative_irrigation_mm=state.cumulative_irrigation_mm + irrigation_mm,
         cumulative_eta_mm=state.cumulative_eta_mm + eta,
-        day_index=state.day_index + 1,
     )
 
 
@@ -306,8 +292,6 @@ def sample_soil_sensor(true_moisture_pct: np.ndarray, spec: SensorSpec,
     """Simulate soil-probe readings: raw counts plus Gaussian noise (one
     standard normal per reading), clamped to the ADC range, then two-point
     calibrated back to percent."""
-    if spec.kind != SOIL_MOISTURE:
-        raise InputError(f"not a soil sensor: {spec.kind}")
     raw = soil_raw_counts(true_moisture_pct, spec)
     raw = raw + spec.noise_sigma * noise_z
     raw = np.clip(raw, 0.0, 2 ** spec.adc_bits - 1)
@@ -322,13 +306,12 @@ def _round_tenths(values: np.ndarray) -> np.ndarray:
 
 
 def sample_air_sensor(t_true_c: np.ndarray, rh_true_pct: float,
-                      spec: SensorSpec, temp_z: np.ndarray, rh_z: np.ndarray
+                      noise_sigma: float, temp_z: np.ndarray, rh_z: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate paired temperature/humidity readings quantized to 0.1, one
-    standard normal per reading in each noise column."""
-    if spec.kind != AIR_TEMP_HUMIDITY:
-        raise InputError(f"not an air sensor: {spec.kind}")
-    t = np.clip(t_true_c + spec.noise_sigma * temp_z,
+    standard normal per reading in each noise column, both scaled by
+    ``noise_sigma``."""
+    t = np.clip(t_true_c + noise_sigma * temp_z,
                 SENSOR_TEMP_MIN_C, SENSOR_TEMP_MAX_C)
-    rh = np.clip(rh_true_pct + spec.noise_sigma * rh_z, 0.0, 100.0)
+    rh = np.clip(rh_true_pct + noise_sigma * rh_z, 0.0, 100.0)
     return _round_tenths(t), _round_tenths(rh)

@@ -1,9 +1,9 @@
 """Local cloud-channel emulation: write-key auth, rate-limited ingestion into
-an append-only in-memory time series, range queries, CSV export, and
+an append-only in-memory time series, per-channel counters, CSV export, and
 JSON-lines snapshots.
 
-The ingest request mirrors a REST channel-update call as key=value pairs
-(api_key, field1..field8, created_at); see :func:`format_update_request`.
+An ingest call mirrors a REST channel-update request: a write key, one value
+per channel field (at most eight) and a timestamp.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class ChannelEntry:
 class IngestResult:
     status: str
     entry: ChannelEntry | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.status == ACCEPTED
 
 
 @dataclass
@@ -115,14 +111,6 @@ class ChannelStore:
         st.accepted += 1
         return IngestResult(ACCEPTED, entry)
 
-    def query_range(self, channel_id: str, t0: float, t1: float
-                    ) -> list[ChannelEntry]:
-        """All entries with t0 <= created_at <= t1, in entry_id order."""
-        if t0 > t1:
-            raise InputError(f"t0 > t1: {t0} > {t1}")
-        st = self._state(channel_id)
-        return [e for e in st.entries if t0 <= e.created_at_s <= t1]
-
     def entries(self, channel_id: str) -> list[ChannelEntry]:
         return list(self._state(channel_id).entries)
 
@@ -144,26 +132,6 @@ class ChannelStore:
                                  *[repr(v) for v in e.values]])
         return len(st.entries)
 
-    def import_csv(self, channel_id: str, path) -> int:
-        """Re-load an export into an empty channel (round-trip check helper)."""
-        st = self._state(channel_id)
-        if st.entries:
-            raise InputError("import target channel must be empty")
-        with Path(path).open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header[2:]) != st.channel.field_names:
-                raise InputError(f"field mismatch in {path}")
-            for row in reader:
-                entry = ChannelEntry(entry_id=int(row[1]),
-                                     created_at_s=float(row[0]),
-                                     values=tuple(float(v) for v in row[2:]))
-                st.entries.append(entry)
-        st.accepted = len(st.entries)
-        if st.entries:
-            st.last_accepted_s = st.entries[-1].created_at_s
-        return len(st.entries)
-
     def snapshot_jsonl(self, channel_id: str, path) -> int:
         """Persist the channel as JSON lines, one entry object per line."""
         st = self._state(channel_id)
@@ -175,13 +143,3 @@ class ChannelStore:
                     "values": dict(zip(st.channel.field_names, e.values)),
                 }, sort_keys=True) + "\n")
         return len(st.entries)
-
-
-def format_update_request(api_key: str, values, created_at_s: float) -> str:
-    """Render one ingest attempt in the documented REST-style update format."""
-    if len(values) > MAX_FIELDS:
-        raise InputError(f"at most {MAX_FIELDS} fields")
-    parts = [f"api_key={api_key}"]
-    parts += [f"field{i + 1}={float(v)}" for i, v in enumerate(values)]
-    parts.append(f"created_at={created_at_s}")
-    return "&".join(parts)

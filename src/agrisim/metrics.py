@@ -8,7 +8,7 @@ Ya = Ym * (1 - Ky * (1 - ETa/ETm)), with Ky defaulting to 1.25 for maize.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from agrisim.errors import InputError
@@ -91,15 +91,6 @@ def yield_from_water_stress(eta_mm: float, etm_mm: float, ky: float,
     return max(ya, 0.0)
 
 
-def cost_savings_ugx(water_saved_l: float, events_saved: float,
-                     params: EconomicParams) -> float:
-    """Water plus labor cost savings."""
-    if water_saved_l < 0.0 or events_saved < 0.0:
-        raise InputError("savings inputs must be non-negative")
-    return (water_saved_l * params.water_cost_ugx_per_l
-            + events_saved * params.labor_cost_ugx_per_event)
-
-
 def revenue_gain_ugx(extra_yield_kg: float, price_ugx_per_kg: float) -> float:
     if extra_yield_kg < 0.0 or price_ugx_per_kg < 0.0:
         raise InputError("revenue inputs must be non-negative")
@@ -119,12 +110,6 @@ class MetricRow:
 @dataclass(frozen=True)
 class MetricReport:
     rows: tuple[MetricRow, ...]
-
-    def row(self, parameter: str) -> MetricRow:
-        for r in self.rows:
-            if r.parameter == parameter:
-                return r
-        raise InputError(f"no such report row: {parameter}")
 
 
 def row_status(recorded: float, threshold: float, kind: str) -> str:

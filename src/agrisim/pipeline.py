@@ -13,6 +13,8 @@ arms were paired.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -40,23 +42,6 @@ class RunOutput:
     out_dir: Path | None = None
 
 
-def _season_setup(scenario: Scenario, weather) -> decision.SeasonSetup:
-    return decision.SeasonSetup(
-        weather=weather,
-        profile=scenario.profile,
-        calendar=scenario.calendar,
-        thresholds=scenario.thresholds,
-        soil_sensor=scenario.soil_sensor,
-        air_sensor=scenario.air_sensor,
-        latitude_deg=scenario.season.latitude_deg,
-        irrigation_cap_mm=scenario.irrigation.cap_mm,
-        baseline_interval_days=scenario.baseline.interval_days,
-        baseline_depth_mm=scenario.baseline.depth_mm,
-        initial_depletion_mm=scenario.irrigation.initial_depletion_mm,
-        field_id=scenario.field_id,
-    )
-
-
 def packets_from_samples(samples, topic: str) -> list[transport.TelemetryPacket]:
     """One consolidated packet per sampling interval, fixed field order."""
     return [transport.TelemetryPacket(
@@ -73,22 +58,19 @@ def _weather_digest(weather) -> str:
     return h.hexdigest()
 
 
-def run_arms(scenario: Scenario):
-    """Run both policy arms on shared weather and noise streams."""
-    weather = generate_weather(scenario.season, scenario.seed)
-    ss = np.random.SeedSequence(scenario.seed)
-    sensor_ss, pubsub_ss, reqresp_ss = ss.spawn(3)
-    setup = _season_setup(scenario, weather)
-    system = decision.schedule_season(decision.SENSOR_DRIVEN, setup,
-                                      NoiseStream(sensor_ss))
-    baseline = decision.schedule_season(decision.CALENDAR_BASELINE, setup,
-                                        NoiseStream(sensor_ss))
-    return weather, system, baseline, pubsub_ss, reqresp_ss
-
-
 def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
-    """Execute the full pipeline; write artifact files when out_dir is given."""
-    weather, system, baseline, pubsub_ss, reqresp_ss = run_arms(scenario)
+    """Execute the full pipeline; write artifact files when out_dir is given.
+
+    Both policy arms see the scenario's weather and the same sensor-noise
+    stream.
+    """
+    weather = generate_weather(scenario.season, scenario.seed)
+    sensor_ss, pubsub_ss, reqresp_ss = np.random.SeedSequence(
+        scenario.seed).spawn(3)
+    system = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
+                                      NoiseStream(sensor_ss))
+    baseline = decision.schedule_season(decision.CALENDAR_BASELINE, scenario,
+                                        NoiseStream(sensor_ss))
     topic = f"farm/{scenario.field_id}/telemetry"
     packets = packets_from_samples(system.samples, topic)
     days = scenario.season.days
@@ -190,7 +172,6 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
 
 
 def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult):
-    import csv
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
@@ -205,7 +186,6 @@ def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult):
 
 def _write_irrigation_log(path, system: decision.SeasonResult,
                           baseline: decision.SeasonResult):
-    import csv
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "policy", "depth_mm", "trigger_reason"])
@@ -216,7 +196,6 @@ def _write_irrigation_log(path, system: decision.SeasonResult,
 
 
 def write_transport_csv(path, stats_by_protocol: dict):
-    import csv
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["protocol", "attempted", "delivered",
@@ -250,22 +229,11 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
     metrics.export_report_csv(output.report, out / "report.csv")
     metrics.export_radar_csv(output.report, out / "radar.csv")
 
-    totals = output.totals
     (out / "totals.json").write_text(json.dumps({
         "scenario": output.scenario_name,
         "observations": output.observations,
         "report_targets": scenario.report_targets,
-        "totals": {
-            "baseline_water_l_per_acre": totals.baseline_water_l_per_acre,
-            "system_water_l_per_acre": totals.system_water_l_per_acre,
-            "baseline_yield_kg_per_acre": totals.baseline_yield_kg_per_acre,
-            "system_yield_kg_per_acre": totals.system_yield_kg_per_acre,
-            "pubsub_energy_mwh": totals.pubsub_energy_mwh,
-            "reqresp_energy_mwh": totals.reqresp_energy_mwh,
-            "delivery_rate": totals.delivery_rate,
-            "baseline_event_count": totals.baseline_event_count,
-            "system_event_count": totals.system_event_count,
-        },
+        "totals": dataclasses.asdict(output.totals),
         "economics": output.economics,
     }, sort_keys=True, indent=2) + "\n")
 
@@ -284,22 +252,3 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
     with (out / MANIFEST_NAME).open("w") as fh:
         for entry in manifest_entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def bench_transport(scenario: Scenario, out_path=None):
-    """Run both protocols over an identical packet stream and compare."""
-    weather, system, _baseline, pubsub_ss, reqresp_ss = run_arms(scenario)
-    topic = f"farm/{scenario.field_id}/telemetry"
-    packets = packets_from_samples(system.samples, topic)
-    days = scenario.season.days
-    stats = {
-        transport.PUBSUB: transport.run_session(
-            packets, transport.PUBSUB, scenario.qos, scenario.link,
-            scenario.energy, np.random.default_rng(pubsub_ss), days=days),
-        transport.REQRESP: transport.run_session(
-            packets, transport.REQRESP, scenario.qos, scenario.link,
-            scenario.energy, np.random.default_rng(reqresp_ss), days=days),
-    }
-    if out_path is not None:
-        write_transport_csv(out_path, stats)
-    return stats

@@ -17,13 +17,7 @@ import yaml
 from agrisim import transport
 from agrisim.decision import CropCalendar, Thresholds
 from agrisim.errors import ConfigurationError
-from agrisim.fieldsim import (
-    AIR_TEMP_HUMIDITY,
-    SOIL_MOISTURE,
-    SeasonConfig,
-    SensorSpec,
-    SoilProfile,
-)
+from agrisim.fieldsim import SeasonConfig, SensorSpec, SoilProfile
 from agrisim.ingest import Channel
 from agrisim.alerting import GatewayConfig
 from agrisim.metrics import EconomicParams
@@ -81,7 +75,7 @@ class Scenario:
     season: SeasonConfig
     profile: SoilProfile
     soil_sensor: SensorSpec
-    air_sensor: SensorSpec
+    air_noise_sigma: float
     thresholds: Thresholds
     calendar: CropCalendar
     link: transport.LinkModel
@@ -152,15 +146,31 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     sensors = _section(raw, "sensors", {"soil", "air"})
     soil_keys = {"adc_bits", "air_counts", "water_counts", "noise_sigma",
                  "sample_interval_s", "depth_cm"}
-    soil_sec = _section(sensors, "soil", soil_keys)
+    soil_sec = dict(_section(sensors, "soil", soil_keys))
+    # the bucket has one root zone, so the probe depth changes no reading;
+    # the key stays accepted (the shipped scenario sets it) but must lie
+    # inside the root zone
+    depth_cm = soil_sec.pop("depth_cm", None)
+    root_cm = 100.0 * profile.root_depth_m
+    if depth_cm is not None and not (
+            isinstance(depth_cm, (int, float)) and 0.0 < depth_cm <= root_cm):
+        raise ConfigurationError(
+            f"sensors.soil.depth_cm {depth_cm!r} outside the root zone "
+            f"(0, {root_cm:g}] cm")
+    soil_sensor = SensorSpec(**soil_sec)
     air_sec = _section(sensors, "air", {"noise_sigma", "sample_interval_s"})
-    soil_sensor = SensorSpec(kind=SOIL_MOISTURE, **soil_sec)
-    air_sensor = SensorSpec(kind=AIR_TEMP_HUMIDITY, **air_sec)
+    air_noise_sigma = air_sec.get("noise_sigma", 0.0)
+    if not (isinstance(air_noise_sigma, (int, float)) and air_noise_sigma >= 0):
+        raise ConfigurationError(
+            f"sensors.air.noise_sigma must be a non-negative number: "
+            f"{air_noise_sigma!r}")
     # the season kernel samples both sensors together on whole-day grids
     transport.season_packet_count(season.days, soil_sensor.sample_interval_s)
-    if air_sensor.sample_interval_s != soil_sensor.sample_interval_s:
+    air_interval = air_sec.get("sample_interval_s",
+                               SensorSpec.sample_interval_s)
+    if air_interval != soil_sensor.sample_interval_s:
         raise ConfigurationError(
-            f"sensors.air.sample_interval_s {air_sensor.sample_interval_s} "
+            f"sensors.air.sample_interval_s {air_interval} "
             f"!= sensors.soil.sample_interval_s "
             f"{soil_sensor.sample_interval_s}: both sensors share one "
             f"sampling schedule")
@@ -204,7 +214,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     energy_sec = _section(raw, "energy", {"per_message_mwh", "idle_mwh_per_day"})
     energy_kwargs = {}
     if "per_message_mwh" in energy_sec:
-        per = energy_sec["per_message_mwh"]
+        per = _section(energy_sec, "per_message_mwh", {"pubsub", "reqresp"},
+                       {"pubsub", "reqresp"})
         energy_kwargs["energy_per_message_mwh"] = {
             transport.PUBSUB: float(per["pubsub"]),
             transport.REQRESP: float(per["reqresp"])}
@@ -251,7 +262,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         seed=int(raw["seed"]),
         field_id=str(raw.get("field_id", "field-1")),
         season=season, profile=profile,
-        soil_sensor=soil_sensor, air_sensor=air_sensor,
+        soil_sensor=soil_sensor, air_noise_sigma=air_noise_sigma,
         thresholds=thresholds, calendar=calendar,
         link=link, qos=qos, energy=energy,
         irrigation=irrigation, baseline=baseline,
@@ -267,6 +278,8 @@ def load_scenario(path) -> Scenario:
     try:
         with path.open() as fh:
             raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     return parse_scenario(raw, name_hint=path.stem)

@@ -85,8 +85,15 @@ class EnergyModel:
         if self.idle_mwh_per_day < 0.0:
             raise ConfigurationError("idle_mwh_per_day must be non-negative")
         for proto in PROTOCOLS:
-            if self.energy_per_message_mwh.get(proto, -1.0) < 0.0:
+            per_msg = self.energy_per_message_mwh.get(proto, -1.0)
+            if per_msg < 0.0:
                 raise ConfigurationError(f"missing/negative energy for {proto}")
+            # a session must spend some energy: efficiency and the protocol
+            # energy ratio divide by its total
+            if per_msg == 0.0 and self.idle_mwh_per_day == 0.0:
+                raise ConfigurationError(
+                    f"{proto} per-message energy and idle_mwh_per_day are "
+                    f"both 0: a session would spend no energy")
 
 
 @dataclass(frozen=True)
@@ -113,17 +120,6 @@ class TransportStats:
     @property
     def mean_latency_s(self) -> float:
         return self.latency_sum_s / self.delivered if self.delivered else 0.0
-
-    def merge(self, other: "TransportStats") -> "TransportStats":
-        """Associative, commutative combination of two partial sessions."""
-        return TransportStats(
-            attempted=self.attempted + other.attempted,
-            delivered=self.delivered + other.delivered,
-            retransmissions=self.retransmissions + other.retransmissions,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            energy_mwh=self.energy_mwh + other.energy_mwh,
-            latency_sum_s=self.latency_sum_s + other.latency_sum_s,
-        )
 
 
 def publish(packet: TelemetryPacket, qos: int, link: LinkModel,

@@ -206,9 +206,9 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             readings = {"temp_c": 28.0, "humidity_pct": 45.0}
             state_mid = FieldState(depletion_mm=20.0)
             a_lo, _ = decision.evaluate({**readings, "moisture_pct": float(lo)},
-                                        thresholds, state_mid, profile)
+                                        thresholds, state_mid)
             a_hi, _ = decision.evaluate({**readings, "moisture_pct": float(hi)},
-                                        thresholds, state_mid, profile)
+                                        thresholds, state_mid)
             if a_lo.action == decision.NONE:
                 assert a_hi.action == decision.NONE
 

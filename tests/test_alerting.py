@@ -1,8 +1,10 @@
 """Alerting: bilingual rendering, request-line encoding, dedup dispatch."""
 
 import urllib.parse
+from importlib import resources
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,6 @@ from agrisim.alerting import (
     SENT,
     SUPPRESSED_DUPLICATE,
     Dispatcher,
-    FailingGatewayClient,
     GatewayConfig,
     MessageCatalog,
     MessageTemplate,
@@ -27,6 +28,16 @@ from agrisim.errors import ConfigurationError, InputError
 CATALOG = MessageCatalog.default()
 GOLDEN_EN = ("Soil moisture is 22%! You are advised to irrigate today "
              "to prevent yield loss.")
+
+
+class FailingGatewayClient:
+    """Gateway client that always fails, for failure-path tests."""
+
+    def __init__(self, reason: str = "gateway unreachable"):
+        self.reason = reason
+
+    def send(self, request_line: str) -> None:
+        raise ConnectionError(self.reason)
 
 
 def make_dispatcher(client=None, locale="en", window=43_200.0):
@@ -47,8 +58,13 @@ class TestCatalog:
         assert "22%" in text
 
     def test_every_template_has_both_locales(self):
-        for tid in CATALOG.template_ids():
-            assert CATALOG.locales(tid) == ["en", "lg"]
+        raw = yaml.safe_load(resources.files("agrisim").joinpath(
+            "data/messages.yaml").read_text(encoding="utf-8"))
+        assert raw
+        for tid, entry in raw.items():
+            assert sorted(entry["locales"]) == ["en", "lg"]
+            for locale in ("en", "lg"):
+                assert CATALOG.template(tid, locale).locale == locale
 
     def test_luganda_renders_same_params(self):
         lg = CATALOG.render("irrigate_low_moisture", "lg",
@@ -202,17 +218,6 @@ class TestDispatcher:
         retry = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0},
                            60.0)
         assert retry.status == SENT
-
-    def test_dispatch_advice_only_on_irrigate(self):
-        d = make_dispatcher()
-        none_advice = decision.IrrigationAdvice("field-1", 0.0, decision.NONE,
-                                                0.0, "ok", 40.0)
-        assert d.dispatch_advice(none_advice, 0.0) is None
-        go = decision.IrrigationAdvice("field-1", 0.0, decision.IRRIGATE,
-                                       12.0, "low", 22.0)
-        record = d.dispatch_advice(go, 0.0)
-        assert record.status == SENT
-        assert record.text == GOLDEN_EN
 
     def test_export_csv_row_count(self, tmp_path):
         d = make_dispatcher()

@@ -1,6 +1,7 @@
 """Decision engine: ET kernels against independent oracles, threshold rules,
 and season scheduling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,13 +19,11 @@ from agrisim.decision import (
     NONE,
     SENSOR_DRIVEN,
     CropCalendar,
-    SeasonSetup,
     Thresholds,
     crop_et,
     et0_hargreaves,
     evaluate,
     extraterrestrial_radiation,
-    refill_depth,
     schedule_season,
 )
 from agrisim.errors import InputError
@@ -34,8 +33,12 @@ from agrisim.fieldsim import (
     SeasonConfig,
     SensorSpec,
     SoilProfile,
-    generate_weather,
     moisture_pct_to_depletion,
+)
+from agrisim.scenario import (
+    BaselinePolicyParams,
+    IrrigationPolicyParams,
+    load_default_scenario,
 )
 
 PROFILE = SoilProfile()
@@ -159,7 +162,7 @@ class TestEvaluate:
 
     def test_low_moisture_triggers_irrigation(self):
         advice, alerts = evaluate(self._readings(m=22.0), Thresholds(),
-                                  FieldState(depletion_mm=30.0), PROFILE)
+                                  FieldState(depletion_mm=30.0))
         assert advice.action == IRRIGATE
         assert advice.observed_moisture_pct == 22.0
         assert advice.depth_mm > 0
@@ -167,7 +170,7 @@ class TestEvaluate:
 
     def test_heat_alert(self):
         _, alerts = evaluate(self._readings(t=37.0), Thresholds(),
-                             FieldState(), PROFILE)
+                             FieldState())
         heat = [a for a in alerts if a.kind == HEAT]
         assert len(heat) == 1
         assert heat[0].observed == 37.0
@@ -175,27 +178,26 @@ class TestEvaluate:
 
     def test_all_within_thresholds(self):
         advice, alerts = evaluate(self._readings(), Thresholds(),
-                                  FieldState(), PROFILE)
+                                  FieldState())
         assert advice.action == NONE
         assert alerts == []
 
     def test_trigger_is_strict(self):
         advice, alerts = evaluate(self._readings(m=25.0), Thresholds(),
-                                  FieldState(depletion_mm=30.0), PROFILE)
+                                  FieldState(depletion_mm=30.0))
         assert advice.action == NONE
 
     def test_humidity_band_alerts(self):
         _, low = evaluate(self._readings(rh=20.0), Thresholds(),
-                          FieldState(), PROFILE)
+                          FieldState())
         _, high = evaluate(self._readings(rh=70.0), Thresholds(),
-                           FieldState(), PROFILE)
+                           FieldState())
         assert [a.kind for a in low] == [HUMIDITY_LOW]
         assert [a.kind for a in high] == [HUMIDITY_HIGH]
 
     def test_missing_reading_rejected(self):
         with pytest.raises(InputError):
-            evaluate({"moisture_pct": 40.0}, Thresholds(), FieldState(),
-                     PROFILE)
+            evaluate({"moisture_pct": 40.0}, Thresholds(), FieldState())
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(0, 45),
            st.floats(0, 100))
@@ -205,9 +207,9 @@ class TestEvaluate:
             m, m_higher = m_higher, m
         state = FieldState(depletion_mm=30.0)
         a1, _ = evaluate(self._readings(m=m, t=t, rh=rh), Thresholds(),
-                         state, PROFILE)
+                         state)
         a2, _ = evaluate(self._readings(m=m_higher, t=t, rh=rh), Thresholds(),
-                         state, PROFILE)
+                         state)
         if a1.action == NONE:
             assert a2.action == NONE
 
@@ -216,7 +218,7 @@ class TestEvaluate:
     def test_alerts_regenerate_from_thresholds(self, m, t, rh):
         thresholds = Thresholds()
         _, alerts = evaluate(self._readings(m=m, t=t, rh=rh), thresholds,
-                             FieldState(depletion_mm=10.0), PROFILE)
+                             FieldState(depletion_mm=10.0))
         expected = set()
         if t > thresholds.temp_alert_c:
             expected.add(HEAT)
@@ -235,33 +237,42 @@ class TestEvaluate:
 
 
 class TestRefillDepth:
+    # a dry reading irrigates the sensed depletion, capped at cap_mm
+    def _depth(self, depletion_mm):
+        advice, _ = evaluate(
+            {"moisture_pct": 20.0, "temp_c": 28.0, "humidity_pct": 45.0},
+            Thresholds(), FieldState(depletion_mm=depletion_mm), cap_mm=25.0)
+        return advice.depth_mm
+
     def test_zero_depletion(self):
-        assert refill_depth(FieldState(depletion_mm=0.0), PROFILE, 25.0) == 0.0
+        assert self._depth(0.0) == 0.0
 
     def test_capped(self):
-        assert refill_depth(FieldState(depletion_mm=30.0), PROFILE, 25.0) == 25.0
+        assert self._depth(30.0) == 25.0
 
     def test_below_cap(self):
-        assert refill_depth(FieldState(depletion_mm=10.0), PROFILE, 25.0) == 10.0
+        assert self._depth(10.0) == 10.0
+
+
+SHIPPED = load_default_scenario()
 
 
 def _setup(**overrides):
-    season = SeasonConfig(days=60)
-    weather = generate_weather(season, 42)
+    """The shipped scenario with the loam profile, a 4-day 12 mm calendar
+    arm and every field the assertions below rely on set explicitly."""
     kwargs = dict(
-        weather=weather,
+        seed=42,
+        season=SeasonConfig(days=60, latitude_deg=0.4),
         profile=PROFILE,
         calendar=CropCalendar.maize(60),
         thresholds=Thresholds(),
         soil_sensor=SensorSpec(noise_sigma=10.0),
-        air_sensor=SensorSpec(kind="air_temp_humidity", noise_sigma=0.2),
-        latitude_deg=0.4,
-        irrigation_cap_mm=25.0,
-        baseline_interval_days=4,
-        baseline_depth_mm=12.0,
+        air_noise_sigma=0.2,
+        irrigation=IrrigationPolicyParams(cap_mm=25.0),
+        baseline=BaselinePolicyParams(interval_days=4, depth_mm=12.0),
     )
     kwargs.update(overrides)
-    return SeasonSetup(**kwargs)
+    return dataclasses.replace(SHIPPED, **kwargs)
 
 
 class TestScheduleSeason:
@@ -315,7 +326,7 @@ class TestScheduleSeason:
         setup = _setup(
             thresholds=Thresholds(temp_alert_c=26.0,
                                   humidity_range_pct=(42.0, 50.0)),
-            air_sensor=SensorSpec(kind="air_temp_humidity", noise_sigma=3.0))
+            air_noise_sigma=3.0)
         result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(7))
         alerts, events = [], {}
         for ts, m, t, rh in result.samples:
@@ -324,8 +335,8 @@ class TestScheduleSeason:
                       PROFILE.taw_mm)
             advice, fired = evaluate(
                 {"moisture_pct": m, "temp_c": t, "humidity_pct": rh},
-                setup.thresholds, FieldState(depletion_mm=dep), PROFILE,
-                cap_mm=setup.irrigation_cap_mm, timestamp_s=ts)
+                setup.thresholds, FieldState(depletion_mm=dep),
+                cap_mm=setup.irrigation.cap_mm, timestamp_s=ts)
             alerts.extend(fired)
             if advice.action == IRRIGATE:
                 events.setdefault(day, (ts, advice.depth_mm))

@@ -25,7 +25,6 @@ from agrisim.fieldsim import (
 )
 
 PROFILE = SoilProfile()
-AIR_SPEC = SensorSpec(kind="air_temp_humidity", noise_sigma=0.0)
 
 
 def _day(rain=0.0, t_min=18.0, t_max=28.0, rh=45.0, idx=0):
@@ -72,7 +71,6 @@ class TestSoilStep:
         assert new.depletion_mm == state.depletion_mm
         assert new.cumulative_eta_mm == 0.0
         assert new.cumulative_drainage_mm == 0.0
-        assert new.day_index == 1
 
     def test_surplus_irrigation_drains(self):
         taw = PROFILE.taw_mm
@@ -132,7 +130,7 @@ class TestSoilStep:
         dep = frac * PROFILE.taw_mm
         ks = ks_stress(dep, PROFILE)
         assert 0.0 <= ks <= 1.0
-        if dep <= PROFILE.raw_mm:
+        if dep <= PROFILE.depletion_fraction_p * PROFILE.taw_mm:
             assert ks == 1.0
 
 
@@ -173,9 +171,9 @@ def _soil(true_pct, spec, noise_z):
     return sample_soil_sensor(np.array([true_pct]), spec, noise_z)[0]
 
 
-def _air(t_true, rh_true, spec, noise):
+def _air(t_true, rh_true, sigma, noise):
     z = noise.draw(2)
-    t, rh = sample_air_sensor(np.array([t_true]), rh_true, spec, z[:1], z[1:])
+    t, rh = sample_air_sensor(np.array([t_true]), rh_true, sigma, z[:1], z[1:])
     return t[0], rh[0]
 
 
@@ -214,22 +212,17 @@ class TestSoilSensor:
 
 class TestAirSensor:
     def test_values_pass_through_noiselessly(self):
-        assert _air(32.6, 38.0, AIR_SPEC, NoiseStream(0)) == (32.6, 38.0)
+        assert _air(32.6, 38.0, 0.0, NoiseStream(0)) == (32.6, 38.0)
 
     def test_humidity_clamped_at_100(self):
-        spec = SensorSpec(kind="air_temp_humidity", noise_sigma=5.0)
         noise = NoiseStream(1)
         for _ in range(200):
-            _, rh = _air(25.0, 100.0, spec, noise)
+            _, rh = _air(25.0, 100.0, 5.0, noise)
             assert rh <= 100.0
 
     def test_quantization_to_tenths(self):
-        t, _ = _air(20.24, 50.0, AIR_SPEC, NoiseStream(0))
+        t, _ = _air(20.24, 50.0, 0.0, NoiseStream(0))
         assert t == 20.2
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(InputError):
-            _air(20.0, 50.0, SensorSpec(), NoiseStream(0))
 
 
 class TestNoiseStream:

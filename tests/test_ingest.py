@@ -1,18 +1,20 @@
 """Channel store: auth, rate limiting, queries, persistence round trips."""
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim.errors import ConfigurationError, InputError
+from agrisim.errors import ConfigurationError
 from agrisim.ingest import (
     ACCEPTED,
     REJECTED_AUTH,
     REJECTED_RATE,
     Channel,
+    ChannelEntry,
     ChannelNotFound,
     ChannelStore,
-    format_update_request,
 )
 
 FIELDS = ("moisture", "temp", "humidity")
@@ -29,7 +31,7 @@ class TestIngest:
     def test_first_write_accepted_with_entry_id_1(self):
         store = make_store()
         result = store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
-        assert result.accepted
+        assert result.status == ACCEPTED
         assert result.entry.entry_id == 1
 
     def test_write_inside_interval_throttled(self):
@@ -74,43 +76,42 @@ class TestIngest:
 
 class TestQuery:
     def test_empty_store_empty_result(self):
-        assert make_store().query_range("ch-1", 0.0, 1e9) == []
+        assert make_store().entries("ch-1") == []
 
     def test_full_range_returns_everything(self):
         store = make_store(min_interval=0.0)
         for i in range(5):
             store.ingest("ch-1", "KEY", float(i * 100), (i, i, i))
-        entries = store.query_range("ch-1", 0.0, 1e9)
+        entries = store.entries("ch-1")
         assert [e.entry_id for e in entries] == [1, 2, 3, 4, 5]
 
-    def test_reversed_range_rejected(self):
-        with pytest.raises(InputError):
-            make_store().query_range("ch-1", 10.0, 0.0)
-
     @given(st.lists(st.tuples(st.floats(0, 1e5), st.booleans()),
-                    min_size=0, max_size=60),
-           st.floats(0, 1e5), st.floats(0, 1e5))
+                    min_size=0, max_size=60))
     @settings(max_examples=300, deadline=None)
-    def test_query_matches_flat_log_oracle(self, attempts, a, b):
-        t0, t1 = min(a, b), max(a, b)
+    def test_query_matches_flat_log_oracle(self, attempts):
+        # oracle: an attempt is stored iff its key is good and it comes at
+        # least min_update_interval_s after the last stored one
         store = make_store(min_interval=10.0)
-        flat_log = []
-        clock = 0.0
-        for dt, good_key in sorted(attempts):
-            clock = dt
+        flat_log, last = [], None
+        for clock, good_key in sorted(attempts):
             key = "KEY" if good_key else "BAD"
-            result = store.ingest("ch-1", key, clock, (1.0, 2.0, 3.0))
-            if result.accepted:
-                flat_log.append(result.entry)
-        expected = [e for e in flat_log if t0 <= e.created_at_s <= t1]
-        assert store.query_range("ch-1", t0, t1) == expected
+            store.ingest("ch-1", key, clock, (1.0, 2.0, 3.0))
+            if good_key and (last is None or clock - last >= 10.0):
+                flat_log.append(clock)
+                last = clock
+        entries = store.entries("ch-1")
+        assert [e.created_at_s for e in entries] == flat_log
+        assert [e.entry_id for e in entries] == list(
+            range(1, len(flat_log) + 1))
 
     def test_repeated_queries_stable(self):
         store = make_store(min_interval=0.0)
         for i in range(10):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
-        first = store.query_range("ch-1", 2.0, 7.0)
-        assert store.query_range("ch-1", 2.0, 7.0) == first
+        first = store.entries("ch-1")
+        assert store.entries("ch-1") == first
+        first.clear()  # a caller's copy, not the store's own list
+        assert len(store.entries("ch-1")) == 10
 
 
 class TestPersistence:
@@ -134,9 +135,14 @@ class TestPersistence:
                          (40.0 + i * 0.1, 22.0, 45.5))
         path = tmp_path / "chan.csv"
         store.export_csv("ch-1", path)
-        other = make_store()
-        other.import_csv("ch-1", path)
-        assert other.entries("ch-1") == store.entries("ch-1")
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["created_at", "entry_id", *FIELDS]
+        imported = [ChannelEntry(entry_id=int(row[1]),
+                                 created_at_s=float(row[0]),
+                                 values=tuple(float(v) for v in row[2:]))
+                    for row in rows[1:]]
+        assert imported == store.entries("ch-1")
 
     def test_snapshot_jsonl_one_line_per_entry(self, tmp_path):
         store = make_store(min_interval=0.0)
@@ -145,14 +151,3 @@ class TestPersistence:
         path = tmp_path / "chan.jsonl"
         assert store.snapshot_jsonl("ch-1", path) == 4
         assert len(path.read_text().splitlines()) == 4
-
-
-class TestUpdateRequestFormat:
-    def test_documented_shape(self):
-        line = format_update_request("KEY", (40.0, 22.0, 45.0), 300.0)
-        assert line == ("api_key=KEY&field1=40.0&field2=22.0&field3=45.0"
-                       "&created_at=300.0")
-
-    def test_field_limit(self):
-        with pytest.raises(InputError):
-            format_update_request("KEY", tuple(range(9)), 0.0)

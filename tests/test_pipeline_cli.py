@@ -91,16 +91,15 @@ class TestDeterminism:
 
 
 class TestBenchTransport:
-    def test_latency_and_energy_split(self, default_scenario, tmp_path):
-        stats = pipeline.bench_transport(default_scenario,
-                                         out_path=tmp_path / "bench.csv")
-        ps = stats[transport.PUBSUB]
-        rr = stats[transport.REQRESP]
+    def test_latency_and_energy_split(self, default_run):
+        ps = default_run.transport_stats[transport.PUBSUB]
+        rr = default_run.transport_stats[transport.REQRESP]
         assert ps.mean_latency_s == 3.0
         assert rr.mean_latency_s == 10.0
         assert ps.attempted == rr.attempted
         assert ps.energy_mwh < rr.energy_mwh
-        lines = (tmp_path / "bench.csv").read_text().splitlines()
+        lines = (default_run.out_dir /
+                 "transport_stats.csv").read_text().splitlines()
         assert len(lines) == 3
 
 
@@ -133,6 +132,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "energy ratio" in out
 
+    def test_bench_csv_matches_run_artifact(self, tmp_path):
+        # both subcommands report the transport of one and the same run
+        with default_scenario_path() as scenario_path:
+            assert main(["run", str(scenario_path), "--seed", "3",
+                         "--out", str(tmp_path / "run")]) == 0
+            assert main(["bench-transport", str(scenario_path), "--seed", "3",
+                         "--out", str(tmp_path / "bench.csv")]) == 0
+        assert (tmp_path / "bench.csv").read_bytes() == \
+            (tmp_path / "run" / "transport_stats.csv").read_bytes()
+
     def test_seed_override_changes_run(self, tmp_path, capsys):
         with default_scenario_path() as scenario_path:
             main(["run", str(scenario_path), "--seed", "9",
@@ -146,6 +155,10 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "ConfigurationError" in err
+        code = main(["run", str(tmp_path / "absent.yaml")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "absent.yaml" in err
 
     def test_report_on_empty_dir_fails_cleanly(self, tmp_path, capsys):
         code = main(["report", str(tmp_path)])

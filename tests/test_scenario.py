@@ -126,6 +126,34 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="both 0"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("depth_cm", [0, -5, 35, 999, "15"])
+    def test_probe_depth_outside_root_zone_rejected(self, depth_cm):
+        # the shipped root zone is 0.34 m deep
+        raw = default_raw()
+        raw["sensors"]["soil"]["depth_cm"] = depth_cm
+        with pytest.raises(ConfigurationError, match="depth_cm"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize("sigma", [-0.1, "0.2"])
+    def test_air_noise_sigma_must_be_a_non_negative_number(self, sigma):
+        raw = default_raw()
+        raw["sensors"]["air"]["noise_sigma"] = sigma
+        with pytest.raises(ConfigurationError, match="air.noise_sigma"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize("energy, match", [
+        ({"per_message_mwh": {"pubsub": 0.0, "reqresp": 0.0},
+          "idle_mwh_per_day": 0.0}, "both 0"),
+        ({"per_message_mwh": {"pubsub": 0.05, "reqresp": 0.0},
+          "idle_mwh_per_day": 0.0}, "REQRESP per-message energy"),
+        ({"per_message_mwh": {"pubsub": 0.05}}, "missing keys"),
+    ])
+    def test_energy_that_a_session_cannot_spend_rejected(self, energy, match):
+        raw = default_raw()
+        raw["energy"] = energy
+        with pytest.raises(ConfigurationError, match=match):
+            parse_scenario(raw)
+
     def test_invalid_locale(self):
         raw = default_raw()
         raw["alerting"]["locale"] = "fr"

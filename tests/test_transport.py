@@ -16,7 +16,6 @@ from agrisim.transport import (
     EnergyModel,
     LinkModel,
     TelemetryPacket,
-    TransportStats,
     energy_efficiency_pct,
     publish,
     run_session,
@@ -147,27 +146,6 @@ class TestSession:
 
 
 class TestStatsMerge:
-    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100),
-                              st.integers(0, 20), st.integers(0, 10 ** 6),
-                              st.floats(0, 100), st.floats(0, 1000)),
-                    min_size=1, max_size=6))
-    @settings(deadline=None)
-    def test_merge_order_independent(self, parts):
-        chunks = [TransportStats(attempted=a + d, delivered=d,
-                                 retransmissions=r, bytes_sent=b,
-                                 energy_mwh=e, latency_sum_s=lat)
-                  for a, d, r, b, e, lat in parts]
-        forward = chunks[0]
-        for c in chunks[1:]:
-            forward = forward.merge(c)
-        backward = chunks[-1]
-        for c in reversed(chunks[:-1]):
-            backward = backward.merge(c)
-        assert forward.attempted == backward.attempted
-        assert forward.delivered == backward.delivered
-        assert forward.energy_mwh == pytest.approx(backward.energy_mwh)
-        assert forward.latency_sum_s == pytest.approx(backward.latency_sum_s)
-
     def test_delivered_bounded_by_attempts(self):
         stats = run_session(_packets(500), PUBSUB, 1,
                             LinkModel(loss_prob=0.3, max_retries=4),
