@@ -22,6 +22,7 @@ import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
+    SECONDS_PER_DAY,
     FieldState,
     NoiseStream,
     WeatherDay,
@@ -49,8 +50,6 @@ HEAT = "HEAT"
 HUMIDITY_LOW = "HUMIDITY_LOW"
 HUMIDITY_HIGH = "HUMIDITY_HIGH"
 MOISTURE_LOW = "MOISTURE_LOW"
-
-SECONDS_PER_DAY = 86_400
 
 
 def extraterrestrial_radiation(latitude_deg: float, day_of_year: int) -> float:

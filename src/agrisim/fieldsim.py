@@ -21,6 +21,7 @@ import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
 
+SECONDS_PER_DAY = 86_400
 SENSOR_TEMP_MIN_C = -40.0
 SENSOR_TEMP_MAX_C = 80.0
 
@@ -81,6 +82,10 @@ class SeasonConfig:
         if not -66.0 <= self.latitude_deg <= 66.0:
             raise ConfigurationError(
                 f"latitude_deg outside [-66, 66]: {self.latitude_deg}")
+        if not (0.0 <= self.rain_probability <= 1.0 and self.rain_mean_mm >= 0.0):
+            raise ConfigurationError(
+                f"need 0 <= rain_probability <= 1 and rain_mean_mm >= 0: "
+                f"{self.rain_probability}, {self.rain_mean_mm}")
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,16 @@ class SensorSpec:
     sample_interval_s: int = 300
 
     def __post_init__(self):
-        if self.water_counts >= self.air_counts:
+        # wetter soil reads lower, and both anchors are counts the ADC reads
+        if not (0 < self.adc_bits <= 32 and 0.0 <= self.water_counts
+                < self.air_counts <= 2 ** self.adc_bits - 1):
+            raise ConfigurationError("need 1 <= adc_bits <= 32 and 0 <= "
+                                     "water_counts < air_counts <= 2**adc_bits - 1")
+        # the season kernel samples on a grid that repeats every day
+        if self.sample_interval_s <= 0 or SECONDS_PER_DAY % self.sample_interval_s:
             raise ConfigurationError(
-                "water_counts must be below air_counts (wetter soil reads lower)"
-            )
-        if self.sample_interval_s <= 0:
-            raise ConfigurationError("sample_interval_s must be positive")
+                f"sample_interval_s must be a whole number of seconds dividing "
+                f"{SECONDS_PER_DAY}: {self.sample_interval_s}")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be non-negative")
 

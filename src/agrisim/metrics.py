@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from agrisim.errors import InputError
+from agrisim.errors import ConfigurationError, InputError
 
 # report row kinds; each has its own status rule
 ROW_ALERT_ABOVE = "alert_above"      # environmental: above threshold is bad
@@ -59,7 +59,11 @@ class EconomicParams:
         for v in (self.maize_price_ugx_per_kg, self.water_cost_ugx_per_l,
                   self.labor_cost_ugx_per_event):
             if v < 0.0:
-                raise InputError("economic parameters must be non-negative")
+                raise ConfigurationError(
+                    "economic parameters must be non-negative")
+        if self.water_cost_ugx_per_l == self.labor_cost_ugx_per_event == 0.0:
+            raise ConfigurationError(
+                "water_cost_ugx_per_l and labor_cost_ugx_per_event are both 0")
 
 
 def water_efficiency_pct(baseline_l: float, system_l: float) -> float:

@@ -3,12 +3,17 @@ soil, sensors, thresholds, crop calendar, link/energy models, the baseline
 irrigation policy, economics, and report targets.
 
 Loading is strict: unknown keys anywhere in the file are rejected, so a typo
-in a threshold cannot silently change an experiment.
+in a threshold cannot silently change an experiment, and a value of the wrong
+type fails at load time. A section that maps onto a config dataclass takes its
+keys and types from the fields; range rules live in the dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import math
+import typing
+from dataclasses import MISSING, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -90,20 +95,73 @@ class Scenario:
     alerting: AlertingParams
     report_targets: dict[str, float]
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ConfigurationError(f"seed must be non-negative: {self.seed}")
 
-def _section(raw: dict, key: str, allowed: set[str], required: set[str] = frozenset()):
-    sec = raw.get(key)
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigurationError(f"section '{key}' must be a mapping")
-    unknown = set(sec) - allowed
+
+def _at(raw: dict, where: str) -> dict:
+    """The mapping at dotted path ``where`` in ``raw``, empty when absent."""
+    for key in where.split("."):
+        raw = {} if raw.get(key) is None else raw[key]
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"'{where}' must be a mapping")
+    return raw
+
+
+def _section(raw: dict, where: str, allowed, required=()) -> dict:
+    """The mapping at ``where``: only ``allowed`` keys, all ``required`` ones."""
+    sec = _at(raw, where)
+    unknown = set(sec) - set(allowed)
     if unknown:
-        raise ConfigurationError(f"unknown keys in '{key}': {sorted(unknown)}")
-    missing = required - set(sec)
+        raise ConfigurationError(f"unknown keys in '{where}': {sorted(unknown)}")
+    missing = set(required) - set(sec)
     if missing:
-        raise ConfigurationError(f"missing keys in '{key}': {sorted(missing)}")
+        raise ConfigurationError(f"missing keys in '{where}': {sorted(missing)}")
     return sec
+
+
+def _typed(value, hint, where: str):
+    """``value`` checked against the declared type ``hint``: a bool is not a
+    number, an int is a float but not the reverse, a float is finite, and a
+    ``tuple[...]`` is a YAML list of its length, returned as a tuple."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if isinstance(value, list) and args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigurationError(f"{where}: {value!r} is not a {hint} list")
+        return tuple(_typed(v, t, f"{where}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, args)))
+    if (not isinstance(value, (int, float) if hint is float else hint)
+            or isinstance(value, bool) != (hint is bool)
+            or hint is float and not abs(value) < math.inf):
+        raise ConfigurationError(
+            f"{where}: {value!r} is not a valid {hint.__name__}")
+    return value
+
+
+def _build(cls, raw: dict, where: str, skip=frozenset(), **fixed):
+    """The config dataclass ``cls`` built from the section at ``where``: its
+    keys are the fields not in ``fixed`` plus ``skip`` (read by the caller),
+    the fields without a default are required, and values are ``_typed``."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    required = {f.name for f in fields
+                if f.default is MISSING and f.default_factory is MISSING}
+    sec = _section(raw, where, {f.name for f in fields} | skip, required)
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: _typed(v, hints[k], f"{where}.{k}")
+              for k, v in sec.items() if k not in skip}
+    return cls(**kwargs, **fixed)
+
+
+def _per_protocol(raw: dict, where: str, default=None) -> dict:
+    """The ``{pubsub, reqresp}`` map at ``where`` as a ``{PUBSUB, REQRESP}``
+    dict of floats; missing keys take ``default``'s values or are errors."""
+    names = {"pubsub": transport.PUBSUB, "reqresp": transport.REQRESP}
+    sec = _section(raw, where, names, () if default else names)
+    return {proto: float(_typed(sec[k], float, f"{where}.{k}"))
+            if k in sec else default[proto] for k, proto in names.items()}
 
 
 _TOP_KEYS = {"name", "seed", "field_id", "season", "soil_profile", "sensors",
@@ -111,13 +169,15 @@ _TOP_KEYS = {"name", "seed", "field_id", "season", "soil_profile", "sensors",
              "baseline", "economics", "yield_model", "channel", "gateway",
              "alerting", "report_targets"}
 
-_REPORT_TARGET_KEYS = {"Temperature", "Humidity", "Soil Moisture",
-                       "Data Transmission", "Water Usage", "Crop Yield",
-                       "Energy Efficiency"}
+_REPORT_TARGETS = {
+    "Temperature": 35.0, "Humidity": 70.0, "Soil Moisture": 30.0,
+    "Data Transmission": 95.0, "Water Usage": 25.0, "Crop Yield": 20.0,
+    "Energy Efficiency": 90.0,
+}
 
 
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
-    """Validate a parsed YAML mapping into a Scenario."""
+    """Validate a parsed YAML mapping into a Scenario, leaving it unchanged."""
     if not isinstance(raw, dict):
         raise ConfigurationError("scenario file must contain a mapping")
     unknown = set(raw) - _TOP_KEYS
@@ -126,69 +186,42 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     if "seed" not in raw:
         raise ConfigurationError("scenario must pin a seed (no wall-clock entropy)")
 
-    season_sec = _section(raw, "season",
-                          {"days", "start_day_of_year", "latitude_deg",
-                           "temp_envelope_c", "rh_envelope_pct", "dry_season",
-                           "rain_probability", "rain_mean_mm"}, {"days"})
-    if "temp_envelope_c" in season_sec:
-        season_sec = {**season_sec,
-                      "temp_envelope_c": tuple(season_sec["temp_envelope_c"])}
-    if "rh_envelope_pct" in season_sec:
-        season_sec = {**season_sec,
-                      "rh_envelope_pct": tuple(season_sec["rh_envelope_pct"])}
-    season = SeasonConfig(**season_sec)
+    season = _build(SeasonConfig, raw, "season")
+    profile = _build(SoilProfile, raw, "soil_profile")
 
-    profile = SoilProfile(**_section(raw, "soil_profile",
-                                     {"theta_sat", "theta_fc", "theta_wp",
-                                      "theta_ad", "root_depth_m",
-                                      "depletion_fraction_p"}))
-
-    sensors = _section(raw, "sensors", {"soil", "air"})
-    soil_keys = {"adc_bits", "air_counts", "water_counts", "noise_sigma",
-                 "sample_interval_s", "depth_cm"}
-    soil_sec = dict(_section(sensors, "soil", soil_keys))
+    _section(raw, "sensors", {"soil", "air"})
+    soil_sensor = _build(SensorSpec, raw, "sensors.soil", skip={"depth_cm"})
     # the bucket has one root zone, so the probe depth changes no reading;
-    # the key stays accepted (the shipped scenario sets it) but must lie
-    # inside the root zone
-    depth_cm = soil_sec.pop("depth_cm", None)
+    # the shipped scenario sets it, so it is accepted inside the root zone
     root_cm = 100.0 * profile.root_depth_m
-    if depth_cm is not None and not (
-            isinstance(depth_cm, (int, float)) and 0.0 < depth_cm <= root_cm):
+    depth_cm = _typed(_at(raw, "sensors.soil").get("depth_cm", root_cm),
+                      float, "sensors.soil.depth_cm")
+    if not 0.0 < depth_cm <= root_cm:
+        raise ConfigurationError(f"sensors.soil.depth_cm {depth_cm!r} outside "
+                                 f"the root zone (0, {root_cm:g}] cm")
+    air = _section(raw, "sensors.air", {"noise_sigma", "sample_interval_s"})
+    air_noise_sigma = _typed(air.get("noise_sigma", 0.0), float,
+                             "sensors.air.noise_sigma")
+    if air_noise_sigma < 0:
         raise ConfigurationError(
-            f"sensors.soil.depth_cm {depth_cm!r} outside the root zone "
-            f"(0, {root_cm:g}] cm")
-    soil_sensor = SensorSpec(**soil_sec)
-    air_sec = _section(sensors, "air", {"noise_sigma", "sample_interval_s"})
-    air_noise_sigma = air_sec.get("noise_sigma", 0.0)
-    if not (isinstance(air_noise_sigma, (int, float)) and air_noise_sigma >= 0):
-        raise ConfigurationError(
-            f"sensors.air.noise_sigma must be a non-negative number: "
-            f"{air_noise_sigma!r}")
+            f"sensors.air.noise_sigma must be non-negative: {air_noise_sigma}")
     # the season kernel samples both sensors together on whole-day grids
-    transport.season_packet_count(season.days, soil_sensor.sample_interval_s)
-    air_interval = air_sec.get("sample_interval_s",
-                               SensorSpec.sample_interval_s)
+    air_interval = _typed(
+        air.get("sample_interval_s", SensorSpec.sample_interval_s), int,
+        "sensors.air.sample_interval_s")
     if air_interval != soil_sensor.sample_interval_s:
         raise ConfigurationError(
-            f"sensors.air.sample_interval_s {air_interval} "
-            f"!= sensors.soil.sample_interval_s "
-            f"{soil_sensor.sample_interval_s}: both sensors share one "
-            f"sampling schedule")
+            f"sensors.air.sample_interval_s {air_interval} != sensors.soil."
+            f"sample_interval_s {soil_sensor.sample_interval_s}: both sensors "
+            f"share one sampling schedule")
 
-    thr_sec = _section(raw, "thresholds",
-                       {"soil_moisture_trigger_pct", "temp_alert_c",
-                        "humidity_range_pct"})
-    if "humidity_range_pct" in thr_sec:
-        thr_sec = {**thr_sec,
-                   "humidity_range_pct": tuple(thr_sec["humidity_range_pct"])}
-    thresholds = Thresholds(**thr_sec)
-
-    cal_sec = _section(raw, "crop_calendar",
-                       {"stage_days", "kc_initial", "kc_mid", "kc_end"})
-    kc = {k: cal_sec[k] for k in ("kc_initial", "kc_mid", "kc_end")
-          if k in cal_sec}
-    if "stage_days" in cal_sec:
-        stages = cal_sec["stage_days"]
+    cal = _section(raw, "crop_calendar",
+                   {"stage_days", "kc_initial", "kc_mid", "kc_end"})
+    kc = {k: _typed(v, float, f"crop_calendar.{k}")
+          for k, v in cal.items() if k != "stage_days"}
+    if "stage_days" in cal:
+        stages = _typed(cal["stage_days"], tuple[int, ...],
+                        "crop_calendar.stage_days")
         if len(stages) != 4:
             raise ConfigurationError("stage_days must list four stage lengths")
         if sum(stages) != season.days:
@@ -198,77 +231,42 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     else:
         calendar = CropCalendar.maize(season.days, **kc)
 
-    link_sec = _section(raw, "link", {"loss_prob", "latency_s", "max_retries",
-                                      "qos"})
-    qos = link_sec.get("qos", 0)
-    link_sec = {k: v for k, v in link_sec.items() if k != "qos"}
+    link = _build(transport.LinkModel, raw, "link", skip={"qos", "latency_s"})
+    if "latency_s" in _at(raw, "link"):
+        link = dataclasses.replace(link, latency_s=_per_protocol(
+            raw, "link.latency_s", link.latency_s))
+    qos = _typed(_at(raw, "link").get("qos", 0), int, "link.qos")
     if qos not in (0, 1):
-        raise ConfigurationError(f"qos must be 0 or 1: {qos}")
-    if "latency_s" in link_sec:
-        lat = link_sec["latency_s"]
-        link_sec = {**link_sec, "latency_s": {
-            transport.PUBSUB: float(lat.get("pubsub", 3.0)),
-            transport.REQRESP: float(lat.get("reqresp", 10.0))}}
-    link = transport.LinkModel(**link_sec)
+        raise ConfigurationError(f"link.qos must be 0 or 1: {qos}")
 
-    energy_sec = _section(raw, "energy", {"per_message_mwh", "idle_mwh_per_day"})
-    energy_kwargs = {}
-    if "per_message_mwh" in energy_sec:
-        per = _section(energy_sec, "per_message_mwh", {"pubsub", "reqresp"},
-                       {"pubsub", "reqresp"})
-        energy_kwargs["energy_per_message_mwh"] = {
-            transport.PUBSUB: float(per["pubsub"]),
-            transport.REQRESP: float(per["reqresp"])}
-    if "idle_mwh_per_day" in energy_sec:
-        energy_kwargs["idle_mwh_per_day"] = energy_sec["idle_mwh_per_day"]
-    energy = transport.EnergyModel(**energy_kwargs)
+    energy = _section(raw, "energy", {"per_message_mwh", "idle_mwh_per_day"})
+    energy_kwargs = {"idle_mwh_per_day": _typed(
+        energy.get("idle_mwh_per_day", 0.0), float, "energy.idle_mwh_per_day")}
+    if "per_message_mwh" in energy:
+        energy_kwargs["energy_per_message_mwh"] = _per_protocol(
+            raw, "energy.per_message_mwh")
 
-    irrigation = IrrigationPolicyParams(
-        **_section(raw, "irrigation", {"cap_mm", "initial_depletion_mm"}))
-    baseline = BaselinePolicyParams(
-        **_section(raw, "baseline", {"interval_days", "depth_mm"}))
-    economics = EconomicParams(
-        **_section(raw, "economics",
-                   {"maize_price_ugx_per_kg", "water_cost_ugx_per_l",
-                    "labor_cost_ugx_per_event"}))
-    if (economics.water_cost_ugx_per_l == 0.0
-            and economics.labor_cost_ugx_per_event == 0.0):
-        raise ConfigurationError(
-            "water_cost_ugx_per_l and labor_cost_ugx_per_event are both 0: "
-            "the baseline cost that cost savings are a fraction of is 0")
-    yield_model = YieldModelParams(
-        **_section(raw, "yield_model", {"ky", "max_yield_kg_per_acre"}))
-
-    chan_sec = _section(raw, "channel",
-                        {"channel_id", "write_key", "min_update_interval_s"},
-                        {"channel_id", "write_key"})
-    channel = Channel(field_names=("moisture", "temp", "humidity"), **chan_sec)
-
-    gateway = GatewayConfig(
-        **_section(raw, "gateway", {"kind", "endpoint", "phone", "api_key"}))
-    alerting_params = AlertingParams(
-        **_section(raw, "alerting", {"locale", "dedup_window_s"}))
-
-    targets_sec = _section(raw, "report_targets", _REPORT_TARGET_KEYS)
-    report_targets = {
-        "Temperature": 35.0, "Humidity": 70.0, "Soil Moisture": 30.0,
-        "Data Transmission": 95.0, "Water Usage": 25.0, "Crop Yield": 20.0,
-        "Energy Efficiency": 90.0,
-    }
-    report_targets.update({k: float(v) for k, v in targets_sec.items()})
-
+    targets = _section(raw, "report_targets", _REPORT_TARGETS)
     return Scenario(
-        name=str(raw.get("name", name_hint)),
-        seed=int(raw["seed"]),
-        field_id=str(raw.get("field_id", "field-1")),
+        name=_typed(raw.get("name", name_hint), str, "name"),
+        seed=_typed(raw["seed"], int, "seed"),
+        field_id=_typed(raw.get("field_id", "field-1"), str, "field_id"),
         season=season, profile=profile,
         soil_sensor=soil_sensor, air_noise_sigma=air_noise_sigma,
-        thresholds=thresholds, calendar=calendar,
-        link=link, qos=qos, energy=energy,
-        irrigation=irrigation, baseline=baseline,
-        economics=economics, yield_model=yield_model,
-        channel=channel, gateway=gateway, alerting=alerting_params,
-        report_targets=report_targets,
+        thresholds=_build(Thresholds, raw, "thresholds"),
+        calendar=calendar, link=link, qos=qos,
+        energy=transport.EnergyModel(**energy_kwargs),
+        irrigation=_build(IrrigationPolicyParams, raw, "irrigation"),
+        baseline=_build(BaselinePolicyParams, raw, "baseline"),
+        economics=_build(EconomicParams, raw, "economics"),
+        yield_model=_build(YieldModelParams, raw, "yield_model"),
+        channel=_build(Channel, raw, "channel",
+                       field_names=("moisture", "temp", "humidity")),
+        gateway=_build(GatewayConfig, raw, "gateway"),
+        alerting=_build(AlertingParams, raw, "alerting"),
+        report_targets={**_REPORT_TARGETS, **{
+            k: float(_typed(v, float, f"report_targets.{k}"))
+            for k, v in targets.items()}},
     )
 
 

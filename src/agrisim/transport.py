@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
+from agrisim.fieldsim import SECONDS_PER_DAY  # noqa: F401  re-exported
 
 PUBSUB = "PUBSUB"
 REQRESP = "REQRESP"
 PROTOCOLS = (PUBSUB, REQRESP)
-
-SECONDS_PER_DAY = 86_400
 
 # payload field order is part of the wire format; changing it breaks goldens
 PAYLOAD_FIELDS = ("moisture", "temp", "humidity")
@@ -170,18 +169,6 @@ def run_session(packets, protocol: str, qos: int, link: LinkModel,
             on_result(packet, result)
     stats.energy_mwh += energy.idle_mwh_per_day * days
     return stats
-
-
-def season_packet_count(days: int, interval_s: int) -> int:
-    """Number of consolidated messages in a season of daily sampling."""
-    if days < 1:
-        raise InputError(f"days must be >= 1: {days}")
-    if (not isinstance(interval_s, int) or interval_s <= 0
-            or SECONDS_PER_DAY % interval_s != 0):
-        raise ConfigurationError(
-            f"interval_s must be a whole number of seconds dividing "
-            f"{SECONDS_PER_DAY}: {interval_s}")
-    return days * (SECONDS_PER_DAY // interval_s)
 
 
 def energy_efficiency_pct(useful_energy_mwh: float, total_energy_mwh: float) -> float:

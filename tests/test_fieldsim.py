@@ -63,6 +63,15 @@ class TestWeather:
         with pytest.raises(ConfigurationError):
             SeasonConfig(days=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rain_probability", -0.5), ("rain_probability", 1.5),
+        ("rain_mean_mm", -1.0)])
+    def test_rain_parameters_out_of_range_rejected(self, field, value):
+        # a negative probability used to mean no rain, and a negative mean
+        # failed mid-run in rng.exponential
+        with pytest.raises(ConfigurationError, match=field):
+            SeasonConfig(days=10, dry_season=False, **{field: value})
+
 
 class TestSoilStep:
     def test_zero_forcing_only_advances_day(self):
@@ -195,6 +204,25 @@ class TestSoilSensor:
     def test_degenerate_calibration_rejected(self):
         with pytest.raises(ConfigurationError):
             SensorSpec(air_counts=1200, water_counts=1200)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"adc_bits": 8}, {"adc_bits": 0}, {"adc_bits": 33},
+        {"water_counts": -1.0}, {"air_counts": 4096.0}])
+    def test_counts_outside_the_adc_range_rejected(self, kwargs):
+        # an 8-bit ADC clamps the default 3500-count dry anchor to 255, so
+        # every reading shows 100% and the sensor arm never irrigates
+        with pytest.raises(ConfigurationError):
+            SensorSpec(**kwargs)
+
+    def test_full_scale_dry_anchor_accepted(self):
+        assert SensorSpec(air_counts=4095.0).air_counts == 4095.0
+
+    def test_non_dividing_interval_rejected(self):
+        with pytest.raises(ConfigurationError, match="dividing 86400"):
+            SensorSpec(sample_interval_s=7)
+
+    def test_whole_day_interval_accepted(self):
+        assert SensorSpec(sample_interval_s=86_400).sample_interval_s == 86_400
 
     def test_noise_is_unbiased(self):
         # Monte-Carlo: symmetric noise without clamping keeps the mean

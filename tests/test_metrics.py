@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim.errors import InputError
+from agrisim.errors import ConfigurationError, InputError
 from agrisim.metrics import (
     LITERS_PER_ACRE_MM,
     ROW_ABOVE_THRESHOLD,
@@ -158,7 +158,7 @@ class TestEconomics:
     def test_negative_inputs_rejected(self):
         with pytest.raises(InputError):
             revenue_gain_ugx(-1.0, 2500.0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             EconomicParams(maize_price_ugx_per_kg=-1.0)
 
     def test_liters_per_acre_mm_constant(self):

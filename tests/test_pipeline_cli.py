@@ -148,6 +148,15 @@ class TestCli:
                   "--out", str(tmp_path / "run9")])
         assert "seed: 9" in capsys.readouterr().out
 
+    def test_negative_seed_override_is_reported_not_raised(self, tmp_path,
+                                                           capsys):
+        # numpy rejects a negative seed, which used to fail mid-run
+        with default_scenario_path() as scenario_path:
+            code = main(["run", str(scenario_path), "--seed", "-1",
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_missing_scenario_is_reported_not_raised(self, tmp_path, capsys):
         bad = tmp_path / "nope.yaml"
         bad.write_text("not: [valid\n")

@@ -1,9 +1,12 @@
 """Scenario loading: strict validation, defaults, round trips."""
 
 import copy
+import math
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrisim.errors import ConfigurationError
 from agrisim.transport import PUBSUB, REQRESP
@@ -20,6 +23,35 @@ def default_raw():
     with default_scenario_path() as path:
         with open(path) as fh:
             return yaml.safe_load(fh)
+
+
+def _leaves(node, prefix=""):
+    """Dotted paths of every scalar or list value in a scenario mapping."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _leaves(value, path + ".")
+        else:
+            yield path
+
+
+def _nodes(node, prefix=""):
+    """Dotted paths of the mapping itself ("") and every mapping inside it."""
+    yield prefix.rstrip(".")
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _nodes(value, f"{prefix}{key}.")
+
+
+def _get(raw, path):
+    for key in filter(None, path.split(".")):
+        raw = raw[key]
+    return raw
+
+
+def _set(raw, path, value):
+    parent, _, key = path.rpartition(".")
+    _get(raw, parent)[key] = value
 
 
 class TestDefaultScenario:
@@ -190,3 +222,126 @@ class TestDeterministicParsing:
         with default_scenario_path() as path:
             from_file = load_scenario(path)
         assert from_file == load_default_scenario()
+
+
+# Malformed values reproduced on the shipped mapping, grouped by how the
+# loader used to handle them; each must now fail at load time and name its
+# dotted key.
+MALFORMED = [
+    # escaped as a raw TypeError/ValueError/AttributeError/IndexError
+    ("season.days", "60"),
+    ("link.latency_s", 3.0),
+    ("thresholds.humidity_range_pct", [30.0]),
+    ("crop_calendar.stage_days", "abcd"),
+    ("seed", "x"),
+    ("season.temp_envelope_c", 15.0),
+    ("season.rh_envelope_pct", [30.0]),
+    ("soil_profile.theta_sat", "0.474"),
+    ("energy.per_message_mwh.pubsub", "x"),
+    ("gateway.endpoint", 5),
+    ("report_targets.Temperature", "hot"),
+    ("irrigation.cap_mm", None),
+    # loaded, then failed mid-run
+    ("season.days", 8.5),
+    ("sensors.soil.adc_bits", "12"),
+    ("season.temp_envelope_c", [15.0, 30.0, 45.0]),
+    ("channel.min_update_interval_s", "15"),
+    # loaded and ran with another meaning
+    ("seed", 1.5),
+    ("season.dry_season", "no"),
+    ("link.qos", True),
+    ("name", 5),
+    ("channel.write_key", 5),
+    ("link.latency_s", {"pubsub": 3.0, "reqreps": 12.0}),
+    ("crop_calendar.stage_days", [15.0, 15, 15, 15]),
+    ("baseline.interval_days", 4.5),
+    ("link.max_retries", 2.5),
+    # loaded, then failed mid-run: non-finite values and a negative seed
+    ("seed", -1),
+    ("baseline.depth_mm", math.nan),
+    ("season.temp_envelope_c", [15.0, math.inf]),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED)
+def test_malformed_value_names_its_key(path, value):
+    raw = default_raw()
+    _set(raw, path, value)
+    with pytest.raises(ConfigurationError, match=path.replace(".", r"\.")):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("path, value, match", [
+    ("season.rain_probability", -0.5, "rain_probability"),
+    ("season.rain_mean_mm", -1.0, "rain_mean_mm"),
+    ("sensors.soil.adc_bits", 8, "2\\*\\*adc_bits"),
+    ("sensors.soil.adc_bits", 0, "adc_bits"),
+    ("economics.maize_price_ugx_per_kg", -1.0, "economic parameters"),
+])
+def test_out_of_range_value_rejected(path, value, match):
+    raw = default_raw()
+    raw["season"]["dry_season"] = False
+    _set(raw, path, value)
+    with pytest.raises(ConfigurationError, match=match):
+        parse_scenario(raw)
+
+
+SHIPPED = default_raw()
+_BAD_VALUES = [None, math.nan, math.inf, -math.inf, True, False, 0, -1, -0.5,
+               1.5, 10**6, "x", "12", [], [1.0], [1.0, 2.0, 3.0],
+               [1, "a"], {}, {"pubsub": 1.0}]
+_ADDED_KEYS = ["surprise", "rain_probability", "rain_mean_mm", "stage_days",
+               "qos", "depth_cm"]
+
+
+@settings(deadline=None, max_examples=1000)
+@given(op=st.sampled_from(["replace", "delete", "add"]),
+       path=st.sampled_from(sorted({*_leaves(SHIPPED), *_nodes(SHIPPED)} - {""})),
+       node=st.sampled_from(sorted(_nodes(SHIPPED))),
+       key=st.sampled_from(_ADDED_KEYS),
+       value=st.sampled_from(_BAD_VALUES))
+def test_mutated_mapping_loads_or_raises_configuration_error(
+        op, path, node, key, value):
+    raw = copy.deepcopy(SHIPPED)
+    if op == "replace":
+        _set(raw, path, value)
+    elif op == "delete":
+        parent, _, last = path.rpartition(".")
+        del _get(raw, parent)[last]
+    else:
+        _set(raw, f"{node}.{key}".lstrip("."), value)
+    before = copy.deepcopy(raw)
+    try:
+        parse_scenario(raw)
+    except ConfigurationError:
+        pass
+    assert raw == before
+
+
+def _nudged(value):
+    """A small in-range change of a scenario value of any YAML type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 0.001 * max(1.0, abs(value))
+    if isinstance(value, str):
+        return value + "x"
+    return [_nudged(value[0]), *value[1:]]
+
+
+# accepted so that the hash-pinned shipped scenario loads, but the bucket
+# model has one root zone, so the probe depth cannot change a reading
+IGNORED_KEYS = {"sensors.soil.depth_cm"}
+
+
+@pytest.mark.parametrize("path", sorted(_leaves(SHIPPED)))
+def test_every_shipped_key_changes_the_scenario_or_is_rejected(path):
+    raw = copy.deepcopy(SHIPPED)
+    _set(raw, path, _nudged(_get(raw, path)))
+    try:
+        changed = parse_scenario(raw) != parse_scenario(SHIPPED)
+    except ConfigurationError:
+        changed = True
+    assert changed != (path in IGNORED_KEYS)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim.errors import ConfigurationError, InputError
+from agrisim.errors import InputError
 from agrisim.transport import (
     PUBSUB,
     REQRESP,
@@ -19,7 +19,6 @@ from agrisim.transport import (
     energy_efficiency_pct,
     publish,
     run_session,
-    season_packet_count,
 )
 
 SEASON_PACKETS = 17_280
@@ -151,22 +150,6 @@ class TestStatsMerge:
                             LinkModel(loss_prob=0.3, max_retries=4),
                             EnergyModel(), np.random.default_rng(0))
         assert stats.delivered <= stats.attempted + stats.retransmissions
-
-
-class TestPacketCount:
-    def test_season_arithmetic(self):
-        assert season_packet_count(60, 300) == 17_280
-
-    def test_single_daily_packet(self):
-        assert season_packet_count(1, 86_400) == 1
-
-    def test_zero_days_rejected(self):
-        with pytest.raises(InputError):
-            season_packet_count(0, 300)
-
-    def test_non_dividing_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            season_packet_count(10, 7)
 
 
 class TestEnergyEfficiency:
