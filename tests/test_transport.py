@@ -1,6 +1,7 @@
 """Transport: delivery under loss, QoS retransmission, energy and latency
 accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim.errors import InputError
+from agrisim import decision
+from agrisim.errors import ConfigurationError, InputError
+from agrisim.fieldsim import NoiseStream
+from agrisim.pipeline import packets_from_samples
 from agrisim.transport import (
     PUBSUB,
     REQRESP,
@@ -150,6 +154,23 @@ class TestStatsMerge:
                             LinkModel(loss_prob=0.3, max_retries=4),
                             EnergyModel(), np.random.default_rng(0))
         assert stats.delivered <= stats.attempted + stats.retransmissions
+
+
+class TestPacketCount:
+    def test_season_arithmetic(self, default_scenario):
+        # 60 days of one packet per 300 s sample
+        assert default_scenario.season.days == 60
+        assert default_scenario.soil_sensor.sample_interval_s == 300
+        result = decision.schedule_season(decision.SENSOR_DRIVEN,
+                                          default_scenario, NoiseStream(0))
+        packets = packets_from_samples(result.samples, "farm/f/telemetry")
+        assert len(packets) == SEASON_PACKETS == 60 * 288
+        assert [p.sequence_no for p in packets[:2]] == [1, 2]
+
+    def test_zero_days_rejected(self, default_scenario):
+        # a season with no days, and so no packets, cannot be configured
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(default_scenario.season, days=0)
 
 
 class TestEnergyEfficiency:
