@@ -86,6 +86,12 @@ class SeasonConfig:
             raise ConfigurationError(
                 f"need 0 <= rain_probability <= 1 and rain_mean_mm >= 0: "
                 f"{self.rain_probability}, {self.rain_mean_mm}")
+        # generate_weather draws no rain in a dry season
+        for key in ("rain_probability", "rain_mean_mm"):
+            if self.dry_season and getattr(self, key) != 0.0:
+                raise ConfigurationError(
+                    f"{key} is {getattr(self, key)} but dry_season is true, "
+                    f"which has no rain")
 
 
 @dataclass(frozen=True)

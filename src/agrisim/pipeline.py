@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +81,8 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     chan_id = scenario.channel.channel_id
     write_key = scenario.channel.write_key
 
-    def deliver_to_channel(packet, result):
-        if result.delivered:
+    def deliver_to_channel(attempts, delivered):
+        for packet in itertools.compress(packets, delivered):
             store.ingest(chan_id, write_key, packet.timestamp_s,
                          (packet.moisture_pct, packet.temp_c,
                           packet.humidity_pct))

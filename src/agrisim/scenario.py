@@ -11,6 +11,7 @@ keys and types from the fields; range rules live in the dataclasses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import MISSING, dataclass
@@ -141,6 +142,12 @@ def _typed(value, hint, where: str):
     return value
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved field types of the config dataclass ``cls``."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, raw: dict, where: str, skip=frozenset(), **fixed):
     """The config dataclass ``cls`` built from the section at ``where``: its
     keys are the fields not in ``fixed`` plus ``skip`` (read by the caller),
@@ -149,7 +156,7 @@ def _build(cls, raw: dict, where: str, skip=frozenset(), **fixed):
     required = {f.name for f in fields
                 if f.default is MISSING and f.default_factory is MISSING}
     sec = _section(raw, where, {f.name for f in fields} | skip, required)
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kwargs = {k: _typed(v, hints[k], f"{where}.{k}")
               for k, v in sec.items() if k not in skip}
     return cls(**kwargs, **fixed)

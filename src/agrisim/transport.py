@@ -12,6 +12,7 @@ Simulated time only: nothing here blocks on the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,10 +44,6 @@ class TelemetryPacket:
         one decimal per value."""
         values = (self.moisture_pct, self.temp_c, self.humidity_pct)
         return ",".join(f"{name}={v:.1f}" for name, v in zip(PAYLOAD_FIELDS, values))
-
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.payload.encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -95,12 +92,6 @@ class EnergyModel:
                     f"both 0: a session would spend no energy")
 
 
-@dataclass(frozen=True)
-class DeliveryResult:
-    delivered: bool
-    attempts: int
-
-
 @dataclass
 class TransportStats:
     """Session-level delivery/energy/latency accounting."""
@@ -121,23 +112,59 @@ class TransportStats:
         return self.latency_sum_s / self.delivered if self.delivered else 0.0
 
 
-def publish(packet: TelemetryPacket, qos: int, link: LinkModel,
-            rng: np.random.Generator) -> DeliveryResult:
-    """Attempt delivery of one packet.
+def _deliveries(n: int, max_attempts: int, loss_prob: float,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-packet attempt counts and delivery flags of ``n`` packets sent in
+    order, each tried up to ``max_attempts`` times.
 
-    QoS 0 is a single Bernoulli trial; QoS 1 retries until acknowledged or
-    ``max_retries`` extra attempts are spent. Loss is a modeled outcome, not
-    an error.
+    A trial with ``rng.random() < loss_prob`` is lost. The trials are drawn
+    in blocks of one per unfinished packet: each of those needs at least one
+    more trial, so no block draws past the session's last trial, and ``rng``
+    consumes exactly the trials of a packet-at-a-time loop, in its order.
     """
-    if qos not in (0, 1):
-        raise InputError(f"qos must be 0 or 1: {qos}")
-    max_attempts = 1 if qos == 0 else 1 + link.max_retries
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        if rng.random() >= link.loss_prob:
-            return DeliveryResult(delivered=True, attempts=attempts)
-    return DeliveryResult(delivered=False, attempts=attempts)
+    attempts = np.full(n, max_attempts, dtype=np.int64)
+    delivered = np.zeros(n, dtype=bool)
+    done = carry = 0  # finished packets; lost trials of the next packet
+    while done < n:
+        block = n - done
+        ok = np.flatnonzero(rng.random(block) >= loss_prob)
+        # a run of r lost trials before a success is r // M lost packets of
+        # M trials each, then one delivered packet of r % M + 1 trials
+        runs = np.diff(ok, prepend=-1 - carry) - 1
+        lost, tries = np.divmod(runs, max_attempts)
+        finished = done + np.cumsum(lost + 1)
+        attempts[finished - 1] = tries + 1
+        delivered[finished - 1] = True
+        # lost trials after the block's last success carry into the next
+        tail = block - 1 - (ok[-1] if ok.size else -1 - carry)
+        done = (int(finished[-1]) if ok.size else done) + tail // max_attempts
+        carry = tail % max_attempts
+    return attempts, delivered
+
+
+def _payload_bytes(packets) -> np.ndarray:
+    """Per-packet length of ``TelemetryPacket.payload`` in bytes.
+
+    Each distinct value is formatted once. Values are keyed by their bit
+    pattern, not compared as floats: ``-0.0 == 0.0``, but ``"-0.0"`` is one
+    byte longer than ``"0.0"``.
+    """
+    names = len(",".join(f"{name}=" for name in PAYLOAD_FIELDS))
+    lengths = np.full(len(packets), names, dtype=np.int64)
+    for attr in ("moisture_pct", "temp_c", "humidity_pct"):
+        column = np.fromiter(map(attrgetter(attr), packets), np.float64,
+                             len(packets))
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        lengths += np.array([len(f"{v:.1f}")
+                             for v in bits.view(np.float64).tolist()],
+                            dtype=np.int64)[index]
+    return lengths
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, rounded step by step like a
+    ``+=`` loop (``np.cumsum`` adds in order; ``np.sum`` adds pairwise)."""
+    return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def run_session(packets, protocol: str, qos: int, link: LinkModel,
@@ -145,29 +172,35 @@ def run_session(packets, protocol: str, qos: int, link: LinkModel,
                 days: float = 0.0, on_result=None) -> TransportStats:
     """Send a packet sequence over one protocol and aggregate the outcome.
 
-    Energy charges every transmission attempt (first tries and retries) at the
+    Each attempt is one Bernoulli trial at ``link.loss_prob``. QoS 0 makes
+    one attempt per packet; QoS 1 retries until acknowledged or
+    ``max_retries`` extra attempts are spent. Loss is a modeled outcome, not
+    an error. Energy charges every attempt (first tries and retries) at the
     protocol's per-message cost, plus idle draw for ``days`` simulated days.
-    Latency is the protocol constant per delivered point. ``on_result``, if
-    given, is called with (packet, DeliveryResult) for each packet so a
-    downstream consumer can see individual deliveries.
+    Latency is the protocol constant per delivered packet. ``on_result``, if
+    given, is called once with the per-packet ``attempts`` and ``delivered``
+    arrays, in packet order, so a downstream consumer can see individual
+    deliveries.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol: {protocol}")
+    if qos not in (0, 1):
+        raise InputError(f"qos must be 0 or 1: {qos}")
+    max_attempts = 1 if qos == 0 else 1 + link.max_retries
+    attempts, delivered = _deliveries(len(packets), max_attempts,
+                                      link.loss_prob, rng)
+    n_delivered = int(np.count_nonzero(delivered))
     per_msg = energy.energy_per_message_mwh[protocol]
-    latency = link.latency_s[protocol]
-    stats = TransportStats()
-    for packet in packets:
-        result = publish(packet, qos, link, rng)
-        stats.attempted += 1
-        stats.retransmissions += result.attempts - 1
-        stats.bytes_sent += packet.payload_bytes * result.attempts
-        stats.energy_mwh += per_msg * result.attempts
-        if result.delivered:
-            stats.delivered += 1
-            stats.latency_sum_s += latency
-        if on_result is not None:
-            on_result(packet, result)
+    stats = TransportStats(
+        attempted=len(packets), delivered=n_delivered,
+        retransmissions=int(attempts.sum()) - len(packets),
+        bytes_sent=int(np.dot(_payload_bytes(packets), attempts)),
+        energy_mwh=_sum_in_order(per_msg * attempts),
+        latency_sum_s=_sum_in_order(
+            np.full(n_delivered, link.latency_s[protocol], dtype=np.float64)))
     stats.energy_mwh += energy.idle_mwh_per_day * days
+    if on_result is not None:
+        on_result(attempts, delivered)
     return stats
 
 

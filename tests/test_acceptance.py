@@ -225,14 +225,16 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             assert all(b - a >= window for a, b in zip(sent, sent[1:]))
 
         # QoS1 delivers a superset of QoS0 on the same attempt stream
-        packet = _packets(1)[0]
+        packet = _packets(1)
         for _ in range(1000):
             loss = float(rng.uniform(0, 0.9))
             seed = int(rng.integers(0, 2 ** 31))
             link = transport.LinkModel(loss_prob=loss, max_retries=3)
-            r0 = transport.publish(packet, 0, link, np.random.default_rng(seed))
-            r1 = transport.publish(packet, 1, link, np.random.default_rng(seed))
-            assert r1.delivered >= r0.delivered
+            s0, s1 = (transport.run_session(packet, transport.PUBSUB, qos,
+                                            link, transport.EnergyModel(),
+                                            np.random.default_rng(seed))
+                      for qos in (0, 1))
+            assert s1.delivered >= s0.delivered
 
         # end-to-end determinism: identical manifests across two runs
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -1,22 +1,26 @@
 """The benchmark under perfbench/ drives agrisim by name: its traced run
-wraps the attributes listed in perfbench/layers.py, and its gate tests wrap
-decision.schedule_season as (policy, scenario, noise). These tests keep that
-contract in the tier-1 suite, so a cleanup that breaks the benchmark fails
-here too."""
+wraps the attributes listed in perfbench/layers.py, its gate tests wrap
+decision.schedule_season as (policy, scenario, noise), and its
+transport-sweep workload calls transport.run_session on a list of
+TelemetryPacket and pins a digest of the returned stats. These tests keep
+that contract in the tier-1 suite, so a cleanup that breaks the benchmark
+fails here too."""
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
-from agrisim import decision
+from agrisim import decision, transport
 from agrisim.decision import CropCalendar
 from agrisim.fieldsim import NoiseStream
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,9 +28,32 @@ def load_layers():
 
 def test_every_traced_attribute_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for owner, attr, *_ in load_layers().TARGETS
+               for owner, attr, *_ in load_perfbench("layers").TARGETS
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_transport_stats_fields_are_the_pinned_ones():
+    # the pinned digests hash dataclasses.asdict(stats): an added, removed or
+    # renamed field changes every transport pin
+    assert [f.name for f in dataclasses.fields(transport.TransportStats)] == [
+        "attempted", "delivered", "retransmissions", "bytes_sent",
+        "energy_mwh", "latency_sum_s"]
+
+
+def test_run_session_on_packet_lists_matches_the_transport_pins():
+    # the transport-sweep workload's own calls:
+    # run_session(packets, protocol, qos, link, energy, rng, days=...)
+    workloads = load_perfbench("workloads")
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())
+    for seed in (0, 1, 42):
+        sweep = workloads.TransportSweep(seed, None)
+        assert type(sweep.packets) is list
+        assert type(sweep.packets[0]) is transport.TelemetryPacket
+        for key in sweep.keys:
+            digest, problems = sweep.check(key, sweep.start(key)())
+            assert problems == []
+            assert digest == pins["transport-sweep"][sweep.pin_key(key)]
 
 
 def test_schedule_season_takes_policy_scenario_noise_positionally(

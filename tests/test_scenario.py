@@ -151,6 +151,18 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="latitude"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("rain_probability", 0.9), ("rain_mean_mm", 20.0)])
+    def test_rain_in_a_dry_season_rejected(self, key, value):
+        # a dry season draws no rain, so the key would change nothing
+        raw = default_raw()
+        assert raw["season"]["dry_season"] is True
+        raw["season"][key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            parse_scenario(raw)
+        raw["season"]["dry_season"] = False
+        assert getattr(parse_scenario(raw).season, key) == value
+
     def test_zero_water_and_labor_cost_rejected(self):
         raw = default_raw()
         raw["economics"].update(water_cost_ugx_per_l=0.0,

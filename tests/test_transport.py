@@ -16,12 +16,11 @@ from agrisim.pipeline import packets_from_samples
 from agrisim.transport import (
     PUBSUB,
     REQRESP,
-    DeliveryResult,
     EnergyModel,
     LinkModel,
     TelemetryPacket,
+    TransportStats,
     energy_efficiency_pct,
-    publish,
     run_session,
 )
 
@@ -39,37 +38,120 @@ class TestPacket:
         p = TelemetryPacket(sequence_no=1, timestamp_s=0.0, moisture_pct=40.25,
                             temp_c=22.04, humidity_pct=45.0)
         assert p.payload == "moisture=40.2,temp=22.0,humidity=45.0"
-        assert p.payload_bytes == len(p.payload)
 
     def test_topic_convention(self):
         assert _packets(1)[0].topic == "farm/field-1/telemetry"
 
 
+def _outcomes(packets, protocol, qos, link, energy, rng, days=0.0):
+    """``run_session``'s stats and its per-packet (attempts, delivered)
+    arrays, which ``on_result`` receives in one call."""
+    seen = []
+    stats = run_session(packets, protocol, qos, link, energy, rng, days=days,
+                        on_result=lambda a, d: seen.append((a, d)))
+    (attempts, delivered), = seen
+    return stats, attempts, delivered
+
+
+def reference_session(packets, protocol, qos, link, energy, rng, days):
+    """The per-packet delivery loop: one packet, then one trial, at a time."""
+    max_attempts = 1 if qos == 0 else 1 + link.max_retries
+    per_msg = energy.energy_per_message_mwh[protocol]
+    stats = TransportStats()
+    attempts, delivered = [], []
+    for packet in packets:
+        tries, ok = 0, False
+        while tries < max_attempts and not ok:
+            tries += 1
+            ok = rng.random() >= link.loss_prob
+        stats.attempted += 1
+        stats.retransmissions += tries - 1
+        stats.bytes_sent += len(packet.payload.encode("ascii")) * tries
+        stats.energy_mwh += per_msg * tries
+        if ok:
+            stats.delivered += 1
+            stats.latency_sum_s += link.latency_s[protocol]
+        attempts.append(tries)
+        delivered.append(ok)
+    stats.energy_mwh += energy.idle_mwh_per_day * days
+    return stats, attempts, delivered
+
+
+# values whose one-decimal text differs in length from their neighbours': the
+# two zeros ("-0.0" is 4 bytes), a negative that rounds to "-0.0", the float
+# neighbours of 9.95 and 99.95 (one side gains a digit), and large magnitudes
+PAYLOAD_VALUES = [
+    0.0, -0.0, -0.04, 0.04, 22.0, 45.0, -12.3, 1e6, 1e6 + 0.05, 123456789.0,
+    1e16, 1e300, -1e6, math.inf, -math.inf, math.nan,
+    *(float(np.nextafter(v, to)) for v in (9.95, 99.95)
+      for to in (0.0, math.inf)), 9.95, 99.95,
+]
+payload_value = st.sampled_from(PAYLOAD_VALUES) | st.floats(-200.0, 200.0)
+
+
+class TestBatchedSession:
+    @given(loss=st.floats(0.0, 0.99), qos=st.sampled_from([0, 1]),
+           max_retries=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1),
+           protocol=st.sampled_from([PUBSUB, REQRESP]),
+           per_msg=st.floats(1e-4, 1.0), idle=st.floats(0.0, 5.0),
+           days=st.integers(0, 90), latency=st.floats(0.1, 20.0),
+           values=st.lists(st.tuples(payload_value, payload_value,
+                                     payload_value), max_size=500))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_packet_loop(self, loss, qos, max_retries, seed,
+                                         protocol, per_msg, idle, days,
+                                         latency, values):
+        packets = [TelemetryPacket(sequence_no=i + 1, timestamp_s=300.0 * i,
+                                   moisture_pct=m, temp_c=t, humidity_pct=h)
+                   for i, (m, t, h) in enumerate(values)]
+        link = LinkModel(loss_prob=loss, max_retries=max_retries,
+                         latency_s={PUBSUB: latency, REQRESP: latency})
+        energy = EnergyModel(
+            energy_per_message_mwh={PUBSUB: per_msg, REQRESP: per_msg},
+            idle_mwh_per_day=idle)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, want_attempts, want_delivered = reference_session(
+            packets, protocol, qos, link, energy, ref_rng, days)
+        got, attempts, delivered = _outcomes(packets, protocol, qos, link,
+                                             energy, rng, days)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert [type(v) for v in dataclasses.asdict(got).values()] == \
+            [type(v) for v in dataclasses.asdict(want).values()]
+        assert attempts.tolist() == want_attempts
+        assert delivered.tolist() == want_delivered
+        assert rng.random() == ref_rng.random()
+
+
 class TestPublish:
     def test_lossless_first_attempt(self):
         link = LinkModel(loss_prob=0.0)
-        result = publish(_packets(1)[0], 0, link, np.random.default_rng(0))
-        assert result == DeliveryResult(delivered=True, attempts=1)
+        _, attempts, delivered = _outcomes(_packets(1), PUBSUB, 0, link,
+                                           EnergyModel(),
+                                           np.random.default_rng(0))
+        assert attempts.tolist() == [1]
+        assert delivered.tolist() == [True]
 
     def test_qos0_delivery_rate_matches_loss(self):
         link = LinkModel(loss_prob=0.02)
-        rng = np.random.default_rng(1)
-        delivered = sum(publish(p, 0, link, rng).delivered
-                        for p in _packets(SEASON_PACKETS))
-        assert delivered / SEASON_PACKETS == pytest.approx(0.98, abs=0.005)
+        _, _, delivered = _outcomes(_packets(SEASON_PACKETS), PUBSUB, 0,
+                                    link, EnergyModel(),
+                                    np.random.default_rng(1))
+        assert delivered.sum() / SEASON_PACKETS == pytest.approx(0.98,
+                                                                 abs=0.005)
 
     def test_qos1_beats_closed_form_floor(self):
         # closed form: P(delivered) = 1 - p^(retries+1)
         link = LinkModel(loss_prob=0.02, max_retries=5)
         assert 1.0 - 0.02 ** 6 >= 0.999999
-        rng = np.random.default_rng(2)
-        delivered = sum(publish(p, 1, link, rng).delivered
-                        for p in _packets(SEASON_PACKETS))
-        assert delivered / SEASON_PACKETS >= 0.9999
+        _, _, delivered = _outcomes(_packets(SEASON_PACKETS), PUBSUB, 1,
+                                    link, EnergyModel(),
+                                    np.random.default_rng(2))
+        assert delivered.sum() / SEASON_PACKETS >= 0.9999
 
     def test_invalid_qos_rejected(self):
         with pytest.raises(InputError):
-            publish(_packets(1)[0], 2, LinkModel(), np.random.default_rng(0))
+            run_session(_packets(1), PUBSUB, 2, LinkModel(), EnergyModel(),
+                        np.random.default_rng(0))
 
     @given(st.floats(0.0, 0.95), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=1000, deadline=None)
@@ -77,10 +159,10 @@ class TestPublish:
         # identical per-packet streams: the first attempt is shared, so QoS1
         # delivers a superset of what QoS0 delivers
         link = LinkModel(loss_prob=loss, max_retries=3)
-        packet = _packets(1)[0]
-        r0 = publish(packet, 0, link, np.random.default_rng(seed))
-        r1 = publish(packet, 1, link, np.random.default_rng(seed))
-        assert r1.delivered >= r0.delivered
+        d0, d1 = (_outcomes(_packets(1), PUBSUB, qos, link, EnergyModel(),
+                            np.random.default_rng(seed))[2]
+                  for qos in (0, 1))
+        assert d1[0] >= d0[0]
 
 
 class TestSession:
@@ -119,12 +201,12 @@ class TestSession:
         assert stats.energy_mwh == 0.0
 
     def test_on_result_sees_every_packet(self):
-        seen = []
-        run_session(_packets(25), PUBSUB, 0, LinkModel(loss_prob=0.5),
-                    EnergyModel(), np.random.default_rng(0),
-                    on_result=lambda p, r: seen.append((p.sequence_no,
-                                                        r.delivered)))
-        assert [s for s, _ in seen] == list(range(1, 26))
+        stats, attempts, delivered = _outcomes(
+            _packets(25), PUBSUB, 0, LinkModel(loss_prob=0.5), EnergyModel(),
+            np.random.default_rng(0))
+        assert len(attempts) == len(delivered) == 25
+        assert attempts.tolist() == [1] * 25
+        assert delivered.sum() == stats.delivered
 
     @given(st.integers(1, 400), st.integers(1, 400))
     @settings(deadline=None)
