@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Time ``pipeline.run_season`` end to end in this process and write the
+figures as JSON.
+
+    python3 scripts/bench.py BENCH_<n>.json
+
+After one warm-up run of each kind, it times ``REPEATS`` runs of the shipped
+scenario with artifacts (to a fresh temporary directory each) and as many in
+memory, alternating the two. It also times the reference kernel of
+``perfbench/calibrate.py`` (imported read-only) ``KERNEL_RUNS`` times before
+and after, because the speed of a shared host drifts: ``e2e_ref_s`` is each
+median passed through ``calibrate.to_reference`` with the median kernel
+times before and after.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS/OpenMP thread, as in perfbench; set before numpy is imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+REPEATS = 15
+KERNEL_RUNS = 5
+
+
+def _calibrate():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_calibrate", ROOT / "perfbench" / "calibrate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _summary(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median": statistics.median(times), "min": min(times),
+            "iqr": q3 - q1, "n": len(times)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    args = parser.parse_args()
+
+    import numpy
+    import yaml
+
+    from agrisim import pipeline
+    from agrisim.scenario import load_default_scenario
+
+    calibrate = _calibrate()
+    scenario = load_default_scenario()
+    before = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
+    times = {"with_artifacts": [], "in_memory": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(REPEATS + 1):
+            for kind in times:
+                out_dir = Path(tmp) / f"{kind}-{i}" \
+                    if kind == "with_artifacts" else None
+                t0 = time.perf_counter()
+                pipeline.run_season(scenario, out_dir=out_dir)
+                if i:  # the first run of each kind is the warm-up
+                    times[kind].append(time.perf_counter() - t0)
+    after = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
+
+    e2e = {kind: _summary(t) for kind, t in times.items()}
+    kernel = before + after
+    k_before, k_after = statistics.median(before), statistics.median(after)
+    result = {
+        "env": {"python": platform.python_version(),
+                "numpy": numpy.__version__, "pyyaml": yaml.__version__,
+                "nproc": len(os.sched_getaffinity(0)),
+                "machine": platform.machine()},
+        "scenario": scenario.name, "seed": scenario.seed,
+        "e2e_s": e2e,
+        "reference_kernel_s": {
+            "median_before": k_before, "median_after": k_after,
+            "min": min(kernel), "n": len(kernel),
+            "reference_s": calibrate.REFERENCE_S},
+        "e2e_ref_s": {kind: calibrate.to_reference(s["median"], k_before,
+                                                   k_after)
+                      for kind, s in e2e.items()},
+        "src_loc": sum(len(p.read_text().splitlines())
+                       for p in (ROOT / "src" / "agrisim").rglob("*.py")),
+    }
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,7 +15,7 @@ extremes and latitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -186,7 +186,6 @@ class IrrigationAdvice:
 @dataclass(frozen=True)
 class Alert:
     kind: str
-    severity: str
     observed: float
     threshold: float
     timestamp_s: float = 0.0
@@ -211,17 +210,16 @@ def evaluate(readings: dict, thresholds: Thresholds, field_state: FieldState,
 
     alerts: list[Alert] = []
     if temp > thresholds.temp_alert_c:
-        alerts.append(Alert(HEAT, "high", temp, thresholds.temp_alert_c,
-                            timestamp_s))
+        alerts.append(Alert(HEAT, temp, thresholds.temp_alert_c, timestamp_s))
     rh_lo, rh_hi = thresholds.humidity_range_pct
     if humidity < rh_lo:
-        alerts.append(Alert(HUMIDITY_LOW, "medium", humidity, rh_lo, timestamp_s))
+        alerts.append(Alert(HUMIDITY_LOW, humidity, rh_lo, timestamp_s))
     elif humidity > rh_hi:
-        alerts.append(Alert(HUMIDITY_HIGH, "medium", humidity, rh_hi, timestamp_s))
+        alerts.append(Alert(HUMIDITY_HIGH, humidity, rh_hi, timestamp_s))
 
     trigger = thresholds.soil_moisture_trigger_pct
     if moisture < trigger:
-        alerts.append(Alert(MOISTURE_LOW, "high", moisture, trigger, timestamp_s))
+        alerts.append(Alert(MOISTURE_LOW, moisture, trigger, timestamp_s))
         depth = min(field_state.depletion_mm, cap_mm)
         if depth > 0.0:
             advice = IrrigationAdvice(
@@ -254,19 +252,32 @@ class DailyRecord:
     moisture_end_pct: float
 
 
+@dataclass(frozen=True)
+class Samples:
+    """One arm's sensor readings as columns, one row per sampling slot."""
+
+    timestamp_s: np.ndarray   # int64
+    moisture_pct: np.ndarray  # float64, as are the other readings
+    temp_c: np.ndarray
+    humidity_pct: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
+
+
 @dataclass
 class SeasonResult:
     """Outcome of one policy arm over one season."""
 
     policy: str
-    events: list[IrrigationEvent] = field(default_factory=list)
-    daily: list[DailyRecord] = field(default_factory=list)
-    samples: list[tuple[int, float, float, float]] = field(default_factory=list)
-    alerts: list[Alert] = field(default_factory=list)
-    irrigation_total_mm: float = 0.0
-    eta_total_mm: float = 0.0
-    etm_total_mm: float = 0.0
-    noise_digest: str = ""
+    events: list[IrrigationEvent]
+    daily: list[DailyRecord]
+    samples: Samples
+    alerts: list[Alert]
+    irrigation_total_mm: float
+    eta_total_mm: float
+    etm_total_mm: float
+    noise_digest: str
 
     @property
     def event_count(self) -> int:
@@ -312,7 +323,11 @@ def schedule_season(policy: str, scenario: Scenario,
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
 
-    result = SeasonResult(policy=policy)
+    events: list[IrrigationEvent] = []
+    daily: list[DailyRecord] = []
+    alerts: list[Alert] = []
+    columns = []  # (timestamps, moisture, temp, rh) per day, joined once
+    etm_total = 0.0
     state = FieldState(depletion_mm=scenario.irrigation.initial_depletion_mm)
     interval = scenario.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
@@ -320,6 +335,8 @@ def schedule_season(policy: str, scenario: Scenario,
     taw = profile.taw_mm
     frac = np.arange(1, samples_per_day + 1) / samples_per_day
     cosines = _diurnal_cosines(interval, samples_per_day)
+    slot_offsets = interval * np.arange(1, samples_per_day + 1,
+                                        dtype=np.int64)
     thr = scenario.thresholds
     rh_lo, rh_hi = thr.humidity_range_pct
 
@@ -337,7 +354,7 @@ def schedule_season(policy: str, scenario: Scenario,
         irrigation_today = 0.0
         if policy == CALENDAR_BASELINE and w.day_index % baseline.interval_days == 0:
             irrigation_today = baseline.depth_mm
-            result.events.append(IrrigationEvent(
+            events.append(IrrigationEvent(
                 w.day_index, w.day_index * SECONDS_PER_DAY,
                 baseline.depth_mm, float("nan"), "calendar interval"))
 
@@ -351,12 +368,8 @@ def schedule_season(policy: str, scenario: Scenario,
         temp, rh = sample_air_sensor(_diurnal_temp(w, cosines),
                                      w.rh_mean_pct, scenario.air_noise_sigma,
                                      z[:, 1], z[:, 2])
-        day_start = w.day_index * SECONDS_PER_DAY
-        timestamps = range(day_start + interval,
-                           day_start + samples_per_day * interval + 1, interval)
-        m_values, t_values, rh_values = (moisture.tolist(), temp.tolist(),
-                                         rh.tolist())
-        result.samples.extend(zip(timestamps, m_values, t_values, rh_values))
+        timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
+        columns.append((timestamps, moisture, temp, rh))
 
         if policy == SENSOR_DRIVEN:
             flagged = np.flatnonzero(
@@ -364,21 +377,23 @@ def schedule_season(policy: str, scenario: Scenario,
                 | (moisture < thr.soil_moisture_trigger_pct))
             sensed_dep = np.clip(moisture_pct_to_depletion(
                 moisture[flagged], profile), 0.0, taw)
-            for k, dep in zip(flagged.tolist(), sensed_dep.tolist()):
-                advice, alerts = evaluate(
-                    {"moisture_pct": m_values[k], "temp_c": t_values[k],
-                     "humidity_pct": rh_values[k]},
+            for ts, m, t, h, dep in zip(
+                    timestamps[flagged].tolist(), moisture[flagged].tolist(),
+                    temp[flagged].tolist(), rh[flagged].tolist(),
+                    sensed_dep.tolist()):
+                advice, fired = evaluate(
+                    {"moisture_pct": m, "temp_c": t, "humidity_pct": h},
                     thr, FieldState(depletion_mm=dep),
-                    cap_mm=scenario.irrigation.cap_mm, timestamp_s=timestamps[k])
-                result.alerts.extend(alerts)
+                    cap_mm=scenario.irrigation.cap_mm, timestamp_s=ts)
+                alerts.extend(fired)
                 if advice.action == IRRIGATE and irrigation_today == 0.0:
                     irrigation_today = advice.depth_mm
-                    result.events.append(IrrigationEvent(
-                        w.day_index, timestamps[k], advice.depth_mm,
+                    events.append(IrrigationEvent(
+                        w.day_index, ts, advice.depth_mm,
                         advice.observed_moisture_pct, advice.reason))
 
         new_state = step_soil_water(state, w, irrigation_today, etc, profile)
-        result.daily.append(DailyRecord(
+        daily.append(DailyRecord(
             day_index=w.day_index,
             depletion_start_mm=state.depletion_mm,
             depletion_end_mm=new_state.depletion_mm,
@@ -390,10 +405,15 @@ def schedule_season(policy: str, scenario: Scenario,
             moisture_end_pct=float(depletion_to_moisture_pct(
                 new_state.depletion_mm, profile)),
         ))
-        result.etm_total_mm += etc
+        etm_total += etc
         state = new_state
 
-    result.irrigation_total_mm = state.cumulative_irrigation_mm
-    result.eta_total_mm = state.cumulative_eta_mm
-    result.noise_digest = noise.digest()
-    return result
+    timestamps, moisture, temp, rh = (np.concatenate(c)
+                                      for c in zip(*columns))
+    samples = Samples(timestamp_s=timestamps, moisture_pct=moisture,
+                      temp_c=temp, humidity_pct=rh)
+    return SeasonResult(
+        policy=policy, events=events, daily=daily, samples=samples,
+        alerts=alerts, irrigation_total_mm=state.cumulative_irrigation_mm,
+        eta_total_mm=state.cumulative_eta_mm, etm_total_mm=etm_total,
+        noise_digest=noise.digest())

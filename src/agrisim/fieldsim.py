@@ -315,9 +315,19 @@ def sample_soil_sensor(true_moisture_pct: np.ndarray, spec: SensorSpec,
 
 
 def _round_tenths(values: np.ndarray) -> np.ndarray:
-    # Python's round is exact on the binary value; np.round scales by 10
-    # first and can differ on halfway cases
-    return np.array([round(v, 1) for v in values.tolist()])
+    """``round(v, 1)`` of each value, bit for bit.
+
+    Python's round works on the exact binary value; ``np.round(10 * v)``
+    rounds ``10 * v``, which is off by about 1e-14 for clipped readings. The
+    two pick the same integer except near a halfway point, so only those
+    values go through Python's round.
+    """
+    scaled = 10.0 * values
+    rounded = np.round(scaled) / 10.0
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    for k in np.flatnonzero(near_half).tolist():
+        rounded[k] = round(float(values[k]), 1)
+    return rounded
 
 
 def sample_air_sensor(t_true_c: np.ndarray, rh_true_pct: float,

@@ -2,8 +2,10 @@
 an append-only in-memory time series, per-channel counters, CSV export, and
 JSON-lines snapshots.
 
-An ingest call mirrors a REST channel-update request: a write key, one value
-per channel field (at most eight) and a timestamp.
+An ingest call mirrors a batch of REST channel-update requests: a write key,
+a timestamp per row and one value column per channel field (at most eight).
+Accepted rows are kept as columns and exported with one format string per
+row.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
 
@@ -43,32 +47,40 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class ChannelEntry:
-    entry_id: int
-    created_at_s: float
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class IngestResult:
     status: str
-    entry: ChannelEntry | None = None
 
 
 @dataclass
 class _ChannelState:
     channel: Channel
-    entries: list[ChannelEntry] = field(default_factory=list)
+    # accepted rows, one (timestamps, fields x rows values) pair per batch;
+    # a batch keeps its timestamps' dtype, so int times export as ints
+    batches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     last_accepted_s: float | None = None
     accepted: int = 0
     rejected_auth: int = 0
     rejected_rate: int = 0
 
 
+def _write_rows(batches, fh, row_format: str, order=slice(None)) -> int:
+    """Write each entry as ``row_format % (created_at, entry_id,
+    *values[order])``, so numbers print as their ``repr``; returns the
+    number of entries."""
+    entry_id = 1
+    for times, values in batches:
+        ids = range(entry_id, entry_id + len(times))
+        fh.writelines(map(row_format.__mod__, zip(
+            times.tolist(), ids, *values[order].tolist())))
+        entry_id += len(times)
+    return entry_id - 1
+
+
 class ChannelStore:
     """Append-only store for one or more telemetry channels.
 
     Single writer per channel; existing entries are never mutated or deleted.
+    Entry ids run 1, 2, ... in acceptance order.
     """
 
     def __init__(self):
@@ -85,34 +97,74 @@ class ChannelStore:
         except KeyError:
             raise ChannelNotFound(f"unknown channel: {channel_id}") from None
 
-    def ingest(self, channel_id: str, write_key: str, timestamp_s: float,
-               values) -> IngestResult:
-        """Append one entry, or reject on bad key / rate limit.
+    def ingest_batch(self, channel_id: str, write_key: str, timestamps_s,
+                     columns) -> np.ndarray | None:
+        """Append the rows that pass auth and the rate limit, in order.
 
-        Rejections are counted separately so attempts always reconcile:
-        accepted + rejected_auth + rejected_rate == total calls.
+        ``columns`` holds one value column per channel field, each as long
+        as ``timestamps_s``. A wrong write key rejects every row and returns
+        None; otherwise the result is the mask of accepted rows. A row is
+        rate-rejected when it comes less than ``min_update_interval_s``
+        after the last accepted row, in this batch or an earlier one.
+        Rejections are counted so attempts always reconcile:
+        accepted + rejected_auth + rejected_rate == rows offered. A value
+        column of the wrong count or length, or a non-finite time or value
+        (JSON has no NaN or infinity), raises ``InputError`` and stores
+        nothing.
         """
         st = self._state(channel_id)
+        times = np.asarray(timestamps_s)
+        if times.dtype.kind not in "iu":
+            times = times.astype(np.float64)
+        if times.ndim != 1:
+            raise InputError(f"expected a column of timestamps, got shape "
+                             f"{times.shape}")
         if write_key != st.channel.write_key:
-            st.rejected_auth += 1
-            return IngestResult(REJECTED_AUTH)
-        if (st.last_accepted_s is not None
-                and timestamp_s - st.last_accepted_s < st.channel.min_update_interval_s):
-            st.rejected_rate += 1
-            return IngestResult(REJECTED_RATE)
-        values = tuple(float(v) for v in values)
-        if len(values) != len(st.channel.field_names):
-            raise InputError(
-                f"expected {len(st.channel.field_names)} values, got {len(values)}")
-        entry = ChannelEntry(entry_id=st.accepted + 1,
-                             created_at_s=timestamp_s, values=values)
-        st.entries.append(entry)
-        st.last_accepted_s = timestamp_s
-        st.accepted += 1
-        return IngestResult(ACCEPTED, entry)
+            st.rejected_auth += len(times)
+            return None
+        try:
+            values = np.asarray(columns, dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"value columns are not numeric columns of one "
+                             f"length: {exc}") from None
+        width = len(st.channel.field_names)
+        if values.shape != (width, len(times)):
+            raise InputError(f"expected {width} value columns of "
+                             f"{len(times)} rows, got shape {values.shape}")
+        if not (np.isfinite(values).all() and np.isfinite(times).all()):
+            raise InputError("non-finite timestamp or value")
 
-    def entries(self, channel_id: str) -> list[ChannelEntry]:
-        return list(self._state(channel_id).entries)
+        accepted = np.zeros(len(times), dtype=bool)
+        last, limit = st.last_accepted_s, st.channel.min_update_interval_s
+        for k, t in enumerate(times.tolist()):
+            if last is None or t - last >= limit:
+                accepted[k] = True
+                last = t
+        n = int(np.count_nonzero(accepted))
+        if n:
+            st.batches.append((times[accepted], values[:, accepted]))
+        st.last_accepted_s = last
+        st.accepted += n
+        st.rejected_rate += len(times) - n
+        return accepted
+
+    def ingest(self, channel_id: str, write_key: str, timestamp_s: float,
+               values) -> IngestResult:
+        """One-row ``ingest_batch``: append one entry, or say why not."""
+        accepted = self.ingest_batch(channel_id, write_key, [timestamp_s],
+                                     [[v] for v in values])
+        if accepted is None:
+            return IngestResult(REJECTED_AUTH)
+        return IngestResult(ACCEPTED if accepted[0] else REJECTED_RATE)
+
+    def entries(self, channel_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the accepted entries as columns: the creation times
+        (entry id k + 1 at index k) and a fields x entries value array."""
+        st = self._state(channel_id)
+        times = [t for t, _ in st.batches] or [np.empty(0)]
+        values = [v for _, v in st.batches] or [
+            np.empty((len(st.channel.field_names), 0))]
+        return np.concatenate(times), np.concatenate(values, axis=1)
 
     def counters(self, channel_id: str) -> dict:
         st = self._state(channel_id)
@@ -123,23 +175,23 @@ class ChannelStore:
         """Write the channel as CSV (created_at, entry_id, then field columns);
         returns the number of data rows."""
         st = self._state(channel_id)
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["created_at", "entry_id", *st.channel.field_names])
-            for e in st.entries:
-                writer.writerow([repr(e.created_at_s), e.entry_id,
-                                 *[repr(v) for v in e.values]])
-        return len(st.entries)
+        with Path(path).open("w", newline="") as fh:
+            csv.writer(fh).writerow(
+                ["created_at", "entry_id", *st.channel.field_names])
+            # a repr never holds a comma, quote or line break, so no field
+            # needs the quoting csv.writer would add
+            row_format = "%r,%d" + ",%r" * len(st.channel.field_names) + "\r\n"
+            return _write_rows(st.batches, fh, row_format)
 
     def snapshot_jsonl(self, channel_id: str, path) -> int:
-        """Persist the channel as JSON lines, one entry object per line."""
+        """Persist the channel as JSON lines, one entry object per line, as
+        ``json.dumps(entry, sort_keys=True)`` writes them."""
         st = self._state(channel_id)
+        names = st.channel.field_names
+        order = sorted(range(len(names)), key=names.__getitem__)
+        values_format = ", ".join(
+            json.dumps(names[j]).replace("%", "%%") + ": %r" for j in order)
+        row_format = ('{"created_at": %r, "entry_id": %d, "values": {'
+                      + values_format + "}}\n")
         with Path(path).open("w") as fh:
-            for e in st.entries:
-                fh.write(json.dumps({
-                    "entry_id": e.entry_id,
-                    "created_at": e.created_at_s,
-                    "values": dict(zip(st.channel.field_names, e.values)),
-                }, sort_keys=True) + "\n")
-        return len(st.entries)
+            return _write_rows(st.batches, fh, row_format, order)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +31,6 @@ MANIFEST_NAME = "manifest.jsonl"
 
 @dataclass
 class RunOutput:
-    scenario_name: str
     totals: metrics.SeasonTotals
     report: metrics.MetricReport
     observations: dict[str, float]
@@ -43,12 +41,15 @@ class RunOutput:
     out_dir: Path | None = None
 
 
-def packets_from_samples(samples, topic: str) -> list[transport.TelemetryPacket]:
+def packets_from_samples(samples: decision.Samples,
+                         topic: str) -> list[transport.TelemetryPacket]:
     """One consolidated packet per sampling interval, fixed field order."""
     return [transport.TelemetryPacket(
         sequence_no=i + 1, timestamp_s=ts, moisture_pct=m, temp_c=t,
         humidity_pct=rh, topic=topic)
-        for i, (ts, m, t, rh) in enumerate(samples)]
+        for i, (ts, m, t, rh) in enumerate(zip(
+            samples.timestamp_s.tolist(), samples.moisture_pct.tolist(),
+            samples.temp_c.tolist(), samples.humidity_pct.tolist()))]
 
 
 def _weather_digest(weather) -> str:
@@ -72,20 +73,20 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
                                       NoiseStream(sensor_ss))
     baseline = decision.schedule_season(decision.CALENDAR_BASELINE, scenario,
                                         NoiseStream(sensor_ss))
+    samples = system.samples
     topic = f"farm/{scenario.field_id}/telemetry"
-    packets = packets_from_samples(system.samples, topic)
+    packets = packets_from_samples(samples, topic)
     days = scenario.season.days
 
     store = ingest.ChannelStore()
     store.create_channel(scenario.channel)
-    chan_id = scenario.channel.channel_id
-    write_key = scenario.channel.write_key
 
     def deliver_to_channel(attempts, delivered):
-        for packet in itertools.compress(packets, delivered):
-            store.ingest(chan_id, write_key, packet.timestamp_s,
-                         (packet.moisture_pct, packet.temp_c,
-                          packet.humidity_pct))
+        store.ingest_batch(
+            scenario.channel.channel_id, scenario.channel.write_key,
+            samples.timestamp_s[delivered],
+            [column[delivered] for column in (
+                samples.moisture_pct, samples.temp_c, samples.humidity_pct)])
 
     stats_pubsub = transport.run_session(
         packets, transport.PUBSUB, scenario.qos, scenario.link,
@@ -129,11 +130,10 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     useful = stats_pubsub.delivered * per_msg
     energy_eff = transport.energy_efficiency_pct(useful, stats_pubsub.energy_mwh)
 
-    samples = np.asarray(system.samples)
     observations = {
-        "Temperature": float(samples[:, 2].max()),
-        "Humidity": float(samples[:, 3].mean()),
-        "Soil Moisture": float(samples[:, 1].mean()),
+        "Temperature": float(samples.temp_c.max()),
+        "Humidity": float(samples.humidity_pct.mean()),
+        "Soil Moisture": float(samples.moisture_pct.mean()),
         "Data Transmission": stats_pubsub.delivery_rate * 100.0,
         "Water Usage": metrics.water_efficiency_pct(water_baseline_l,
                                                     water_system_l),
@@ -159,7 +159,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     }
 
     output = RunOutput(
-        scenario_name=scenario.name, totals=totals, report=report,
+        totals=totals, report=report,
         observations=observations, system_arm=system, baseline_arm=baseline,
         transport_stats={transport.PUBSUB: stats_pubsub,
                          transport.REQRESP: stats_reqresp},
@@ -231,7 +231,7 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
     metrics.export_radar_csv(output.report, out / "radar.csv")
 
     (out / "totals.json").write_text(json.dumps({
-        "scenario": output.scenario_name,
+        "scenario": scenario.name,
         "observations": output.observations,
         "report_targets": scenario.report_targets,
         "totals": dataclasses.asdict(output.totals),

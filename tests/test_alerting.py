@@ -156,7 +156,7 @@ class TestTemplateMapping:
             (decision.MOISTURE_LOW, "irrigate_low_moisture"),
         ]
         for kind, expected in cases:
-            alert = decision.Alert(kind, "high", 1.0, 2.0)
+            alert = decision.Alert(kind, 1.0, 2.0)
             tid, params = template_for_alert(alert)
             assert tid == expected
             CATALOG.render(tid, "en", params)  # params must satisfy template
@@ -164,7 +164,7 @@ class TestTemplateMapping:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
-            template_for_alert(decision.Alert("COSMIC_RAY", "high", 0.0, 0.0))
+            template_for_alert(decision.Alert("COSMIC_RAY", 0.0, 0.0))
 
 
 class TestDispatcher:

@@ -42,6 +42,7 @@ from agrisim.scenario import (
 )
 
 PROFILE = SoilProfile()
+SAMPLE_COLUMNS = ("timestamp_s", "moisture_pct", "temp_c", "humidity_pct")
 
 
 def oracle_ra(lat_deg, doy):
@@ -316,7 +317,9 @@ class TestScheduleSeason:
     def test_deterministic_per_noise_seed(self):
         a = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(4))
         b = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(4))
-        assert a.samples == b.samples
+        for column in SAMPLE_COLUMNS:
+            x, y = getattr(a.samples, column), getattr(b.samples, column)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert a.events == b.events
         assert a.noise_digest == b.noise_digest
 
@@ -329,7 +332,10 @@ class TestScheduleSeason:
             air_noise_sigma=3.0)
         result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(7))
         alerts, events = [], {}
-        for ts, m, t, rh in result.samples:
+        samples = result.samples
+        assert samples.timestamp_s.dtype == np.int64
+        for ts, m, t, rh in zip(*(getattr(samples, column).tolist()
+                                  for column in SAMPLE_COLUMNS)):
             day = (ts - 1) // 86_400
             dep = min(max(moisture_pct_to_depletion(m, PROFILE), 0.0),
                       PROFILE.taw_mm)

@@ -15,6 +15,7 @@ from agrisim.fieldsim import (
     SensorSpec,
     SoilProfile,
     WeatherDay,
+    _round_tenths,
     depletion_to_moisture_pct,
     generate_weather,
     ks_stress,
@@ -251,6 +252,44 @@ class TestAirSensor:
     def test_quantization_to_tenths(self):
         t, _ = _air(20.24, 50.0, 0.0, NoiseStream(0))
         assert t == 20.2
+
+
+def _python_round_bytes(values) -> bytes:
+    return np.array([round(v, 1) for v in values], dtype=np.float64).tobytes()
+
+
+def _ulps_away(value: float, n: int) -> float:
+    for _ in range(abs(n)):
+        value = np.nextafter(value, math.copysign(math.inf, n))
+    return float(value)
+
+
+# halfway points (k + 0.5) / 10 of the clipped reading range [-40, 100]
+HALVES = (np.arange(-400, 1000) + 0.5) / 10
+
+
+class TestRoundTenths:
+    """The vectorized rounding must equal Python's ``round(v, 1)`` bit for
+    bit (sign of zero included): the air readings feed the manifests."""
+
+    def test_every_halfway_point_and_its_neighbours(self):
+        values = np.concatenate([
+            HALVES, np.nextafter(HALVES, -np.inf), np.nextafter(HALVES, np.inf),
+            [0.0, -0.0, -0.04, -0.05, -0.06, 0.05, -1e-300, 5e-324, -40.0,
+             100.0]])
+        assert _round_tenths(values).tobytes() == \
+            _python_round_bytes(values.tolist())
+
+    @given(st.lists(
+        st.floats(-40.0, 100.0)
+        | st.builds(_ulps_away, st.sampled_from(HALVES.tolist()),
+                    st.integers(-4, 4))
+        | st.sampled_from([0.0, -0.0, -0.04, -1e-9, 1e-9]),
+        min_size=1, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_round_bit_for_bit(self, values):
+        assert _round_tenths(np.array(values)).tobytes() == \
+            _python_round_bytes(values)
 
 
 class TestNoiseStream:

@@ -1,18 +1,20 @@
-"""Channel store: auth, rate limiting, queries, persistence round trips."""
+"""Channel store: auth, rate limiting, queries, persistence round trips, and
+the batch path against a per-record reference store."""
 
 import csv
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim.errors import ConfigurationError
+from agrisim.errors import ConfigurationError, InputError
 from agrisim.ingest import (
     ACCEPTED,
     REJECTED_AUTH,
     REJECTED_RATE,
     Channel,
-    ChannelEntry,
     ChannelNotFound,
     ChannelStore,
 )
@@ -27,25 +29,72 @@ def make_store(min_interval=15.0):
     return store
 
 
+class ReferenceChannel:
+    """The per-record store the batch path replaced: one entry tuple per
+    accepted row, one ``csv.writer`` row and one ``json.dumps`` per entry."""
+
+    def __init__(self, channel: Channel):
+        self.channel = channel
+        self.entries = []  # (entry_id, created_at, values)
+        self.last = None
+        self.counters = {"accepted": 0, "rejected_auth": 0,
+                         "rejected_rate": 0}
+
+    def ingest(self, key, timestamp_s, values) -> str:
+        if key != self.channel.write_key:
+            self.counters["rejected_auth"] += 1
+            return REJECTED_AUTH
+        if (self.last is not None and timestamp_s - self.last
+                < self.channel.min_update_interval_s):
+            self.counters["rejected_rate"] += 1
+            return REJECTED_RATE
+        self.entries.append((len(self.entries) + 1, timestamp_s,
+                             tuple(float(v) for v in values)))
+        self.last = timestamp_s
+        self.counters["accepted"] += 1
+        return ACCEPTED
+
+    def export_csv(self, path):
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["created_at", "entry_id",
+                             *self.channel.field_names])
+            for entry_id, t, values in self.entries:
+                writer.writerow([repr(t), entry_id, *map(repr, values)])
+
+    def snapshot_jsonl(self, path):
+        with path.open("w") as fh:
+            for entry_id, t, values in self.entries:
+                fh.write(json.dumps({
+                    "entry_id": entry_id, "created_at": t,
+                    "values": dict(zip(self.channel.field_names, values)),
+                }, sort_keys=True) + "\n")
+
+
 class TestIngest:
-    def test_first_write_accepted_with_entry_id_1(self):
+    def test_first_write_accepted_with_entry_id_1(self, tmp_path):
         store = make_store()
         result = store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
         assert result.status == ACCEPTED
-        assert result.entry.entry_id == 1
+        store.snapshot_jsonl("ch-1", tmp_path / "chan.jsonl")
+        [line] = (tmp_path / "chan.jsonl").read_text().splitlines()
+        assert json.loads(line)["entry_id"] == 1
 
     def test_write_inside_interval_throttled(self):
         store = make_store()
         store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
         result = store.ingest("ch-1", "KEY", 5.0, (41.0, 22.0, 45.0))
         assert result.status == REJECTED_RATE
-        assert len(store.entries("ch-1")) == 1
+        times, values = store.entries("ch-1")
+        assert times.tolist() == [0.0]
+        assert values.tolist() == [[40.0], [22.0], [45.0]]
 
     def test_wrong_key_rejected_store_unchanged(self):
         store = make_store()
         result = store.ingest("ch-1", "WRONG", 0.0, (40.0, 22.0, 45.0))
         assert result.status == REJECTED_AUTH
-        assert store.entries("ch-1") == []
+        times, values = store.entries("ch-1")
+        assert len(times) == 0 and values.shape == (len(FIELDS), 0)
 
     def test_unknown_channel(self):
         store = make_store()
@@ -73,17 +122,66 @@ class TestIngest:
         with pytest.raises(ConfigurationError):
             Channel("c", "k", ("a", "a"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_value_or_time_rejected(self, bad):
+        # JSON has no NaN or Infinity, so such a row could not be exported
+        store = make_store(min_interval=0.0)
+        with pytest.raises(InputError, match="non-finite"):
+            store.ingest("ch-1", "KEY", 0.0, (40.0, bad, 45.0))
+        with pytest.raises(InputError, match="non-finite"):
+            store.ingest("ch-1", "KEY", bad, (40.0, 22.0, 45.0))
+        with pytest.raises(InputError, match="non-finite"):
+            store.ingest_batch("ch-1", "KEY", [0, 300],
+                               [[40.0, 41.0], [22.0, 22.0], [45.0, bad]])
+        assert store.counters("ch-1") == {"accepted": 0, "rejected_auth": 0,
+                                          "rejected_rate": 0}
+        assert len(store.entries("ch-1")[0]) == 0
+
+    @pytest.mark.parametrize("columns", [
+        [[40.0], [22.0]],                  # too few fields
+        [[40.0], [22.0], [45.0], [1.0]],   # too many fields
+        [[40.0, 41.0], [22.0, 22.0], [45.0, 45.0]],  # longer than the times
+        [[40.0], [22.0, 23.0], [45.0]],    # ragged
+    ])
+    def test_malformed_columns_rejected(self, columns):
+        store = make_store()
+        with pytest.raises(InputError):
+            store.ingest_batch("ch-1", "KEY", [0], columns)
+        assert store.counters("ch-1")["accepted"] == 0
+
+    def test_rate_limit_carries_across_batches(self):
+        # 600 s limit on 300 s stamps: every other row, also at the seam
+        store = make_store(min_interval=600.0)
+        first = store.ingest_batch("ch-1", "KEY", [300, 600, 900],
+                                   [[1.0] * 3] * 3)
+        second = store.ingest_batch("ch-1", "KEY", [1200, 1500, 1800],
+                                    [[2.0] * 3] * 3)
+        assert first.tolist() == [True, False, True]
+        assert second.tolist() == [False, True, False]
+        assert store.entries("ch-1")[0].tolist() == [300, 900, 1500]
+        assert store.counters("ch-1") == {"accepted": 3, "rejected_auth": 0,
+                                          "rejected_rate": 3}
+
+    def test_wrong_key_rejects_the_whole_batch(self):
+        store = make_store()
+        assert store.ingest_batch("ch-1", "BAD", [0, 300],
+                                  [[1.0, 2.0]] * 3) is None
+        assert store.counters("ch-1")["rejected_auth"] == 2
+
 
 class TestQuery:
     def test_empty_store_empty_result(self):
-        assert make_store().entries("ch-1") == []
+        times, values = make_store().entries("ch-1")
+        assert len(times) == 0 and values.shape == (len(FIELDS), 0)
 
     def test_full_range_returns_everything(self):
         store = make_store(min_interval=0.0)
         for i in range(5):
             store.ingest("ch-1", "KEY", float(i * 100), (i, i, i))
-        entries = store.entries("ch-1")
-        assert [e.entry_id for e in entries] == [1, 2, 3, 4, 5]
+        times, values = store.entries("ch-1")
+        assert times.tolist() == [0.0, 100.0, 200.0, 300.0, 400.0]
+        assert values.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]] * 3
 
     @given(st.lists(st.tuples(st.floats(0, 1e5), st.booleans()),
                     min_size=0, max_size=60))
@@ -99,19 +197,95 @@ class TestQuery:
             if good_key and (last is None or clock - last >= 10.0):
                 flat_log.append(clock)
                 last = clock
-        entries = store.entries("ch-1")
-        assert [e.created_at_s for e in entries] == flat_log
-        assert [e.entry_id for e in entries] == list(
-            range(1, len(flat_log) + 1))
+        times, values = store.entries("ch-1")
+        assert times.tolist() == flat_log
+        assert values.shape == (len(FIELDS), len(flat_log))
 
     def test_repeated_queries_stable(self):
         store = make_store(min_interval=0.0)
         for i in range(10):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
-        first = store.entries("ch-1")
-        assert store.entries("ch-1") == first
-        first.clear()  # a caller's copy, not the store's own list
-        assert len(store.entries("ch-1")) == 10
+        times, values = store.entries("ch-1")
+        again = store.entries("ch-1")
+        assert again[0].tolist() == times.tolist()
+        assert again[1].tolist() == values.tolist()
+        times[:] = -1.0  # a caller's copy, not the store's own columns
+        values[:] = -1.0
+        assert store.entries("ch-1")[0].tolist() == again[0].tolist()
+        assert store.entries("ch-1")[1].tolist() == again[1].tolist()
+
+
+def _batches(width):
+    """Batches of rows on a shared clock: write key, whether the times are
+    ints or floats, clock steps, and one row of values per step."""
+    value = st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 22.5, -40.0, 0.1]) | \
+        st.floats(-1e17, 1e17, allow_nan=False, allow_infinity=False)
+    step = st.sampled_from([0, 1, 150, 300, 599, 600, 900])
+    return st.lists(st.tuples(
+        st.booleans() | st.just(True), st.booleans(),
+        st.sampled_from([0.0, 0.125, 1e-7]),
+        st.lists(st.tuples(step, st.lists(value, min_size=width,
+                                          max_size=width)),
+                 max_size=12)), max_size=5)
+
+
+class TestBatchMatchesReference:
+    @given(data=st.data(),
+           names=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                                  min_size=1, max_size=5),
+                          min_size=1, max_size=8, unique=True),
+           limit=st.sampled_from([0.0, 15.0, 300.0, 600.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_counters_columns_and_export_bytes(self, tmp_path_factory, data,
+                                               names, limit):
+        channel = Channel("ch", "KEY", tuple(names),
+                          min_update_interval_s=limit)
+        batch_store, row_store = ChannelStore(), ChannelStore()
+        batch_store.create_channel(channel)
+        row_store.create_channel(channel)
+        reference = ReferenceChannel(channel)
+
+        clock = 0
+        for good_key, as_int, offset, rows in data.draw(_batches(len(names))):
+            key = "KEY" if good_key else "BAD"
+            times = []
+            for step, _ in rows:
+                clock += step
+                times.append(clock if as_int else clock + offset)
+            columns = [[values[j] for _, values in rows]
+                       for j in range(len(names))]
+            expected = [reference.ingest(key, t, values)
+                        for t, (_, values) in zip(times, rows)]
+            accepted = batch_store.ingest_batch(
+                "ch", key, np.array(times, np.int64 if as_int else np.float64),
+                columns)
+            if good_key:
+                assert accepted.tolist() == [s == ACCEPTED for s in expected]
+            else:
+                assert accepted is None
+            assert [row_store.ingest("ch", key, t, values).status
+                    for t, (_, values) in zip(times, rows)] == expected
+
+        ref_times = [t for _, t, _ in reference.entries]
+        ref_values = np.array([v for _, _, v in reference.entries],
+                              dtype=np.float64).reshape(-1, len(names)).T
+        out = tmp_path_factory.mktemp("export")
+        reference.export_csv(out / "ref.csv")
+        reference.snapshot_jsonl(out / "ref.jsonl")
+        for store in (batch_store, row_store):
+            assert store.counters("ch") == reference.counters
+            times, values = store.entries("ch")
+            assert times.tolist() == ref_times
+            assert values.shape == ref_values.shape
+            assert values.tobytes() == np.ascontiguousarray(
+                ref_values).tobytes()
+            n = len(ref_times)
+            assert store.export_csv("ch", out / "chan.csv") == n
+            assert store.snapshot_jsonl("ch", out / "chan.jsonl") == n
+            assert (out / "chan.csv").read_bytes() == \
+                (out / "ref.csv").read_bytes()
+            assert (out / "chan.jsonl").read_bytes() == \
+                (out / "ref.jsonl").read_bytes()
 
 
 class TestPersistence:
@@ -138,11 +312,11 @@ class TestPersistence:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["created_at", "entry_id", *FIELDS]
-        imported = [ChannelEntry(entry_id=int(row[1]),
-                                 created_at_s=float(row[0]),
-                                 values=tuple(float(v) for v in row[2:]))
-                    for row in rows[1:]]
-        assert imported == store.entries("ch-1")
+        times, values = store.entries("ch-1")
+        assert [int(row[1]) for row in rows[1:]] == list(range(1, 21))
+        assert [float(row[0]) for row in rows[1:]] == times.tolist()
+        assert [[float(v) for v in row[2:]] for row in rows[1:]] == \
+            values.T.tolist()
 
     def test_snapshot_jsonl_one_line_per_entry(self, tmp_path):
         store = make_store(min_interval=0.0)

@@ -57,9 +57,10 @@ class TestRunSeason:
         assert len(lines) == stats.delivered
         assert stats.delivered < stats.attempted  # lossy link
 
-    def test_totals_json_consistent_with_output(self, default_run):
+    def test_totals_json_consistent_with_output(self, default_run,
+                                                default_scenario):
         data = json.loads((default_run.out_dir / "totals.json").read_text())
-        assert data["scenario"] == default_run.scenario_name
+        assert data["scenario"] == default_scenario.name
         assert data["totals"]["delivery_rate"] == \
             default_run.totals.delivery_rate
         assert data["observations"] == default_run.observations
