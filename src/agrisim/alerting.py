@@ -14,6 +14,7 @@ window so 5-minute sampling cannot spam a farmer.
 from __future__ import annotations
 
 import csv
+import functools
 import string
 import urllib.parse
 from dataclasses import dataclass
@@ -103,7 +104,10 @@ class MessageCatalog:
         return cls(templates)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "MessageCatalog":
+        """The packaged catalog, parsed once per process and then shared:
+        a catalog has no mutators."""
         ref = resources.files("agrisim").joinpath("data/messages.yaml")
         with resources.as_file(ref) as path:
             return cls.from_file(path)

@@ -67,14 +67,26 @@ def cmd_report(args) -> int:
     totals_path = Path(args.out_dir) / "totals.json"
     if not totals_path.exists():
         raise AgrisimError(f"no totals.json under {args.out_dir}")
-    data = json.loads(totals_path.read_text())
-    report = metrics.build_report(data["observations"], data["report_targets"])
-    print(f"scenario: {data['scenario']}")
-    print(metrics.format_report_table(report))
-    econ = data["economics"]
-    print(f"cost savings: {econ['cost_savings_ugx']:.0f} UGX "
-          f"({econ['cost_savings_fraction_pct']:.1f}% of baseline cost)")
-    print(f"revenue gain: {econ['revenue_gain_ugx']:.0f} UGX")
+    try:
+        data = json.loads(totals_path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise AgrisimError(f"{totals_path} is not valid JSON: {exc}") from None
+    try:
+        report = metrics.build_report(data["observations"],
+                                      data["report_targets"])
+        econ = data["economics"]
+        lines = [
+            f"scenario: {data['scenario']}",
+            metrics.format_report_table(report),
+            f"cost savings: {econ['cost_savings_ugx']:.0f} UGX "
+            f"({econ['cost_savings_fraction_pct']:.1f}% of baseline cost)",
+            f"revenue gain: {econ['revenue_gain_ugx']:.0f} UGX",
+        ]
+    except KeyError as exc:
+        raise AgrisimError(f"{totals_path} has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise AgrisimError(f"{totals_path} is malformed: {exc}") from None
+    print("\n".join(lines))
     return 0
 
 

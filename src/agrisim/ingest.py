@@ -4,8 +4,8 @@ JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row and one value column per channel field (at most eight).
-Accepted rows are kept as columns and exported with one format string per
-row.
+Accepted rows are kept as columns. One export pass formats each number once
+and writes both the CSV file and the JSON-lines snapshot from that text.
 """
 
 from __future__ import annotations
@@ -61,19 +61,6 @@ class _ChannelState:
     accepted: int = 0
     rejected_auth: int = 0
     rejected_rate: int = 0
-
-
-def _write_rows(batches, fh, row_format: str, order=slice(None)) -> int:
-    """Write each entry as ``row_format % (created_at, entry_id,
-    *values[order])``, so numbers print as their ``repr``; returns the
-    number of entries."""
-    entry_id = 1
-    for times, values in batches:
-        ids = range(entry_id, entry_id + len(times))
-        fh.writelines(map(row_format.__mod__, zip(
-            times.tolist(), ids, *values[order].tolist())))
-        entry_id += len(times)
-    return entry_id - 1
 
 
 class ChannelStore:
@@ -171,27 +158,38 @@ class ChannelStore:
         return {"accepted": st.accepted, "rejected_auth": st.rejected_auth,
                 "rejected_rate": st.rejected_rate}
 
-    def export_csv(self, channel_id: str, path) -> int:
-        """Write the channel as CSV (created_at, entry_id, then field columns);
-        returns the number of data rows."""
-        st = self._state(channel_id)
-        with Path(path).open("w", newline="") as fh:
-            csv.writer(fh).writerow(
-                ["created_at", "entry_id", *st.channel.field_names])
-            # a repr never holds a comma, quote or line break, so no field
-            # needs the quoting csv.writer would add
-            row_format = "%r,%d" + ",%r" * len(st.channel.field_names) + "\r\n"
-            return _write_rows(st.batches, fh, row_format)
+    def export(self, channel_id: str, csv_path, jsonl_path) -> int:
+        """Write the channel as CSV (created_at, entry_id, then the field
+        columns) and as JSON lines, one entry object per line as
+        ``json.dumps(entry, sort_keys=True)`` writes it; returns the number
+        of entries.
 
-    def snapshot_jsonl(self, channel_id: str, path) -> int:
-        """Persist the channel as JSON lines, one entry object per line, as
-        ``json.dumps(entry, sort_keys=True)`` writes them."""
+        Each time and value is formatted once, as its ``repr`` (which is how
+        ``json.dumps`` writes a finite float), and both files are written
+        from those strings.
+        """
         st = self._state(channel_id)
         names = st.channel.field_names
         order = sorted(range(len(names)), key=names.__getitem__)
-        values_format = ", ".join(
-            json.dumps(names[j]).replace("%", "%%") + ": %r" for j in order)
-        row_format = ('{"created_at": %r, "entry_id": %d, "values": {'
-                      + values_format + "}}\n")
-        with Path(path).open("w") as fh:
-            return _write_rows(st.batches, fh, row_format, order)
+        # a repr never holds a comma, quote or line break, so no CSV field
+        # needs the quoting csv.writer would add
+        csv_format = "%s,%d" + ",%s" * len(names) + "\r\n"
+        jsonl_format = ('{"created_at": %s, "entry_id": %d, "values": {'
+                        + ", ".join(json.dumps(names[j]).replace("%", "%%")
+                                    + ": %s" for j in order) + "}}\n")
+        with Path(csv_path).open("w", newline="") as csv_fh, \
+                Path(jsonl_path).open("w") as jsonl_fh:
+            csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
+            entry_id = 1
+            # one batch at a time, so a batch's int times print as ints
+            for times, values in st.batches:
+                ids = range(entry_id, entry_id + len(times))
+                created_at, *fields = [
+                    list(map(repr, column))
+                    for column in (times.tolist(), *values.tolist())]
+                csv_fh.writelines(map(csv_format.__mod__,
+                                      zip(created_at, ids, *fields)))
+                jsonl_fh.writelines(map(jsonl_format.__mod__, zip(
+                    created_at, ids, *(fields[j] for j in order))))
+                entry_id += len(times)
+        return entry_id - 1

@@ -43,7 +43,10 @@ class RunOutput:
 
 def packets_from_samples(samples: decision.Samples,
                          topic: str) -> list[transport.TelemetryPacket]:
-    """One consolidated packet per sampling interval, fixed field order."""
+    """One consolidated packet per sampling interval, fixed field order.
+
+    ``run_season`` sends the sample columns themselves; this builds the
+    per-packet form that ``transport.run_session`` also accepts."""
     return [transport.TelemetryPacket(
         sequence_no=i + 1, timestamp_s=ts, moisture_pct=m, temp_c=t,
         humidity_pct=rh, topic=topic)
@@ -74,8 +77,6 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     baseline = decision.schedule_season(decision.CALENDAR_BASELINE, scenario,
                                         NoiseStream(sensor_ss))
     samples = system.samples
-    topic = f"farm/{scenario.field_id}/telemetry"
-    packets = packets_from_samples(samples, topic)
     days = scenario.season.days
 
     store = ingest.ChannelStore()
@@ -89,11 +90,11 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
                 samples.moisture_pct, samples.temp_c, samples.humidity_pct)])
 
     stats_pubsub = transport.run_session(
-        packets, transport.PUBSUB, scenario.qos, scenario.link,
+        samples, transport.PUBSUB, scenario.qos, scenario.link,
         scenario.energy, np.random.default_rng(pubsub_ss), days=days,
         on_result=deliver_to_channel)
     stats_reqresp = transport.run_session(
-        packets, transport.REQRESP, scenario.qos, scenario.link,
+        samples, transport.REQRESP, scenario.qos, scenario.link,
         scenario.energy, np.random.default_rng(reqresp_ss), days=days)
 
     catalog = alerting.MessageCatalog.default()
@@ -214,23 +215,27 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                      dispatcher):
     out = output.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    written = []  # the manifest lists these files, not whatever else is there
 
-    _write_ground_truth_csv(out / "ground_truth_system.csv", weather,
+    def path(name: str) -> Path:
+        written.append(name)
+        return out / name
+
+    _write_ground_truth_csv(path("ground_truth_system.csv"), weather,
                             output.system_arm)
-    _write_ground_truth_csv(out / "ground_truth_baseline.csv", weather,
+    _write_ground_truth_csv(path("ground_truth_baseline.csv"), weather,
                             output.baseline_arm)
-    _write_irrigation_log(out / "irrigation_log.csv", output.system_arm,
+    _write_irrigation_log(path("irrigation_log.csv"), output.system_arm,
                           output.baseline_arm)
-    store.export_csv(scenario.channel.channel_id, out / "channel_export.csv")
-    store.snapshot_jsonl(scenario.channel.channel_id,
-                         out / "channel_snapshot.jsonl")
-    dispatcher.export_csv(out / "dispatch_log.csv")
-    write_transport_csv(out / "transport_stats.csv", output.transport_stats)
-    (out / "report.txt").write_text(metrics.format_report_table(output.report))
-    metrics.export_report_csv(output.report, out / "report.csv")
-    metrics.export_radar_csv(output.report, out / "radar.csv")
+    store.export(scenario.channel.channel_id, path("channel_export.csv"),
+                 path("channel_snapshot.jsonl"))
+    dispatcher.export_csv(path("dispatch_log.csv"))
+    write_transport_csv(path("transport_stats.csv"), output.transport_stats)
+    path("report.txt").write_text(metrics.format_report_table(output.report))
+    metrics.export_report_csv(output.report, path("report.csv"))
+    metrics.export_radar_csv(output.report, path("radar.csv"))
 
-    (out / "totals.json").write_text(json.dumps({
+    path("totals.json").write_text(json.dumps({
         "scenario": scenario.name,
         "observations": output.observations,
         "report_targets": scenario.report_targets,
@@ -238,12 +243,10 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
         "economics": output.economics,
     }, sort_keys=True, indent=2) + "\n")
 
-    manifest_entries = []
-    for path in sorted(out.iterdir()):
-        if path.name == MANIFEST_NAME or not path.is_file():
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest_entries.append({"file": path.name, "sha256": digest})
+    manifest_entries = [
+        {"file": name, "sha256": hashlib.sha256(
+            (out / name).read_bytes()).hexdigest()}
+        for name in sorted(written)]
     manifest_entries.append({"stream": "weather",
                              "sha256": _weather_digest(weather)})
     manifest_entries.append({"stream": "sensor_noise_system",

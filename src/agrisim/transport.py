@@ -11,6 +11,7 @@ Simulated time only: nothing here blocks on the wall clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -25,6 +26,8 @@ PROTOCOLS = (PUBSUB, REQRESP)
 
 # payload field order is part of the wire format; changing it breaks goldens
 PAYLOAD_FIELDS = ("moisture", "temp", "humidity")
+# the reading each payload field carries, on a packet and on decision.Samples
+_READING_ATTRS = ("moisture_pct", "temp_c", "humidity_pct")
 
 
 @dataclass(frozen=True)
@@ -142,23 +145,52 @@ def _deliveries(n: int, max_attempts: int, loss_prob: float,
     return attempts, delivered
 
 
-def _payload_bytes(packets) -> np.ndarray:
-    """Per-packet length of ``TelemetryPacket.payload`` in bytes.
+def _one_decimal_steps() -> np.ndarray:
+    """``steps[k - 1]`` is the smallest double whose ``f"{v:.1f}"`` text has
+    ``3 + k`` characters, for k = 1 .. 16.
 
-    Each distinct value is formatted once. Values are keyed by their bit
-    pattern, not compared as floats: ``-0.0 == 0.0``, but ``"-0.0"`` is one
-    byte longer than ``"0.0"``.
+    Each starts at the double nearest ``10**k - 0.05`` (``float`` parses a
+    decimal literal correctly rounded) and is moved with ``math.nextafter``
+    until Python's own formatting puts it at the edge.
     """
+    steps = []
+    for k in range(1, 17):
+        v = float(f"{10 ** k - 1}.95")
+        while len(f"{v:.1f}") < 3 + k:
+            v = math.nextafter(v, math.inf)
+        while len(f"{math.nextafter(v, 0.0):.1f}") == 3 + k:
+            v = math.nextafter(v, 0.0)
+        steps.append(v)
+    return np.array(steps)
+
+
+_STEPS = _one_decimal_steps()
+# at and above this magnitude a value has more digits than _STEPS covers
+_EXACT_BELOW = 1e17
+
+
+def _one_decimal_widths(column: np.ndarray) -> np.ndarray:
+    """``len(f"{v:.1f}")`` of each value, without formatting any.
+
+    The text is a sign for a negative value (``-0.0`` and ``-0.04`` print as
+    ``"-0.0"``), the integer digits, and ``".d"``; the digit count comes
+    from the magnitude's place among ``_STEPS``. Non-finite values and
+    magnitudes of ``_EXACT_BELOW`` or more are formatted by Python.
+    """
+    magnitude = np.abs(column)
+    widths = (3 + np.searchsorted(_STEPS, magnitude, side="right")
+              + np.signbit(column))
+    exact = ~(magnitude < _EXACT_BELOW)
+    if exact.any():
+        widths[exact] = [len(f"{v:.1f}") for v in column[exact].tolist()]
+    return widths
+
+
+def _payload_bytes(columns) -> np.ndarray:
+    """Per-reading length of the ``TelemetryPacket.payload`` text in bytes,
+    from the moisture, temp and humidity columns."""
     names = len(",".join(f"{name}=" for name in PAYLOAD_FIELDS))
-    lengths = np.full(len(packets), names, dtype=np.int64)
-    for attr in ("moisture_pct", "temp_c", "humidity_pct"):
-        column = np.fromiter(map(attrgetter(attr), packets), np.float64,
-                             len(packets))
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        lengths += np.array([len(f"{v:.1f}")
-                             for v in bits.view(np.float64).tolist()],
-                            dtype=np.int64)[index]
-    return lengths
+    return names + sum(_one_decimal_widths(column) for column in columns)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -167,34 +199,43 @@ def _sum_in_order(values: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def run_session(packets, protocol: str, qos: int, link: LinkModel,
+def run_session(readings, protocol: str, qos: int, link: LinkModel,
                 energy: EnergyModel, rng: np.random.Generator,
                 days: float = 0.0, on_result=None) -> TransportStats:
-    """Send a packet sequence over one protocol and aggregate the outcome.
+    """Send one packet per reading over one protocol and aggregate the
+    outcome.
 
-    Each attempt is one Bernoulli trial at ``link.loss_prob``. QoS 0 makes
-    one attempt per packet; QoS 1 retries until acknowledged or
+    ``readings`` is a ``decision.Samples``, whose ``moisture_pct``,
+    ``temp_c`` and ``humidity_pct`` columns give the payload sizes, or a
+    list of ``TelemetryPacket``, which is read into the same three columns
+    first. Each attempt is one Bernoulli trial at ``link.loss_prob``. QoS 0
+    makes one attempt per packet; QoS 1 retries until acknowledged or
     ``max_retries`` extra attempts are spent. Loss is a modeled outcome, not
     an error. Energy charges every attempt (first tries and retries) at the
     protocol's per-message cost, plus idle draw for ``days`` simulated days.
     Latency is the protocol constant per delivered packet. ``on_result``, if
     given, is called once with the per-packet ``attempts`` and ``delivered``
-    arrays, in packet order, so a downstream consumer can see individual
+    arrays, in reading order, so a downstream consumer can see individual
     deliveries.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol: {protocol}")
     if qos not in (0, 1):
         raise InputError(f"qos must be 0 or 1: {qos}")
+    n = len(readings)
+    if isinstance(readings, list):  # perfbench's transport-sweep sends these
+        columns = [np.fromiter(map(attrgetter(attr), readings), np.float64, n)
+                   for attr in _READING_ATTRS]
+    else:
+        columns = [getattr(readings, attr) for attr in _READING_ATTRS]
     max_attempts = 1 if qos == 0 else 1 + link.max_retries
-    attempts, delivered = _deliveries(len(packets), max_attempts,
-                                      link.loss_prob, rng)
+    attempts, delivered = _deliveries(n, max_attempts, link.loss_prob, rng)
     n_delivered = int(np.count_nonzero(delivered))
     per_msg = energy.energy_per_message_mwh[protocol]
     stats = TransportStats(
-        attempted=len(packets), delivered=n_delivered,
-        retransmissions=int(attempts.sum()) - len(packets),
-        bytes_sent=int(np.dot(_payload_bytes(packets), attempts)),
+        attempted=n, delivered=n_delivered,
+        retransmissions=int(attempts.sum()) - n,
+        bytes_sent=int(np.dot(_payload_bytes(columns), attempts)),
         energy_mwh=_sum_in_order(per_msg * attempts),
         latency_sum_s=_sum_in_order(
             np.full(n_delivered, link.latency_s[protocol], dtype=np.float64)))

@@ -89,6 +89,18 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             MessageTemplate("t", "en", "value {x}", params=())
 
+    def test_default_is_loaded_once_and_renders_as_a_fresh_load(self):
+        assert MessageCatalog.default() is MessageCatalog.default()
+        with resources.as_file(resources.files("agrisim").joinpath(
+                "data/messages.yaml")) as path:
+            fresh = MessageCatalog.from_file(path)
+        for tid, locale in (("heat_alert", "en"),
+                            ("irrigate_low_moisture", "lg")):
+            params = {name: 37.0
+                      for name in fresh.template(tid, locale).params}
+            assert MessageCatalog.default().render(tid, locale, params) == \
+                fresh.render(tid, locale, params)
+
     def test_rendering_is_pure(self):
         a = CATALOG.render("heat_alert", "en",
                            {"temp_c": 37.0, "threshold_c": 35.0})

@@ -76,7 +76,7 @@ class TestIngest:
         store = make_store()
         result = store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
         assert result.status == ACCEPTED
-        store.snapshot_jsonl("ch-1", tmp_path / "chan.jsonl")
+        store.export("ch-1", tmp_path / "chan.csv", tmp_path / "chan.jsonl")
         [line] = (tmp_path / "chan.jsonl").read_text().splitlines()
         assert json.loads(line)["entry_id"] == 1
 
@@ -280,8 +280,8 @@ class TestBatchMatchesReference:
             assert values.tobytes() == np.ascontiguousarray(
                 ref_values).tobytes()
             n = len(ref_times)
-            assert store.export_csv("ch", out / "chan.csv") == n
-            assert store.snapshot_jsonl("ch", out / "chan.jsonl") == n
+            assert store.export("ch", out / "chan.csv",
+                                out / "chan.jsonl") == n
             assert (out / "chan.csv").read_bytes() == \
                 (out / "ref.csv").read_bytes()
             assert (out / "chan.jsonl").read_bytes() == \
@@ -292,15 +292,17 @@ class TestPersistence:
     def test_empty_export_header_only(self, tmp_path):
         store = make_store()
         path = tmp_path / "chan.csv"
-        assert store.export_csv("ch-1", path) == 0
+        assert store.export("ch-1", path, tmp_path / "chan.jsonl") == 0
         assert path.read_text().splitlines() == [
             "created_at,entry_id,moisture,temp,humidity"]
+        assert (tmp_path / "chan.jsonl").read_text() == ""
 
     def test_export_row_count(self, tmp_path):
         store = make_store(min_interval=0.0)
         for i in range(3):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
-        assert store.export_csv("ch-1", tmp_path / "chan.csv") == 3
+        assert store.export("ch-1", tmp_path / "chan.csv",
+                            tmp_path / "chan.jsonl") == 3
 
     def test_round_trip_import_equals_store(self, tmp_path):
         store = make_store(min_interval=0.0)
@@ -308,7 +310,7 @@ class TestPersistence:
             store.ingest("ch-1", "KEY", i * 300.0,
                          (40.0 + i * 0.1, 22.0, 45.5))
         path = tmp_path / "chan.csv"
-        store.export_csv("ch-1", path)
+        store.export("ch-1", path, tmp_path / "chan.jsonl")
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["created_at", "entry_id", *FIELDS]
@@ -323,5 +325,5 @@ class TestPersistence:
         for i in range(4):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
         path = tmp_path / "chan.jsonl"
-        assert store.snapshot_jsonl("ch-1", path) == 4
+        assert store.export("ch-1", tmp_path / "chan.csv", path) == 4
         assert len(path.read_text().splitlines()) == 4

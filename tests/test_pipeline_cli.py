@@ -75,6 +75,17 @@ class TestRunSeason:
         assert "SUPPRESSED_DUPLICATE" in text
 
 
+class TestManifest:
+    def test_stray_file_stays_out_of_the_manifest(self, default_run,
+                                                  default_scenario, tmp_path):
+        (tmp_path / "notes.txt").write_text("not written by the run\n")
+        pipeline.run_season(default_scenario, out_dir=tmp_path)
+        assert "notes.txt" not in {e.get("file")
+                                   for e in read_manifest(tmp_path)}
+        assert (tmp_path / "manifest.jsonl").read_bytes() == \
+            (default_run.out_dir / "manifest.jsonl").read_bytes()
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, default_scenario, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -170,7 +181,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and "absent.yaml" in err
 
-    def test_report_on_empty_dir_fails_cleanly(self, tmp_path, capsys):
-        code = main(["report", str(tmp_path)])
-        assert code == 1
-        assert "totals.json" in capsys.readouterr().err
+    def test_report_on_empty_dir_fails_cleanly(self, default_run, tmp_path,
+                                               capsys):
+        good = (default_run.out_dir / "totals.json").read_text()
+        no_economics = json.loads(good)
+        del no_economics["economics"]
+        # no file, a truncated file, a file missing a key
+        for name, text in (("empty", None), ("truncated", good[:len(good) // 2]),
+                           ("no-economics", json.dumps(no_economics))):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            if text is not None:
+                (run_dir / "totals.json").write_text(text)
+            code = main(["report", str(run_dir)])
+            assert code == 1, name
+            err = capsys.readouterr().err
+            assert "totals.json" in err, name
+            assert err.count("\n") == 1 and "Traceback" not in err, name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrisim import decision
+from agrisim import decision, transport
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import NoiseStream
 from agrisim.pipeline import packets_from_samples
@@ -104,22 +104,56 @@ class TestBatchedSession:
         packets = [TelemetryPacket(sequence_no=i + 1, timestamp_s=300.0 * i,
                                    moisture_pct=m, temp_c=t, humidity_pct=h)
                    for i, (m, t, h) in enumerate(values)]
+        samples = decision.Samples(
+            300 * np.arange(len(values)),
+            *np.array(values, dtype=np.float64).reshape(-1, 3).T)
         link = LinkModel(loss_prob=loss, max_retries=max_retries,
                          latency_s={PUBSUB: latency, REQRESP: latency})
         energy = EnergyModel(
             energy_per_message_mwh={PUBSUB: per_msg, REQRESP: per_msg},
             idle_mwh_per_day=idle)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
         want, want_attempts, want_delivered = reference_session(
             packets, protocol, qos, link, energy, ref_rng, days)
-        got, attempts, delivered = _outcomes(packets, protocol, qos, link,
-                                             energy, rng, days)
-        assert dataclasses.asdict(got) == dataclasses.asdict(want)
-        assert [type(v) for v in dataclasses.asdict(got).values()] == \
-            [type(v) for v in dataclasses.asdict(want).values()]
-        assert attempts.tolist() == want_attempts
-        assert delivered.tolist() == want_delivered
-        assert rng.random() == ref_rng.random()
+        for readings in (packets, samples):
+            rng = np.random.default_rng(seed)
+            got, attempts, delivered = _outcomes(readings, protocol, qos,
+                                                 link, energy, rng, days)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+            assert [type(v) for v in dataclasses.asdict(got).values()] == \
+                [type(v) for v in dataclasses.asdict(want).values()]
+            assert attempts.tolist() == want_attempts
+            assert delivered.tolist() == want_delivered
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _width_edges():
+    """Every step of the width table and its float neighbours, the signed
+    zeros, tiny and huge magnitudes, and the non-finite values."""
+    values = [0.0, -0.0, -0.04, -0.05, 0.04, 0.05, 5e-324, -5e-324,
+              2.2250738585072014e-308, -2.2250738585072014e-308, math.inf,
+              -math.inf, math.nan, 1e300, -1e300, 1e17, -1e17]
+    for step in transport._STEPS.tolist():
+        below = math.nextafter(step, 0.0)
+        values += [step, below, math.nextafter(below, 0.0),
+                   math.nextafter(step, math.inf)]
+    values += [-v for v in values]
+    return values
+
+
+class TestPayloadWidths:
+    def test_matches_python_formatting_on_every_edge(self):
+        values = _width_edges()
+        widths = transport._one_decimal_widths(np.array(values))
+        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from(PAYLOAD_VALUES), max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_formatting(self, values):
+        widths = transport._one_decimal_widths(
+            np.array(values, dtype=np.float64))
+        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
 
 
 class TestPublish:
