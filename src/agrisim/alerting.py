@@ -150,12 +150,13 @@ class GatewayConfig:
 
 def build_gateway_request(config: GatewayConfig, text: str) -> str:
     """GET-style request line with bit-exact URL encoding of the message
-    (space -> %20, '!' -> %21)."""
+    (space -> %20, '!' -> %21); the API key is encoded the same way."""
     if not text:
         raise InputError("empty message text")
-    encoded = urllib.parse.quote(text, safe="")
-    return (f"{config.endpoint}?phone={urllib.parse.quote(config.phone, safe='+')}"
-            f"&text={encoded}&apikey={config.api_key}")
+    phone = urllib.parse.quote(config.phone, safe="+")
+    encoded, api_key = (urllib.parse.quote(s, safe="")
+                        for s in (text, config.api_key))
+    return f"{config.endpoint}?phone={phone}&text={encoded}&apikey={api_key}"
 
 
 class RecordingGatewayClient:

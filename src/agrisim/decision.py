@@ -43,13 +43,11 @@ RA_TO_MM = 0.408            # evaporation equivalent of 1 MJ m-2 day-1
 SENSOR_DRIVEN = "SENSOR_DRIVEN"
 CALENDAR_BASELINE = "CALENDAR_BASELINE"
 
-IRRIGATE = "IRRIGATE"
-NONE = "NONE"
-
 HEAT = "HEAT"
 HUMIDITY_LOW = "HUMIDITY_LOW"
 HUMIDITY_HIGH = "HUMIDITY_HIGH"
 MOISTURE_LOW = "MOISTURE_LOW"
+ALERT_KINDS = (HEAT, HUMIDITY_LOW, HUMIDITY_HIGH, MOISTURE_LOW)
 
 
 def extraterrestrial_radiation(latitude_deg: float, day_of_year: int) -> float:
@@ -172,63 +170,30 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class IrrigationAdvice:
-    action: str
-    depth_mm: float
-    reason: str
-    observed_moisture_pct: float
-
-    def __post_init__(self):
-        if (self.depth_mm > 0.0) != (self.action == IRRIGATE):
-            raise ConfigurationError("depth_mm must be positive iff IRRIGATE")
-
-
-@dataclass(frozen=True)
 class Alert:
     kind: str
     observed: float
     threshold: float
-    timestamp_s: float = 0.0
+    timestamp_s: int = 0
 
 
-def evaluate(readings: dict, thresholds: Thresholds, field_state: FieldState,
-             cap_mm: float = 25.0, timestamp_s: float = 0.0
-             ) -> tuple[IrrigationAdvice, list[Alert]]:
-    """Apply the threshold rules to the latest reading set.
+def evaluate(moisture: np.ndarray, temp: np.ndarray, humidity: np.ndarray,
+             sensed_depletion_mm: np.ndarray, thresholds: Thresholds,
+             cap_mm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the threshold rules to columns of readings.
 
-    ``readings`` must provide moisture_pct, temp_c and humidity_pct. Returns
-    irrigation advice (IRRIGATE with a depth that refills the root zone,
-    capped at ``cap_mm``, or NONE) plus zero or more environmental alerts,
-    each carrying the observed value and the threshold it crossed.
+    Returns ``fired``, a readings x 4 bool mask whose columns follow
+    ``ALERT_KINDS``, and ``depth_mm``: the irrigation depth that refills the
+    sensed depletion, capped at ``cap_mm``, where MOISTURE_LOW fires, and 0
+    elsewhere.
     """
-    missing = {"moisture_pct", "temp_c", "humidity_pct"} - readings.keys()
-    if missing:
-        raise InputError(f"incomplete reading set, missing: {sorted(missing)}")
-    moisture = readings["moisture_pct"]
-    temp = readings["temp_c"]
-    humidity = readings["humidity_pct"]
-
-    alerts: list[Alert] = []
-    if temp > thresholds.temp_alert_c:
-        alerts.append(Alert(HEAT, temp, thresholds.temp_alert_c, timestamp_s))
     rh_lo, rh_hi = thresholds.humidity_range_pct
-    if humidity < rh_lo:
-        alerts.append(Alert(HUMIDITY_LOW, humidity, rh_lo, timestamp_s))
-    elif humidity > rh_hi:
-        alerts.append(Alert(HUMIDITY_HIGH, humidity, rh_hi, timestamp_s))
-
-    trigger = thresholds.soil_moisture_trigger_pct
-    if moisture < trigger:
-        alerts.append(Alert(MOISTURE_LOW, moisture, trigger, timestamp_s))
-        depth = min(field_state.depletion_mm, cap_mm)
-        if depth > 0.0:
-            advice = IrrigationAdvice(
-                IRRIGATE, depth,
-                f"soil moisture {moisture:.1f}% below trigger {trigger:.0f}%",
-                moisture)
-            return advice, alerts
-    return (IrrigationAdvice(NONE, 0.0, "all thresholds satisfied", moisture),
-            alerts)
+    fired = np.array((temp > thresholds.temp_alert_c, humidity < rh_lo,
+                      humidity > rh_hi,
+                      moisture < thresholds.soil_moisture_trigger_pct)).T
+    depth_mm = np.where(fired[:, 3], np.minimum(sensed_depletion_mm, cap_mm),
+                        0.0)
+    return fired, depth_mm
 
 
 @dataclass(frozen=True)
@@ -307,26 +272,27 @@ def schedule_season(policy: str, scenario: Scenario,
     The weather is generated from the scenario's season and seed, so every
     arm of one scenario sees the same weather.
 
-    SENSOR_DRIVEN evaluates the threshold rules at every sampling step on
+    SENSOR_DRIVEN applies the threshold rules to every sampling step's
     noisy sensor readings (ground truth interpolated between daily states)
-    and applies at most one irrigation event per calendar day, sized from the
-    sensed depletion up to the per-event cap. CALENDAR_BASELINE irrigates a
-    fixed depth on a fixed day interval regardless of state.
+    and applies at most one irrigation event per calendar day: the first
+    reading with a positive depth, sized from the sensed depletion up to the
+    per-event cap. CALENDAR_BASELINE irrigates a fixed depth on a fixed day
+    interval regardless of state.
 
     The soil balance itself advances daily; irrigation decided mid-day is
     applied within that day's step. Within a day the ground truth is the
-    no-irrigation projection, so no reading depends on that day's decision
-    and a whole day of readings is computed as arrays. Only readings that
-    cross a threshold can raise an alert or trigger irrigation, so only
-    those go through ``evaluate``.
+    no-irrigation projection, so no reading depends on that day's decision:
+    a whole day of readings is computed as arrays, and ``evaluate`` applies
+    the rules to them in one call. No alert feeds back into the soil state,
+    so the alerts are built once, from the season's joined ``fired`` masks.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
 
     events: list[IrrigationEvent] = []
     daily: list[DailyRecord] = []
-    alerts: list[Alert] = []
     columns = []  # (timestamps, moisture, temp, rh) per day, joined once
+    fired_days = []  # the sensor arm's evaluate masks, joined once
     etm_total = 0.0
     state = FieldState(depletion_mm=scenario.irrigation.initial_depletion_mm)
     interval = scenario.soil_sensor.sample_interval_s
@@ -338,7 +304,6 @@ def schedule_season(policy: str, scenario: Scenario,
     slot_offsets = interval * np.arange(1, samples_per_day + 1,
                                         dtype=np.int64)
     thr = scenario.thresholds
-    rh_lo, rh_hi = thr.humidity_range_pct
 
     baseline = scenario.baseline
     latitude = scenario.season.latitude_deg
@@ -372,25 +337,20 @@ def schedule_season(policy: str, scenario: Scenario,
         columns.append((timestamps, moisture, temp, rh))
 
         if policy == SENSOR_DRIVEN:
-            flagged = np.flatnonzero(
-                (temp > thr.temp_alert_c) | (rh < rh_lo) | (rh > rh_hi)
-                | (moisture < thr.soil_moisture_trigger_pct))
-            sensed_dep = np.clip(moisture_pct_to_depletion(
-                moisture[flagged], profile), 0.0, taw)
-            for ts, m, t, h, dep in zip(
-                    timestamps[flagged].tolist(), moisture[flagged].tolist(),
-                    temp[flagged].tolist(), rh[flagged].tolist(),
-                    sensed_dep.tolist()):
-                advice, fired = evaluate(
-                    {"moisture_pct": m, "temp_c": t, "humidity_pct": h},
-                    thr, FieldState(depletion_mm=dep),
-                    cap_mm=scenario.irrigation.cap_mm, timestamp_s=ts)
-                alerts.extend(fired)
-                if advice.action == IRRIGATE and irrigation_today == 0.0:
-                    irrigation_today = advice.depth_mm
-                    events.append(IrrigationEvent(
-                        w.day_index, ts, advice.depth_mm,
-                        advice.observed_moisture_pct, advice.reason))
+            sensed_dep = np.clip(moisture_pct_to_depletion(moisture, profile),
+                                 0.0, taw)
+            fired, depth = evaluate(moisture, temp, rh, sensed_dep, thr,
+                                    scenario.irrigation.cap_mm)
+            fired_days.append(fired)
+            wet = np.flatnonzero(depth > 0.0)
+            if wet.size:
+                k = wet[0]
+                irrigation_today = depth[k].item()
+                m = moisture[k].item()
+                events.append(IrrigationEvent(
+                    w.day_index, timestamps[k].item(), irrigation_today, m,
+                    f"soil moisture {m:.1f}% below trigger "
+                    f"{thr.soil_moisture_trigger_pct:.0f}%"))
 
         new_state = step_soil_water(state, w, irrigation_today, etc, profile)
         daily.append(DailyRecord(
@@ -410,6 +370,16 @@ def schedule_season(policy: str, scenario: Scenario,
 
     timestamps, moisture, temp, rh = (np.concatenate(c)
                                       for c in zip(*columns))
+    alerts: list[Alert] = []
+    if fired_days:
+        # row-major: readings in time order, each in ALERT_KINDS order
+        rows, kinds = np.nonzero(np.concatenate(fired_days))
+        observed = np.array((temp, rh, rh, moisture))[kinds, rows]
+        limits = (thr.temp_alert_c, *thr.humidity_range_pct,
+                  thr.soil_moisture_trigger_pct)
+        alerts = [Alert(ALERT_KINDS[k], obs, limits[k], ts)
+                  for k, obs, ts in zip(kinds.tolist(), observed.tolist(),
+                                        timestamps[rows].tolist())]
     samples = Samples(timestamp_s=timestamps, moisture_pct=moisture,
                       temp_c=temp, humidity_pct=rh)
     return SeasonResult(

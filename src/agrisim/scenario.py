@@ -99,6 +99,15 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ConfigurationError(f"seed must be non-negative: {self.seed}")
+        taw = self.profile.taw_mm
+        if self.irrigation.initial_depletion_mm > taw:
+            raise ConfigurationError(
+                f"irrigation.initial_depletion_mm "
+                f"{self.irrigation.initial_depletion_mm!r} exceeds the soil "
+                f"profile's TAW {taw:g} mm")
+        for name, target in self.report_targets.items():
+            if target == 0.0:  # the radar rows divide by it
+                raise ConfigurationError(f"report_targets.{name} must not be 0")
 
 
 def _at(raw: dict, where: str) -> dict:

@@ -200,17 +200,12 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
         # advice monotone in sensed moisture
-        thresholds = decision.Thresholds()
-        for _ in range(1000):
-            lo, hi = sorted(rng.uniform(0, 100, 2))
-            readings = {"temp_c": 28.0, "humidity_pct": 45.0}
-            state_mid = FieldState(depletion_mm=20.0)
-            a_lo, _ = decision.evaluate({**readings, "moisture_pct": float(lo)},
-                                        thresholds, state_mid)
-            a_hi, _ = decision.evaluate({**readings, "moisture_pct": float(hi)},
-                                        thresholds, state_mid)
-            if a_lo.action == decision.NONE:
-                assert a_hi.action == decision.NONE
+        lo, hi = np.sort(rng.uniform(0, 100, (1000, 2)), axis=1).T
+        _, depth = decision.evaluate(
+            np.concatenate((lo, hi)), np.full(2000, 28.0), np.full(2000, 45.0),
+            np.full(2000, 20.0), decision.Thresholds(), 25.0)
+        depth_lo, depth_hi = depth[:1000], depth[1000:]
+        assert np.all(depth_hi[depth_lo == 0.0] == 0.0)
 
         # dedup: at most one send per window for one key
         for _ in range(1000):

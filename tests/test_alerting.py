@@ -141,6 +141,17 @@ class TestGatewayRequest:
             encoded = line.split("text=")[1].split("&apikey=")[0]
             assert encoded == oracle_percent_encode(text)
 
+    def test_api_key_is_encoded(self):
+        line = build_gateway_request(GatewayConfig(api_key="a&b c"), "hi")
+        query = urllib.parse.urlsplit(line).query
+        assert line.endswith("&apikey=" + oracle_percent_encode("a&b c"))
+        assert " " not in line
+        params = dict(p.split("=", 1) for p in query.split("&"))
+        assert list(params) == ["phone", "text", "apikey"]
+        assert urllib.parse.unquote(params["apikey"]) == "a&b c"
+        assert build_gateway_request(GatewayConfig(), "hi").endswith(
+            "&apikey=123456")
+
     def test_empty_text_rejected(self):
         with pytest.raises(InputError):
             build_gateway_request(GatewayConfig(), "")

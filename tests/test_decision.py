@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrisim.decision import (
+    ALERT_KINDS,
     CALENDAR_BASELINE,
     HEAT,
     HUMIDITY_HIGH,
     HUMIDITY_LOW,
-    IRRIGATE,
     MOISTURE_LOW,
-    NONE,
     SENSOR_DRIVEN,
+    Alert,
     CropCalendar,
     Thresholds,
     crop_et,
@@ -28,7 +28,6 @@ from agrisim.decision import (
 )
 from agrisim.errors import InputError
 from agrisim.fieldsim import (
-    FieldState,
     NoiseStream,
     SeasonConfig,
     SensorSpec,
@@ -157,48 +156,37 @@ class TestCropCalendar:
             assert abs(b - a) <= max_slope + 1e-12
 
 
-class TestEvaluate:
-    def _readings(self, m=40.0, t=28.0, rh=45.0):
-        return {"moisture_pct": m, "temp_c": t, "humidity_pct": rh}
+def _rules(m=40.0, t=28.0, rh=45.0, dep=30.0, thresholds=Thresholds(),
+           cap_mm=25.0):
+    """The kinds that fire on one reading, in ALERT_KINDS order, and the
+    irrigation depth."""
+    fired, depth = evaluate(np.array([m]), np.array([t]), np.array([rh]),
+                            np.array([dep]), thresholds, cap_mm)
+    assert fired.shape == (1, len(ALERT_KINDS)) and depth.shape == (1,)
+    return [k for k, f in zip(ALERT_KINDS, fired[0].tolist()) if f], \
+        depth[0].item()
 
+
+class TestEvaluate:
     def test_low_moisture_triggers_irrigation(self):
-        advice, alerts = evaluate(self._readings(m=22.0), Thresholds(),
-                                  FieldState(depletion_mm=30.0))
-        assert advice.action == IRRIGATE
-        assert advice.observed_moisture_pct == 22.0
-        assert advice.depth_mm > 0
-        assert any(a.kind == MOISTURE_LOW for a in alerts)
+        kinds, depth = _rules(m=22.0, dep=30.0)
+        assert kinds == [MOISTURE_LOW]
+        assert depth > 0
 
     def test_heat_alert(self):
-        _, alerts = evaluate(self._readings(t=37.0), Thresholds(),
-                             FieldState())
-        heat = [a for a in alerts if a.kind == HEAT]
-        assert len(heat) == 1
-        assert heat[0].observed == 37.0
-        assert heat[0].threshold == 35.0
+        assert _rules(t=37.0) == ([HEAT], 0.0)
+        assert _rules(t=35.0) == ([], 0.0)
 
     def test_all_within_thresholds(self):
-        advice, alerts = evaluate(self._readings(), Thresholds(),
-                                  FieldState())
-        assert advice.action == NONE
-        assert alerts == []
+        assert _rules() == ([], 0.0)
 
     def test_trigger_is_strict(self):
-        advice, alerts = evaluate(self._readings(m=25.0), Thresholds(),
-                                  FieldState(depletion_mm=30.0))
-        assert advice.action == NONE
+        assert _rules(m=25.0, dep=30.0) == ([], 0.0)
 
     def test_humidity_band_alerts(self):
-        _, low = evaluate(self._readings(rh=20.0), Thresholds(),
-                          FieldState())
-        _, high = evaluate(self._readings(rh=70.0), Thresholds(),
-                           FieldState())
-        assert [a.kind for a in low] == [HUMIDITY_LOW]
-        assert [a.kind for a in high] == [HUMIDITY_HIGH]
-
-    def test_missing_reading_rejected(self):
-        with pytest.raises(InputError):
-            evaluate({"moisture_pct": 40.0}, Thresholds(), FieldState())
+        assert _rules(rh=20.0)[0] == [HUMIDITY_LOW]
+        assert _rules(rh=70.0)[0] == [HUMIDITY_HIGH]
+        assert _rules(rh=30.0)[0] == _rules(rh=60.0)[0] == []
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(0, 45),
            st.floats(0, 100))
@@ -206,20 +194,14 @@ class TestEvaluate:
     def test_monotone_in_moisture(self, m, m_higher, t, rh):
         if m_higher < m:
             m, m_higher = m_higher, m
-        state = FieldState(depletion_mm=30.0)
-        a1, _ = evaluate(self._readings(m=m, t=t, rh=rh), Thresholds(),
-                         state)
-        a2, _ = evaluate(self._readings(m=m_higher, t=t, rh=rh), Thresholds(),
-                         state)
-        if a1.action == NONE:
-            assert a2.action == NONE
+        if _rules(m=m, t=t, rh=rh)[1] == 0.0:
+            assert _rules(m=m_higher, t=t, rh=rh)[1] == 0.0
 
     @given(st.floats(0, 100), st.floats(0, 45), st.floats(0, 100))
     @settings(max_examples=500, deadline=None)
     def test_alerts_regenerate_from_thresholds(self, m, t, rh):
         thresholds = Thresholds()
-        _, alerts = evaluate(self._readings(m=m, t=t, rh=rh), thresholds,
-                             FieldState(depletion_mm=10.0))
+        kinds, _ = _rules(m=m, t=t, rh=rh, dep=10.0, thresholds=thresholds)
         expected = set()
         if t > thresholds.temp_alert_c:
             expected.add(HEAT)
@@ -229,21 +211,24 @@ class TestEvaluate:
             expected.add(HUMIDITY_HIGH)
         if m < thresholds.soil_moisture_trigger_pct:
             expected.add(MOISTURE_LOW)
-        assert {a.kind for a in alerts} == expected
-        for a in alerts:
-            if a.kind in (HEAT, HUMIDITY_HIGH):
-                assert a.observed > a.threshold
-            else:
-                assert a.observed < a.threshold
+        assert set(kinds) == expected
+
+    @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 45),
+                              st.floats(0, 100), st.floats(0, 60)),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_one_reading_at_a_time(self, rows):
+        fired, depth = evaluate(*(np.array(c) for c in zip(*rows)),
+                                Thresholds(), 25.0)
+        assert [([k for k, f in zip(ALERT_KINDS, r) if f], d) for r, d in
+                zip(fired.tolist(), depth.tolist())] == [
+            _rules(*row) for row in rows]
 
 
 class TestRefillDepth:
     # a dry reading irrigates the sensed depletion, capped at cap_mm
     def _depth(self, depletion_mm):
-        advice, _ = evaluate(
-            {"moisture_pct": 20.0, "temp_c": 28.0, "humidity_pct": 45.0},
-            Thresholds(), FieldState(depletion_mm=depletion_mm), cap_mm=25.0)
-        return advice.depth_mm
+        return _rules(m=20.0, dep=depletion_mm, cap_mm=25.0)[1]
 
     def test_zero_depletion(self):
         assert self._depth(0.0) == 0.0
@@ -331,24 +316,34 @@ class TestScheduleSeason:
                                   humidity_range_pct=(42.0, 50.0)),
             air_noise_sigma=3.0)
         result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(7))
+        thr, cap = setup.thresholds, setup.irrigation.cap_mm
+        rh_lo, rh_hi = thr.humidity_range_pct
+        trigger = thr.soil_moisture_trigger_pct
         alerts, events = [], {}
         samples = result.samples
         assert samples.timestamp_s.dtype == np.int64
         for ts, m, t, rh in zip(*(getattr(samples, column).tolist()
                                   for column in SAMPLE_COLUMNS)):
-            day = (ts - 1) // 86_400
+            for kind, observed, limit, crossed in (
+                    (HEAT, t, thr.temp_alert_c, t > thr.temp_alert_c),
+                    (HUMIDITY_LOW, rh, rh_lo, rh < rh_lo),
+                    (HUMIDITY_HIGH, rh, rh_hi, rh > rh_hi),
+                    (MOISTURE_LOW, m, trigger, m < trigger)):
+                if crossed:
+                    alerts.append(Alert(kind, observed, limit, ts))
             dep = min(max(moisture_pct_to_depletion(m, PROFILE), 0.0),
                       PROFILE.taw_mm)
-            advice, fired = evaluate(
-                {"moisture_pct": m, "temp_c": t, "humidity_pct": rh},
-                setup.thresholds, FieldState(depletion_mm=dep),
-                cap_mm=setup.irrigation.cap_mm, timestamp_s=ts)
-            alerts.extend(fired)
-            if advice.action == IRRIGATE:
-                events.setdefault(day, (ts, advice.depth_mm))
-        assert {a.kind for a in alerts} == {HEAT, HUMIDITY_LOW, HUMIDITY_HIGH,
-                                            MOISTURE_LOW}
+            if m < trigger and min(dep, cap) > 0.0:
+                events.setdefault((ts - 1) // 86_400, (
+                    ts, min(dep, cap), m,
+                    f"soil moisture {m:.1f}% below trigger {trigger:.0f}%"))
+        assert {a.kind for a in alerts} == set(ALERT_KINDS)
         assert result.alerts == alerts
-        assert {e.day_index: (e.timestamp_s, e.depth_mm)
+        for a in result.alerts:
+            assert type(a.observed) is float and type(a.threshold) is float
+            assert type(a.timestamp_s) is int
+        assert {e.day_index: (e.timestamp_s, e.depth_mm,
+                              e.observed_moisture_pct, e.reason)
                 for e in result.events} == events
-
+        for e in result.events:
+            assert type(e.timestamp_s) is int and type(e.depth_mm) is float

@@ -289,6 +289,9 @@ def test_malformed_value_names_its_key(path, value):
     ("sensors.soil.adc_bits", 8, "2\\*\\*adc_bits"),
     ("sensors.soil.adc_bits", 0, "adc_bits"),
     ("economics.maize_price_ugx_per_kg", -1.0, "economic parameters"),
+    ("irrigation.initial_depletion_mm", 500.0,
+     r"irrigation\.initial_depletion_mm .*TAW 48\.6"),
+    ("report_targets.Temperature", 0.0, r"report_targets\.Temperature"),
 ])
 def test_out_of_range_value_rejected(path, value, match):
     raw = default_raw()
