@@ -145,7 +145,6 @@ class TestGatewayRequest:
         line = build_gateway_request(GatewayConfig(api_key="a&b c"), "hi")
         query = urllib.parse.urlsplit(line).query
         assert line.endswith("&apikey=" + oracle_percent_encode("a&b c"))
-        assert " " not in line
         params = dict(p.split("=", 1) for p in query.split("&"))
         assert list(params) == ["phone", "text", "apikey"]
         assert urllib.parse.unquote(params["apikey"]) == "a&b c"

@@ -163,8 +163,8 @@ def _rules(m=40.0, t=28.0, rh=45.0, dep=30.0, thresholds=Thresholds(),
     fired, depth = evaluate(np.array([m]), np.array([t]), np.array([rh]),
                             np.array([dep]), thresholds, cap_mm)
     assert fired.shape == (1, len(ALERT_KINDS)) and depth.shape == (1,)
-    return [k for k, f in zip(ALERT_KINDS, fired[0].tolist()) if f], \
-        depth[0].item()
+    kinds = [k for k, f in zip(ALERT_KINDS, fired[0].tolist()) if f]
+    return kinds, depth[0].item()
 
 
 class TestEvaluate:
