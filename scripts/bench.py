@@ -10,7 +10,8 @@ memory, alternating the two. It also times the reference kernel of
 ``perfbench/calibrate.py`` (imported read-only) ``KERNEL_RUNS`` times before
 and after, because the speed of a shared host drifts: ``e2e_ref_s`` is each
 median passed through ``calibrate.to_reference`` with the median kernel
-times before and after.
+times before and after. Last, it times one run of the tier-1 test command
+(``suite_s``) and keeps pytest's closing summary line.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -46,6 +48,19 @@ def _calibrate():
     sys.modules[spec.name] = module  # its dataclass looks itself up there
     spec.loader.exec_module(module)
     return module
+
+
+def _suite() -> tuple[float, str]:
+    """Seconds for one tier-1 run (see ROADMAP.md) and its summary line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    return seconds, (done.stdout.strip().splitlines() or [""])[-1]
 
 
 def _summary(times: list[float]) -> dict:
@@ -79,6 +94,7 @@ def main() -> int:
                 if i:  # the first run of each kind is the warm-up
                     times[kind].append(time.perf_counter() - t0)
     after = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
+    suite_s, suite_summary = _suite()
 
     e2e = {kind: _summary(t) for kind, t in times.items()}
     kernel = before + after
@@ -99,6 +115,7 @@ def main() -> int:
                       for kind, s in e2e.items()},
         "src_loc": sum(len(p.read_text().splitlines())
                        for p in (ROOT / "src" / "agrisim").rglob("*.py")),
+        "suite_s": suite_s, "suite_summary": suite_summary,
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))

@@ -4,8 +4,9 @@ JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row and one value column per channel field (at most eight).
-Accepted rows are kept as columns. One export pass formats each number once
-and writes both the CSV file and the JSON-lines snapshot from that text.
+Accepted rows are kept as columns. One export pass `repr`s each distinct value
+of a column once and writes both the CSV file and the JSON-lines snapshot from
+that text, one joined string per file for each slice of rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ MAX_FIELDS = 8
 ACCEPTED = "ACCEPTED"
 REJECTED_AUTH = "REJECTED_AUTH"
 REJECTED_RATE = "REJECTED_RATE"
+
+# rows per joined string in an export: a whole file's text at once would
+# raise the peak memory of a run, and one string per row costs a join each
+_SLICE_ROWS = 2048
 
 
 class ChannelNotFound(InputError):
@@ -164,32 +169,56 @@ class ChannelStore:
         ``json.dumps(entry, sort_keys=True)`` writes it; returns the number
         of entries.
 
-        Each time and value is formatted once, as its ``repr`` (which is how
-        ``json.dumps`` writes a finite float), and both files are written
-        from those strings.
+        Each column calls ``repr`` (which is how ``json.dumps`` writes a
+        finite float) once per distinct value. Both files are written from
+        those strings, one ``"".join`` per file for each slice of rows, with
+        the file's fixed separators between the columns.
         """
         st = self._state(channel_id)
         names = st.channel.field_names
         order = sorted(range(len(names)), key=names.__getitem__)
         # a repr never holds a comma, quote or line break, so no CSV field
         # needs the quoting csv.writer would add
-        csv_format = "%s,%d" + ",%s" * len(names) + "\r\n"
-        jsonl_format = ('{"created_at": %s, "entry_id": %d, "values": {'
-                        + ", ".join(json.dumps(names[j]).replace("%", "%%")
-                                    + ": %s" for j in order) + "}}\n")
+        csv_seps = ["", ",", *[","] * len(names), "\r\n"]
+        jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
+            (", " if k else ', "values": {') + json.dumps(names[j]) + ": "
+            for k, j in enumerate(order)), "}}\n"]
         with Path(csv_path).open("w", newline="") as csv_fh, \
                 Path(jsonl_path).open("w") as jsonl_fh:
             csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
             entry_id = 1
             # one batch at a time, so a batch's int times print as ints
             for times, values in st.batches:
-                ids = range(entry_id, entry_id + len(times))
-                created_at, *fields = [
-                    list(map(repr, column))
-                    for column in (times.tolist(), *values.tolist())]
-                csv_fh.writelines(map(csv_format.__mod__,
-                                      zip(created_at, ids, *fields)))
-                jsonl_fh.writelines(map(jsonl_format.__mod__, zip(
-                    created_at, ids, *(fields[j] for j in order))))
-                entry_id += len(times)
+                columns = [_reprs(times), *map(_reprs, values)]
+                for start in range(0, len(times), _SLICE_ROWS):
+                    rows = slice(start, start + _SLICE_ROWS)
+                    created_at, *fields = [c[rows].tolist() for c in columns]
+                    ids = list(map(str, range(entry_id,
+                                              entry_id + len(created_at))))
+                    csv_fh.write(_join_rows(csv_seps,
+                                            [created_at, ids, *fields]))
+                    jsonl_fh.write(_join_rows(jsonl_seps, [
+                        created_at, ids, *(fields[j] for j in order)]))
+                    entry_id += len(created_at)
         return entry_id - 1
+
+
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each value of ``column`` as an object array, with one
+    ``repr`` call per distinct value. Floats are told apart by their bits,
+    since comparing them as floats would merge -0.0 with 0.0."""
+    key = column.view(np.int64) if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(key, return_inverse=True)
+    text = list(map(repr, distinct.view(column.dtype).tolist()))
+    return np.array(text, dtype=object)[inverse]
+
+
+def _join_rows(separators: list[str], columns: list[list[str]]) -> str:
+    """Rows of text as one string: ``separators[k]`` comes before column k
+    in each row and ``separators[-1]`` ends it."""
+    row = [part for sep in separators[:-1] for part in (sep, None)]
+    row.append(separators[-1])
+    parts = row * len(columns[0])
+    for k, column in enumerate(columns):
+        parts[2 * k + 1::len(row)] = column
+    return "".join(parts)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import sys
 import typing
 from dataclasses import MISSING, dataclass
 from importlib import resources
@@ -133,7 +133,8 @@ def _section(raw: dict, where: str, allowed, required=()) -> dict:
 
 def _typed(value, hint, where: str):
     """``value`` checked against the declared type ``hint``: a bool is not a
-    number, an int is a float but not the reverse, a float is finite, and a
+    number, an int is a float but not the reverse, a float is finite and
+    returned as a float (so ``48`` and ``48.0`` load alike), and a
     ``tuple[...]`` is a YAML list of its length, returned as a tuple."""
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
@@ -143,12 +144,13 @@ def _typed(value, hint, where: str):
             raise ConfigurationError(f"{where}: {value!r} is not a {hint} list")
         return tuple(_typed(v, t, f"{where}[{i}]")
                      for i, (v, t) in enumerate(zip(value, args)))
+    # the bound also keeps out an int too large for float() to convert
     if (not isinstance(value, (int, float) if hint is float else hint)
             or isinstance(value, bool) != (hint is bool)
-            or hint is float and not abs(value) < math.inf):
+            or hint is float and not abs(value) <= sys.float_info.max):
         raise ConfigurationError(
             f"{where}: {value!r} is not a valid {hint.__name__}")
-    return value
+    return float(value) if hint is float else value
 
 
 @functools.cache
@@ -176,7 +178,7 @@ def _per_protocol(raw: dict, where: str, default=None) -> dict:
     dict of floats; missing keys take ``default``'s values or are errors."""
     names = {"pubsub": transport.PUBSUB, "reqresp": transport.REQRESP}
     sec = _section(raw, where, names, () if default else names)
-    return {proto: float(_typed(sec[k], float, f"{where}.{k}"))
+    return {proto: _typed(sec[k], float, f"{where}.{k}")
             if k in sec else default[proto] for k, proto in names.items()}
 
 
@@ -281,7 +283,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         gateway=_build(GatewayConfig, raw, "gateway"),
         alerting=_build(AlertingParams, raw, "alerting"),
         report_targets={**_REPORT_TARGETS, **{
-            k: float(_typed(v, float, f"report_targets.{k}"))
+            k: _typed(v, float, f"report_targets.{k}")
             for k, v in targets.items()}},
     )
 

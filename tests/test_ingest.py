@@ -17,6 +17,7 @@ from agrisim.ingest import (
     Channel,
     ChannelNotFound,
     ChannelStore,
+    _SLICE_ROWS,
 )
 
 FIELDS = ("moisture", "temp", "humidity")
@@ -286,6 +287,40 @@ class TestBatchMatchesReference:
                 (out / "ref.csv").read_bytes()
             assert (out / "chan.jsonl").read_bytes() == \
                 (out / "ref.jsonl").read_bytes()
+
+    def test_long_batches_cross_export_slices(self, tmp_path):
+        # the batches drawn above never fill one export slice; these cross
+        # three slice boundaries, and a batch of float times follows
+        channel = Channel("ch", "KEY", FIELDS, min_update_interval_s=0.0)
+        store = ChannelStore()
+        store.create_channel(channel)
+        reference = ReferenceChannel(channel)
+        special = [0.0, -0.0, 0.0, 1e16, 1e-7, 5e-324, -0.0, 22.5, 22.5]
+        rng = np.random.default_rng(7)
+        n_int, n_float = 3 * _SLICE_ROWS + 1, _SLICE_ROWS + 2
+        for times in (np.arange(1, n_int + 1, dtype=np.int64) * 300,
+                      (n_int + 1 + np.arange(n_float)) * 300.0 + 0.5):
+            n = len(times)
+            columns = [np.resize(special, n), rng.uniform(-40, 100, n),
+                       np.round(rng.uniform(20, 30, n), 1)]
+            assert store.ingest_batch("ch", "KEY", times, columns).all()
+            for t, *values in zip(times.tolist(), *columns):
+                assert reference.ingest("KEY", t, values) == ACCEPTED
+
+        total = n_int + n_float
+        assert store.export("ch", tmp_path / "chan.csv",
+                            tmp_path / "chan.jsonl") == total
+        reference.export_csv(tmp_path / "ref.csv")
+        reference.snapshot_jsonl(tmp_path / "ref.jsonl")
+        for suffix in ("csv", "jsonl"):
+            assert (tmp_path / f"chan.{suffix}").read_bytes() == \
+                (tmp_path / f"ref.{suffix}").read_bytes()
+        with (tmp_path / "chan.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1] for row in rows] == \
+            [str(i) for i in range(1, total + 1)]
+        assert (rows[0][0], rows[-1][0]) == ("300", repr(total * 300.0 + 0.5))
+        assert {row[2] for row in rows} == set(map(repr, special))
 
 
 class TestPersistence:

@@ -8,6 +8,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrisim import pipeline
+from agrisim.decision import HEAT
 from agrisim.errors import ConfigurationError
 from agrisim.transport import PUBSUB, REQRESP
 from agrisim.scenario import (
@@ -236,6 +238,31 @@ class TestDeterministicParsing:
         assert from_file == load_default_scenario()
 
 
+class TestIntegerFloats:
+    """A YAML int in a float field loads as the equal float, so it cannot
+    change a byte that formats the value."""
+
+    def test_int_depth_writes_the_shipped_manifest(self, default_run,
+                                                   tmp_path):
+        raw = default_raw()
+        assert raw["baseline"]["depth_mm"] == 48.0
+        raw["baseline"]["depth_mm"] = 48
+        scenario = parse_scenario(raw)
+        assert type(scenario.baseline.depth_mm) is float
+        pipeline.run_season(scenario, out_dir=tmp_path)
+        assert (tmp_path / pipeline.MANIFEST_NAME).read_bytes() == \
+            (default_run.out_dir / pipeline.MANIFEST_NAME).read_bytes()
+
+    def test_int_threshold_reaches_alerts_as_a_float(self):
+        raw = default_raw()
+        raw["thresholds"]["temp_alert_c"] = 30  # 35 fires no heat alert
+        heat = [alert for alert in pipeline.run_season(
+            parse_scenario(raw)).system_arm.alerts if alert.kind == HEAT]
+        assert heat
+        assert all(type(alert.threshold) is float and alert.threshold == 30.0
+                   for alert in heat)
+
+
 # Malformed values reproduced on the shipped mapping, grouped by how the
 # loader used to handle them; each must now fail at load time and name its
 # dotted key.
@@ -272,6 +299,9 @@ MALFORMED = [
     ("seed", -1),
     ("baseline.depth_mm", math.nan),
     ("season.temp_envelope_c", [15.0, math.inf]),
+    # loaded, then overflowed mid-run: an int no float can hold
+    pytest.param("baseline.depth_mm", 2**1024,
+                 id="baseline.depth_mm-2**1024"),
 ]
 
 
