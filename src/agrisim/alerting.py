@@ -17,7 +17,7 @@ import csv
 import functools
 import string
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -33,7 +33,7 @@ SENT = "SENT"
 SUPPRESSED_DUPLICATE = "SUPPRESSED_DUPLICATE"
 FAILED = "FAILED"
 
-DEFAULT_DEDUP_WINDOW_S = 12 * 3600
+DEFAULT_DEDUP_WINDOW_S = 12 * 3600.0
 
 
 class RenderError(AgrisimError):
@@ -49,22 +49,33 @@ class MessageTemplate:
     template_id: str
     locale: str
     text: str
-    params: tuple[str, ...]
     status: str = "final"
+    # the text's placeholder names in order of first use, read once here
+    params: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        declared = set(self.params)
-        # every placeholder in the text must be a declared parameter
-        formatter_fields = {
-            name for _, name, _, _ in _FORMATTER.parse(self.text) if name}
-        undeclared = formatter_fields - declared
-        if undeclared:
+        try:  # a text that is not a str, or has an unmatched brace, fails
+            names = [n for _, n, _, _ in _FORMATTER.parse(self.text) if n]
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"{self.template_id}/{self.locale}: undeclared placeholders "
-                f"{sorted(undeclared)}")
+                f"{self.template_id}/{self.locale}: {exc}") from None
+        object.__setattr__(self, "params", tuple(dict.fromkeys(names)))
 
 
 _FORMATTER = string.Formatter()
+
+
+def _keys(where: str, value, required=frozenset(), allowed=None) -> dict:
+    """``value`` as a mapping with every ``required`` key, and only
+    ``allowed`` ones unless that is None."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a mapping")
+    allowed = value.keys() if allowed is None else allowed
+    if not required <= value.keys() <= allowed:
+        raise ConfigurationError(
+            f"{where}: missing {sorted(required - value.keys())}, unknown "
+            f"{sorted(map(str, value.keys() - allowed))}")
+    return value
 
 
 def _format_param(name: str, value) -> str:
@@ -81,26 +92,26 @@ class MessageCatalog:
 
     def __init__(self, templates: dict[tuple[str, str], MessageTemplate]):
         self._templates = templates
-        # both locales of a template must declare the same parameter set
-        by_id: dict[str, set[frozenset]] = {}
-        for (tid, _), tpl in templates.items():
-            by_id.setdefault(tid, set()).add(frozenset(tpl.params))
-        for tid, param_sets in by_id.items():
-            if len(param_sets) > 1:
-                raise ConfigurationError(
-                    f"template {tid}: locales declare different parameters")
 
     @classmethod
     def from_file(cls, path) -> "MessageCatalog":
+        """Load a catalog; a template's locales must share placeholders."""
         with Path(path).open() as fh:
-            raw = yaml.safe_load(fh)
+            raw = _keys(f"catalog {path}", yaml.safe_load(fh))
         templates = {}
         for tid, entry in raw.items():
-            params = tuple(entry["params"])
-            for locale, spec in entry["locales"].items():
+            where = f"template {tid}"
+            entry = _keys(where, entry, {"locales"}, {"locales"})
+            locales = _keys(f"{where}: locales", entry["locales"])
+            for locale, spec in locales.items():
+                spec = _keys(f"{where}/{locale}", spec, {"text"},
+                             {"text", "status"})
                 templates[(tid, locale)] = MessageTemplate(
-                    template_id=tid, locale=locale, text=spec["text"],
-                    params=params, status=spec.get("status", "final"))
+                    tid, locale, spec["text"], spec.get("status", "final"))
+            if len({frozenset(templates[(tid, loc)].params)
+                    for loc in locales}) > 1:
+                raise ConfigurationError(
+                    f"template {tid}: locales use different placeholders")
         return cls(templates)
 
     @classmethod
@@ -171,75 +182,67 @@ class RecordingGatewayClient:
 
 @dataclass(frozen=True)
 class DispatchRecord:
-    timestamp_s: float
-    gateway_kind: str
+    timestamp_s: int
     template_id: str
-    locale: str
     text: str
     status: str
     dedup_key: str
     detail: str = ""
 
 
-def template_for_alert(alert: decision.Alert) -> tuple[str, dict]:
-    """Map an environmental alert onto its catalog template and parameters."""
-    if alert.kind == decision.HEAT:
-        return "heat_alert", {"temp_c": alert.observed,
-                              "threshold_c": alert.threshold}
-    if alert.kind == decision.HUMIDITY_LOW:
-        return "humidity_low", {"humidity_pct": alert.observed}
-    if alert.kind == decision.HUMIDITY_HIGH:
-        return "humidity_high", {"humidity_pct": alert.observed}
-    if alert.kind == decision.MOISTURE_LOW:
-        return "irrigate_low_moisture", {"moisture_pct": alert.observed}
-    raise InputError(f"unknown alert kind: {alert.kind}")
+# alert kind -> (catalog template, the parameter that carries the reading);
+# heat_alert also prints the rule's limit, as threshold_c
+_ALERT_TEMPLATES = {
+    decision.HEAT: ("heat_alert", "temp_c"),
+    decision.HUMIDITY_LOW: ("humidity_low", "humidity_pct"),
+    decision.HUMIDITY_HIGH: ("humidity_high", "humidity_pct"),
+    decision.MOISTURE_LOW: ("irrigate_low_moisture", "moisture_pct"),
+}
 
 
 class Dispatcher:
-    """Serialized per-field dispatcher with duplicate suppression.
-
-    At most one SENT per (field, template) key within the dedup window;
-    client failures are recorded, never raised.
-    """
+    """Serialized dispatcher of one field's alerts, with duplicate
+    suppression: at most one SENT per (field, template) key within the dedup
+    window, timed by each alert's own timestamp. Alerts render in the
+    dispatcher's locale; client failures are recorded, never raised."""
 
     def __init__(self, catalog: MessageCatalog, gateway: GatewayConfig,
                  client, locale: str = "en",
-                 dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S):
+                 dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S,
+                 field_id: str = "field-1"):
         self.catalog = catalog
         self.gateway = gateway
         self.client = client
         self.locale = locale
         self.dedup_window_s = dedup_window_s
+        self.field_id = field_id
         self.records: list[DispatchRecord] = []
         self._last_sent: dict[str, float] = {}
 
-    def dispatch(self, template_id: str, params: dict, clock_s: float,
-                 field_id: str = "field-1") -> DispatchRecord:
-        text = self.catalog.render(template_id, self.locale, params)
-        key = f"{field_id}:{template_id}"
+    def dispatch_alert(self, alert: decision.Alert) -> DispatchRecord:
+        if alert.kind not in _ALERT_TEMPLATES:
+            raise InputError(f"unknown alert kind: {alert.kind}")
+        template_id, reading = _ALERT_TEMPLATES[alert.kind]
+        text = self.catalog.render(template_id, self.locale, {
+            reading: alert.observed, "threshold_c": alert.threshold})
+        clock_s = alert.timestamp_s
+        key = f"{self.field_id}:{template_id}"
+        status, detail = SENT, ""
         last = self._last_sent.get(key)
         if last is not None and clock_s - last < self.dedup_window_s:
-            record = DispatchRecord(clock_s, self.gateway.kind, template_id,
-                                    self.locale, text, SUPPRESSED_DUPLICATE, key)
+            status = SUPPRESSED_DUPLICATE
         else:
             request_line = build_gateway_request(self.gateway, text)
             try:
                 self.client.send(request_line)
             except Exception as exc:
-                record = DispatchRecord(clock_s, self.gateway.kind, template_id,
-                                        self.locale, text, FAILED, key,
-                                        detail=str(exc))
+                status, detail = FAILED, str(exc)
             else:
                 self._last_sent[key] = clock_s
-                record = DispatchRecord(clock_s, self.gateway.kind, template_id,
-                                        self.locale, text, SENT, key)
+        record = DispatchRecord(clock_s, template_id, text, status, key,
+                                detail)
         self.records.append(record)
         return record
-
-    def dispatch_alert(self, alert: decision.Alert, clock_s: float,
-                       field_id: str = "field-1") -> DispatchRecord:
-        template_id, params = template_for_alert(alert)
-        return self.dispatch(template_id, params, clock_s, field_id)
 
     def export_csv(self, path) -> int:
         with Path(path).open("w", newline="") as fh:
@@ -247,7 +250,7 @@ class Dispatcher:
             writer.writerow(["timestamp_s", "gateway", "template_id", "locale",
                              "status", "dedup_key", "text", "detail"])
             for r in self.records:
-                writer.writerow([r.timestamp_s, r.gateway_kind, r.template_id,
-                                 r.locale, r.status, r.dedup_key, r.text,
-                                 r.detail])
+                writer.writerow([r.timestamp_s, self.gateway.kind,
+                                 r.template_id, self.locale, r.status,
+                                 r.dedup_key, r.text, r.detail])
         return len(self.records)

@@ -23,7 +23,6 @@ import numpy as np
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     SECONDS_PER_DAY,
-    FieldState,
     NoiseStream,
     WeatherDay,
     depletion_to_moisture_pct,
@@ -210,7 +209,6 @@ class DailyRecord:
     day_index: int
     depletion_start_mm: float
     depletion_end_mm: float
-    etc_mm: float
     eta_mm: float
     drainage_mm: float
     irrigation_mm: float
@@ -293,8 +291,9 @@ def schedule_season(policy: str, scenario: Scenario,
     daily: list[DailyRecord] = []
     columns = []  # (timestamps, moisture, temp, rh) per day, joined once
     fired_days = []  # the sensor arm's evaluate masks, joined once
-    etm_total = 0.0
-    state = FieldState(depletion_mm=scenario.irrigation.initial_depletion_mm)
+    # each total starts at 0.0 and adds the day's value in day order
+    eta_total = irrigation_total = etm_total = 0.0
+    dep0 = scenario.irrigation.initial_depletion_mm
     interval = scenario.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
     profile = scenario.profile
@@ -313,8 +312,7 @@ def schedule_season(policy: str, scenario: Scenario,
         etc = crop_et(et0, w.day_index, scenario.calendar)
 
         # no-irrigation projection used to interpolate within-day ground truth
-        projected = step_soil_water(state, w, 0.0, etc, profile)
-        dep0, dep1 = state.depletion_mm, projected.depletion_mm
+        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
 
         irrigation_today = 0.0
         if policy == CALENDAR_BASELINE and w.day_index % baseline.interval_days == 0:
@@ -352,21 +350,18 @@ def schedule_season(policy: str, scenario: Scenario,
                     f"soil moisture {m:.1f}% below trigger "
                     f"{thr.soil_moisture_trigger_pct:.0f}%"))
 
-        new_state = step_soil_water(state, w, irrigation_today, etc, profile)
+        dep_end, eta, drainage = step_soil_water(dep0, w, irrigation_today,
+                                                 etc, profile)
         daily.append(DailyRecord(
-            day_index=w.day_index,
-            depletion_start_mm=state.depletion_mm,
-            depletion_end_mm=new_state.depletion_mm,
-            etc_mm=etc,
-            eta_mm=new_state.cumulative_eta_mm - state.cumulative_eta_mm,
-            drainage_mm=(new_state.cumulative_drainage_mm
-                         - state.cumulative_drainage_mm),
+            day_index=w.day_index, depletion_start_mm=dep0,
+            depletion_end_mm=dep_end, eta_mm=eta, drainage_mm=drainage,
             irrigation_mm=irrigation_today,
-            moisture_end_pct=float(depletion_to_moisture_pct(
-                new_state.depletion_mm, profile)),
-        ))
+            moisture_end_pct=float(depletion_to_moisture_pct(dep_end,
+                                                             profile))))
+        eta_total += eta
+        irrigation_total += irrigation_today
         etm_total += etc
-        state = new_state
+        dep0 = dep_end
 
     timestamps, moisture, temp, rh = (np.concatenate(c)
                                       for c in zip(*columns))
@@ -384,6 +379,6 @@ def schedule_season(policy: str, scenario: Scenario,
                       temp_c=temp, humidity_pct=rh)
     return SeasonResult(
         policy=policy, events=events, daily=daily, samples=samples,
-        alerts=alerts, irrigation_total_mm=state.cumulative_irrigation_mm,
-        eta_total_mm=state.cumulative_eta_mm, etm_total_mm=etm_total,
+        alerts=alerts, irrigation_total_mm=irrigation_total,
+        eta_total_mm=eta_total, etm_total_mm=etm_total,
         noise_digest=noise.digest())

@@ -34,20 +34,21 @@ class WeatherDay:
     day_of_year: int
     t_min_c: float
     t_max_c: float
-    t_mean_c: float
     rh_mean_pct: float
     rain_mm: float
 
     def __post_init__(self):
-        if not (self.t_min_c <= self.t_mean_c <= self.t_max_c):
+        if not self.t_min_c <= self.t_max_c:
             raise ConfigurationError(
-                f"temperature ordering violated: {self.t_min_c}, "
-                f"{self.t_mean_c}, {self.t_max_c}"
-            )
+                f"t_min_c {self.t_min_c} above t_max_c {self.t_max_c}")
         if not 0.0 <= self.rh_mean_pct <= 100.0:
             raise ConfigurationError(f"humidity out of range: {self.rh_mean_pct}")
         if self.rain_mm < 0.0:
             raise ConfigurationError(f"negative rain: {self.rain_mm}")
+
+    @property
+    def t_mean_c(self) -> float:
+        return (self.t_min_c + self.t_max_c) / 2.0
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,6 @@ class SoilProfile:
     def taw_mm(self) -> float:
         """Total available water in the root zone (mm)."""
         return 1000.0 * (self.theta_fc - self.theta_wp) * self.root_depth_m
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Ground-truth water state of the simulated field."""
-
-    depletion_mm: float = 0.0
-    cumulative_drainage_mm: float = 0.0
-    cumulative_irrigation_mm: float = 0.0
-    cumulative_eta_mm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -221,21 +212,22 @@ def generate_weather(season: SeasonConfig, seed: int) -> list[WeatherDay]:
         doy = (season.start_day_of_year - 1 + i) % 365 + 1
         days.append(WeatherDay(
             day_index=i, day_of_year=doy,
-            t_min_c=t_min, t_max_c=t_max, t_mean_c=(t_min + t_max) / 2.0,
-            rh_mean_pct=rh, rain_mm=rain,
+            t_min_c=t_min, t_max_c=t_max, rh_mean_pct=rh, rain_mm=rain,
         ))
     return days
 
 
-def step_soil_water(state: FieldState, weather: WeatherDay,
+def step_soil_water(depletion_mm: float, weather: WeatherDay,
                     irrigation_mm: float, etc_mm: float,
-                    profile: SoilProfile) -> FieldState:
-    """Advance the bucket one day.
+                    profile: SoilProfile) -> tuple[float, float, float]:
+    """Advance the bucket one day from ``depletion_mm``.
 
-    Water in (rain + irrigation) first reduces depletion, with any surplus
-    past field capacity leaving as drainage; crop water uptake then increases
-    depletion, scaled by the stress coefficient Ks and capped so depletion
-    never exceeds total available water. The step conserves water exactly:
+    Returns ``(depletion_end_mm, eta_mm, drainage_mm)``: the depletion at the
+    end of the day and the day's own crop uptake and drainage. Water in
+    (rain + irrigation) first reduces depletion, with any surplus past field
+    capacity leaving as drainage; crop water uptake then increases depletion,
+    scaled by the stress coefficient Ks and capped so depletion never exceeds
+    total available water. The step conserves water exactly:
     (rain + irrigation) - (ETa + drainage) == -delta(depletion).
     """
     for name, v in (("rain", weather.rain_mm), ("irrigation", irrigation_mm),
@@ -243,25 +235,13 @@ def step_soil_water(state: FieldState, weather: WeatherDay,
         if not math.isfinite(v) or v < 0.0:
             raise InputError(f"{name} must be finite and non-negative, got {v}")
 
-    taw = profile.taw_mm
-    dep = state.depletion_mm
     water_in = weather.rain_mm + irrigation_mm
-
-    drainage = max(0.0, water_in - dep)
-    dep_wet = max(0.0, dep - water_in)
-
-    ks = ks_stress(dep, profile)
-    eta = etc_mm * ks
+    drainage = max(0.0, water_in - depletion_mm)
+    dep_wet = max(0.0, depletion_mm - water_in)
     # cap uptake so depletion cannot overshoot TAW
-    eta = min(eta, taw - dep_wet)
-    dep_new = dep_wet + eta
-
-    return FieldState(
-        depletion_mm=dep_new,
-        cumulative_drainage_mm=state.cumulative_drainage_mm + drainage,
-        cumulative_irrigation_mm=state.cumulative_irrigation_mm + irrigation_mm,
-        cumulative_eta_mm=state.cumulative_eta_mm + eta,
-    )
+    eta = min(etc_mm * ks_stress(depletion_mm, profile),
+              profile.taw_mm - dep_wet)
+    return dep_wet + eta, eta, drainage
 
 
 def ks_stress(depletion_mm: float, profile: SoilProfile) -> float:

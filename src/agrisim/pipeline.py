@@ -101,9 +101,10 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     dispatcher = alerting.Dispatcher(
         catalog, scenario.gateway, alerting.RecordingGatewayClient(),
         locale=scenario.alerting.locale,
-        dedup_window_s=scenario.alerting.dedup_window_s)
+        dedup_window_s=scenario.alerting.dedup_window_s,
+        field_id=scenario.field_id)
     for alert in system.alerts:
-        dispatcher.dispatch_alert(alert, alert.timestamp_s, scenario.field_id)
+        dispatcher.dispatch_alert(alert)
 
     ym = scenario.yield_model.max_yield_kg_per_acre
     ky = scenario.yield_model.ky

@@ -25,7 +25,7 @@ from agrisim.decision import CropCalendar, Thresholds
 from agrisim.errors import ConfigurationError
 from agrisim.fieldsim import SeasonConfig, SensorSpec, SoilProfile
 from agrisim.ingest import Channel
-from agrisim.alerting import GatewayConfig
+from agrisim.alerting import DEFAULT_DEDUP_WINDOW_S, GatewayConfig
 from agrisim.metrics import EconomicParams
 
 DEFAULT_SCENARIO = "mubende_dry"
@@ -64,7 +64,7 @@ class BaselinePolicyParams:
 @dataclass(frozen=True)
 class AlertingParams:
     locale: str = "en"
-    dedup_window_s: float = 12 * 3600.0
+    dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S
 
     def __post_init__(self):
         if self.locale not in ("en", "lg"):
@@ -279,7 +279,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         economics=_build(EconomicParams, raw, "economics"),
         yield_model=_build(YieldModelParams, raw, "yield_model"),
         channel=_build(Channel, raw, "channel",
-                       field_names=("moisture", "temp", "humidity")),
+                       field_names=transport.PAYLOAD_FIELDS),
         gateway=_build(GatewayConfig, raw, "gateway"),
         alerting=_build(AlertingParams, raw, "alerting"),
         report_targets={**_REPORT_TARGETS, **{

@@ -19,7 +19,7 @@ from agrisim.alerting import (
     RecordingGatewayClient,
     build_gateway_request,
 )
-from agrisim.fieldsim import FieldState, SoilProfile, step_soil_water, WeatherDay
+from agrisim.fieldsim import SoilProfile, step_soil_water, WeatherDay
 from agrisim.scenario import default_scenario_path
 
 # the default scenario is part of the contract: its bands below are only
@@ -176,20 +176,18 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
         profile = SoilProfile()
 
         # soil-water conservation and depletion bounds, 1000 random steps
-        state = FieldState()
+        dep = 0.0
         for i in range(1000):
             rain, irr = rng.uniform(0, 30, 2)
             etc = float(rng.uniform(0, 10))
             day = WeatherDay(day_index=i, day_of_year=1 + i % 365,
-                             t_min_c=18.0, t_max_c=28.0, t_mean_c=23.0,
+                             t_min_c=18.0, t_max_c=28.0,
                              rh_mean_pct=45.0, rain_mm=float(rain))
-            new = step_soil_water(state, day, float(irr), etc, profile)
-            eta = new.cumulative_eta_mm - state.cumulative_eta_mm
-            drain = new.cumulative_drainage_mm - state.cumulative_drainage_mm
-            delta = new.depletion_mm - state.depletion_mm
-            assert abs((rain + irr) - (eta + drain) + delta) < 1e-9
-            assert 0.0 <= new.depletion_mm <= profile.taw_mm
-            state = new
+            dep_end, eta, drain = step_soil_water(dep, day, float(irr), etc,
+                                                  profile)
+            assert abs((rain + irr) - (eta + drain) + (dep_end - dep)) < 1e-9
+            assert 0.0 <= dep_end <= profile.taw_mm
+            dep = dep_end
 
         # closed-form metric formulas to 1e-12 relative
         for _ in range(1000):
@@ -214,9 +212,9 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             d = Dispatcher(MessageCatalog.default(), GatewayConfig(),
                            RecordingGatewayClient(), dedup_window_s=window)
             sent = [float(t) for t in clocks
-                    if d.dispatch("irrigate_low_moisture",
-                                  {"moisture_pct": 22.0},
-                                  float(t)).status == "SENT"]
+                    if d.dispatch_alert(decision.Alert(
+                        decision.MOISTURE_LOW, 22.0, 25.0,
+                        float(t))).status == "SENT"]
             assert all(b - a >= window for a, b in zip(sent, sent[1:]))
 
         # QoS1 delivers a superset of QoS0 on the same attempt stream

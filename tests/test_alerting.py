@@ -21,7 +21,6 @@ from agrisim.alerting import (
     RenderError,
     TemplateNotFound,
     build_gateway_request,
-    template_for_alert,
 )
 from agrisim.errors import ConfigurationError, InputError
 
@@ -40,10 +39,21 @@ class FailingGatewayClient:
         raise ConnectionError(self.reason)
 
 
-def make_dispatcher(client=None, locale="en", window=43_200.0):
+def make_dispatcher(client=None, locale="en", window=43_200.0,
+                    field_id="field-1"):
     return Dispatcher(CATALOG, GatewayConfig(),
                       client if client is not None else RecordingGatewayClient(),
-                      locale=locale, dedup_window_s=window)
+                      locale=locale, dedup_window_s=window, field_id=field_id)
+
+
+def low_moisture(clock_s, moisture_pct=22.0):
+    return decision.Alert(decision.MOISTURE_LOW, moisture_pct, 25.0, clock_s)
+
+
+def write_catalog(tmp_path, text):
+    path = tmp_path / "messages.yaml"
+    path.write_text(text)
+    return path
 
 
 class TestCatalog:
@@ -85,9 +95,54 @@ class TestCatalog:
         with pytest.raises(TemplateNotFound):
             CATALOG.render("nope", "en", {})
 
-    def test_undeclared_placeholder_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MessageTemplate("t", "en", "value {x}", params=())
+    def test_params_are_the_text_placeholders(self):
+        tpl = MessageTemplate("t", "en", "{b} then {a}, {b} again")
+        assert tpl.params == ("b", "a")
+        assert MessageTemplate("t", "en", "no placeholders").params == ()
+        for text in ("unmatched {brace", 5):
+            with pytest.raises(ConfigurationError, match="t/en"):
+                MessageTemplate("t", "en", text)
+
+    def test_locales_with_different_placeholders_rejected(self, tmp_path):
+        path = write_catalog(tmp_path, """
+t:
+  locales:
+    en: {text: "value {x}"}
+    lg: {text: "value {y}"}
+""")
+        with pytest.raises(ConfigurationError, match="template t"):
+            MessageCatalog.from_file(path)
+
+    def test_file_that_is_not_a_mapping_rejected(self, tmp_path):
+        path = write_catalog(tmp_path, "- heat_alert\n- humidity_low\n")
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            MessageCatalog.from_file(path)
+
+    def test_entry_without_locales_rejected(self, tmp_path):
+        path = write_catalog(tmp_path, "t:\n  text: hello\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"template t: missing \['locales'\]"):
+            MessageCatalog.from_file(path)
+
+    def test_locale_without_text_rejected(self, tmp_path):
+        path = write_catalog(tmp_path,
+                             "t:\n  locales:\n    en: {status: final}\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"template t/en: missing \['text'\]"):
+            MessageCatalog.from_file(path)
+
+    @pytest.mark.parametrize("text, where, key", [
+        # a params list left over from before params were read off the text
+        ("t:\n  params: [x]\n  locales:\n    en: {text: '{x}'}\n",
+         "template t", "params"),
+        ("t:\n  locales:\n    en: {text: '{x}', tone: calm}\n",
+         "template t/en", "tone"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, text, where, key):
+        path = write_catalog(tmp_path, text)
+        with pytest.raises(ConfigurationError,
+                           match=rf"{where}: .* unknown \['{key}'\]"):
+            MessageCatalog.from_file(path)
 
     def test_default_is_loaded_once_and_renders_as_a_fresh_load(self):
         assert MessageCatalog.default() is MessageCatalog.default()
@@ -177,77 +232,96 @@ class TestTemplateMapping:
             (decision.HUMIDITY_HIGH, "humidity_high"),
             (decision.MOISTURE_LOW, "irrigate_low_moisture"),
         ]
-        for kind, expected in cases:
-            alert = decision.Alert(kind, 1.0, 2.0)
-            tid, params = template_for_alert(alert)
-            assert tid == expected
-            CATALOG.render(tid, "en", params)  # params must satisfy template
-            CATALOG.render(tid, "lg", params)
+        assert sorted(k for k, _ in cases) == sorted(decision.ALERT_KINDS)
+        for locale in ("en", "lg"):
+            d = make_dispatcher(locale=locale)
+            for kind, expected in cases:
+                # rendering raises RenderError unless every parameter is given
+                record = d.dispatch_alert(decision.Alert(kind, 1.0, 2.0))
+                assert record.template_id == expected
+                assert record.status == SENT
+
+    def test_reading_and_threshold_reach_the_text(self):
+        d = make_dispatcher()
+        heat = d.dispatch_alert(decision.Alert(decision.HEAT, 37.04, 35.0))
+        assert heat.text == CATALOG.render(
+            "heat_alert", "en", {"temp_c": 37.04, "threshold_c": 35.0})
+        assert "37.0 C" in heat.text and "35.0 C" in heat.text
+        low = d.dispatch_alert(
+            decision.Alert(decision.HUMIDITY_LOW, 24.6, 30.0))
+        assert "25%" in low.text
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
-            template_for_alert(decision.Alert("COSMIC_RAY", 0.0, 0.0))
+            make_dispatcher().dispatch_alert(
+                decision.Alert("COSMIC_RAY", 0.0, 0.0))
 
 
 class TestDispatcher:
     def test_first_send_recorded(self):
         client = RecordingGatewayClient()
         d = make_dispatcher(client)
-        record = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0)
+        record = d.dispatch_alert(low_moisture(0))
         assert record.status == SENT
         assert record.text == GOLDEN_EN
+        assert record.timestamp_s == 0
         assert client.requests == [build_gateway_request(GatewayConfig(),
                                                          GOLDEN_EN)]
 
     def test_duplicate_within_window_suppressed(self):
         d = make_dispatcher()
-        first = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0)
-        hour_later = d.dispatch("irrigate_low_moisture",
-                                {"moisture_pct": 21.0}, 3600.0)
+        first = d.dispatch_alert(low_moisture(0))
+        hour_later = d.dispatch_alert(low_moisture(3600, moisture_pct=21.0))
         assert first.status == SENT
         assert hour_later.status == SUPPRESSED_DUPLICATE
+        assert hour_later.timestamp_s == 3600
 
     def test_resend_after_window(self):
         d = make_dispatcher()
-        d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0)
-        later = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0},
-                           43_200.0)
+        d.dispatch_alert(low_moisture(0))
+        later = d.dispatch_alert(low_moisture(43_200))
         assert later.status == SENT
 
     def test_different_templates_do_not_collide(self):
         d = make_dispatcher()
-        d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0)
-        heat = d.dispatch("heat_alert", {"temp_c": 37.0, "threshold_c": 35.0},
-                          1.0)
+        d.dispatch_alert(low_moisture(0))
+        heat = d.dispatch_alert(decision.Alert(decision.HEAT, 37.0, 35.0, 1))
         assert heat.status == SENT
 
     def test_different_fields_do_not_collide(self):
-        d = make_dispatcher()
-        d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0,
-                   field_id="field-1")
-        other = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0},
-                           1.0, field_id="field-2")
-        assert other.status == SENT
+        # the dedup key carries the dispatcher's field, so the logs of two
+        # fields never share a key
+        one, two = (make_dispatcher(field_id=f)
+                    for f in ("field-1", "field-2"))
+        first = one.dispatch_alert(low_moisture(0))
+        other = two.dispatch_alert(low_moisture(1))
+        assert (first.status, other.status) == (SENT, SENT)
+        assert first.dedup_key == "field-1:irrigate_low_moisture"
+        assert other.dedup_key == "field-2:irrigate_low_moisture"
 
     def test_gateway_failure_recorded_not_raised(self):
         d = make_dispatcher(FailingGatewayClient("gateway unreachable"))
-        record = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0},
-                            0.0)
+        record = d.dispatch_alert(low_moisture(0))
         assert record.status == FAILED
         assert "unreachable" in record.detail
         # a failed send does not start a dedup window
         d.client = RecordingGatewayClient()
-        retry = d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0},
-                           60.0)
+        retry = d.dispatch_alert(low_moisture(60))
         assert retry.status == SENT
 
     def test_export_csv_row_count(self, tmp_path):
-        d = make_dispatcher()
-        d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 0.0)
-        d.dispatch("irrigate_low_moisture", {"moisture_pct": 22.0}, 60.0)
+        d = make_dispatcher(locale="lg")
+        d.dispatch_alert(low_moisture(0))
+        d.dispatch_alert(low_moisture(60))
         path = tmp_path / "dispatch.csv"
         assert d.export_csv(path) == 2
-        assert len(path.read_text().splitlines()) == 3  # header + 2 rows
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3  # header + 2 rows
+        # gateway kind and locale are the dispatcher's, written on every row
+        assert [line.split(",")[:5] for line in lines[1:]] == [
+            ["0", "whatsapp_gateway", "irrigate_low_moisture", "lg", SENT],
+            ["60", "whatsapp_gateway", "irrigate_low_moisture", "lg",
+             SUPPRESSED_DUPLICATE]]
 
     @given(st.lists(st.floats(0, 10 * 86_400), min_size=1, max_size=60),
            st.floats(60.0, 2 * 86_400))
@@ -257,8 +331,7 @@ class TestDispatcher:
         d = make_dispatcher(window=window)
         sent_times = []
         for t in sorted(clocks):
-            record = d.dispatch("irrigate_low_moisture",
-                                {"moisture_pct": 22.0}, t)
+            record = d.dispatch_alert(low_moisture(t))
             if record.status == SENT:
                 sent_times.append(t)
         assert sent_times  # the first attempt always sends

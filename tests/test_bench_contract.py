@@ -1,6 +1,8 @@
 """The benchmark under perfbench/ drives agrisim by name: its traced run
 wraps the attributes listed in perfbench/layers.py, its gate tests wrap
-decision.schedule_season as (policy, scenario, noise), and its
+decision.schedule_season as (policy, scenario, noise), its season workloads
+check each run's daily records and its captured channel store and
+dispatcher against the model invariants and a pinned digest, and its
 transport-sweep workload calls transport.run_session on a list of
 TelemetryPacket and pins a digest of the returned stats. These tests keep
 that contract in the tier-1 suite, so a cleanup that breaks the benchmark
@@ -10,6 +12,8 @@ import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from agrisim import decision, transport
 from agrisim.decision import CropCalendar
@@ -54,6 +58,19 @@ def test_run_session_on_packet_lists_matches_the_transport_pins():
             digest, problems = sweep.check(key, sweep.start(key)())
             assert problems == []
             assert digest == pins["transport-sweep"][sweep.pin_key(key)]
+
+
+@pytest.mark.parametrize("workload", ["season-dry", "season-wet-lossy"])
+def test_season_workloads_pass_their_gate_at_the_pinned_seeds(workload,
+                                                             tmp_path):
+    # the season gate's own calls, as perfbench/pin.py makes them
+    workloads = load_perfbench("workloads")
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())
+    for seed in (0, 1, 42):
+        with workloads.WORKLOADS[workload](seed, tmp_path) as wl:
+            digest, problems = wl.check(seed, wl.start(seed)())
+        assert problems == []
+        assert digest == pins[workload][wl.pin_key(seed)]
 
 
 def test_schedule_season_takes_policy_scenario_noise_positionally(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
-    FieldState,
     NoiseStream,
     SeasonConfig,
     SensorSpec,
@@ -30,8 +29,7 @@ PROFILE = SoilProfile()
 
 def _day(rain=0.0, t_min=18.0, t_max=28.0, rh=45.0, idx=0):
     return WeatherDay(day_index=idx, day_of_year=200, t_min_c=t_min,
-                      t_max_c=t_max, t_mean_c=(t_min + t_max) / 2,
-                      rh_mean_pct=rh, rain_mm=rain)
+                      t_max_c=t_max, rh_mean_pct=rh, rain_mm=rain)
 
 
 class TestWeather:
@@ -76,25 +74,22 @@ class TestWeather:
 
 class TestSoilStep:
     def test_zero_forcing_only_advances_day(self):
-        state = FieldState(depletion_mm=20.0)
-        new = step_soil_water(state, _day(), 0.0, 0.0, PROFILE)
-        assert new.depletion_mm == state.depletion_mm
-        assert new.cumulative_eta_mm == 0.0
-        assert new.cumulative_drainage_mm == 0.0
+        assert step_soil_water(20.0, _day(), 0.0, 0.0, PROFILE) == (
+            20.0, 0.0, 0.0)
 
     def test_surplus_irrigation_drains(self):
         taw = PROFILE.taw_mm
-        state = FieldState(depletion_mm=taw / 2)
         irrigation = taw  # more than the deficit
-        new = step_soil_water(state, _day(), irrigation, 0.0, PROFILE)
-        assert new.depletion_mm == 0.0
-        assert new.cumulative_drainage_mm == pytest.approx(irrigation - taw / 2)
+        dep, _, drainage = step_soil_water(taw / 2, _day(), irrigation, 0.0,
+                                           PROFILE)
+        assert dep == 0.0
+        assert drainage == pytest.approx(irrigation - taw / 2)
 
     def test_negative_input_rejected(self):
         with pytest.raises(InputError):
-            step_soil_water(FieldState(), _day(), -1.0, 0.0, PROFILE)
+            step_soil_water(0.0, _day(), -1.0, 0.0, PROFILE)
         with pytest.raises(InputError):
-            step_soil_water(FieldState(), _day(), 0.0, float("nan"), PROFILE)
+            step_soil_water(0.0, _day(), 0.0, float("nan"), PROFILE)
 
     def test_trajectory_matches_fine_step_oracle(self):
         # independent hourly integration of the same bucket balance
@@ -102,10 +97,11 @@ class TestSoilStep:
         etc_series = rng.uniform(1.0, 4.5, size=60)
         irrigation = [8.0 if d % 3 == 0 else 0.0 for d in range(60)]
 
-        state = FieldState(depletion_mm=30.0)
+        depletion = 30.0
         for d in range(60):
-            state = step_soil_water(state, _day(idx=d), irrigation[d],
-                                    float(etc_series[d]), PROFILE)
+            depletion, _, _ = step_soil_water(depletion, _day(idx=d),
+                                              irrigation[d],
+                                              float(etc_series[d]), PROFILE)
 
         dep = 30.0
         taw = PROFILE.taw_mm
@@ -117,23 +113,20 @@ class TestSoilStep:
                 ks = ks_stress(dep, PROFILE)
                 eta = min(etc_series[d] / 24.0 * ks, taw - dep)
                 dep += eta
-        assert abs(state.depletion_mm - dep) < 0.5
+        assert abs(depletion - dep) < 0.5
 
     @given(st.lists(st.tuples(st.floats(0, 30), st.floats(0, 30),
                               st.floats(0, 10)), min_size=1, max_size=80))
     @settings(max_examples=1000, deadline=None)
     def test_conservation_and_bounds(self, forcing):
-        state = FieldState()
+        dep = 0.0
         for i, (rain, irr, etc) in enumerate(forcing):
             day = _day(rain=rain, idx=i)
-            new = step_soil_water(state, day, irr, etc, PROFILE)
-            eta = new.cumulative_eta_mm - state.cumulative_eta_mm
-            drain = new.cumulative_drainage_mm - state.cumulative_drainage_mm
-            delta = new.depletion_mm - state.depletion_mm
+            dep_end, eta, drain = step_soil_water(dep, day, irr, etc, PROFILE)
             # exact water conservation per step
-            assert abs((rain + irr) - (eta + drain) + delta) < 1e-9
-            assert 0.0 <= new.depletion_mm <= PROFILE.taw_mm
-            state = new
+            assert abs((rain + irr) - (eta + drain) + (dep_end - dep)) < 1e-9
+            assert 0.0 <= dep_end <= PROFILE.taw_mm
+            dep = dep_end
 
     @given(st.floats(0.0, 1.0))
     def test_ks_in_unit_interval_and_one_below_raw(self, frac):
