@@ -54,11 +54,18 @@ class MessageTemplate:
     params: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        where = f"{self.template_id}/{self.locale}"
         try:  # a text that is not a str, or has an unmatched brace, fails
-            names = [n for _, n, _, _ in _FORMATTER.parse(self.text) if n]
+            names = [n for _, n, _, _ in _FORMATTER.parse(self.text)
+                     if n is not None]
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{self.template_id}/{self.locale}: {exc}") from None
+            raise ConfigurationError(f"{where}: {exc}") from None
+        # render fills placeholders by keyword, so {}, {0}, {x.y} and
+        # {x[0]} could never be filled
+        for name in names:
+            if not name.isidentifier():
+                raise ConfigurationError(
+                    f"{where}: placeholder {{{name}}} is not a name")
         object.__setattr__(self, "params", tuple(dict.fromkeys(names)))
 
 

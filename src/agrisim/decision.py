@@ -24,7 +24,6 @@ from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     SECONDS_PER_DAY,
     NoiseStream,
-    WeatherDay,
     depletion_to_moisture_pct,
     generate_weather,
     moisture_pct_to_depletion,
@@ -190,9 +189,16 @@ def evaluate(moisture: np.ndarray, temp: np.ndarray, humidity: np.ndarray,
     fired = np.array((temp > thresholds.temp_alert_c, humidity < rh_lo,
                       humidity > rh_hi,
                       moisture < thresholds.soil_moisture_trigger_pct)).T
-    depth_mm = np.where(fired[:, 3], np.minimum(sensed_depletion_mm, cap_mm),
-                        0.0)
-    return fired, depth_mm
+    return fired, _refill_depth(moisture, sensed_depletion_mm, thresholds,
+                                cap_mm)
+
+
+def _refill_depth(moisture: np.ndarray, sensed_depletion_mm: np.ndarray,
+                  thresholds: Thresholds, cap_mm: float) -> np.ndarray:
+    """The MOISTURE_LOW rule's irrigation depth per reading: the sensed
+    depletion capped at ``cap_mm`` below the trigger, 0 elsewhere."""
+    return np.where(moisture < thresholds.soil_moisture_trigger_pct,
+                    np.minimum(sensed_depletion_mm, cap_mm), 0.0)
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,6 @@ class DailyRecord:
     eta_mm: float
     drainage_mm: float
     irrigation_mm: float
-    moisture_end_pct: float
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,6 @@ def _diurnal_cosines(interval_s: int, samples_per_day: int) -> np.ndarray:
                      for h in hours])
 
 
-def _diurnal_temp(w: WeatherDay, cosines: np.ndarray) -> np.ndarray:
-    """Sinusoidal diurnal cycle between the day's extremes."""
-    half_range = (w.t_max_c - w.t_min_c) / 2.0
-    return w.t_mean_c + half_range * cosines
-
-
 def schedule_season(policy: str, scenario: Scenario,
                     noise: NoiseStream) -> SeasonResult:
     """Run one policy arm over the scenario's season.
@@ -279,96 +278,112 @@ def schedule_season(policy: str, scenario: Scenario,
 
     The soil balance itself advances daily; irrigation decided mid-day is
     applied within that day's step. Within a day the ground truth is the
-    no-irrigation projection, so no reading depends on that day's decision:
-    a whole day of readings is computed as arrays, and ``evaluate`` applies
-    the rules to them in one call. No alert feeds back into the soil state,
-    so the alerts are built once, from the season's joined ``fired`` masks.
+    no-irrigation projection, so no reading depends on that day's decision.
+    Only the bucket carries state from one day to the next, so the day loop
+    holds the scalar bucket step and, for SENSOR_DRIVEN, the day's soil
+    readings and their first trigger, which set the day's irrigation.
+    Everything else is computed once per season as (days, slots) arrays:
+    the noise, the air readings, the baseline arm's soil readings and, in
+    one ``evaluate`` call, the alert mask.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
 
-    events: list[IrrigationEvent] = []
-    daily: list[DailyRecord] = []
-    columns = []  # (timestamps, moisture, temp, rh) per day, joined once
-    fired_days = []  # the sensor arm's evaluate masks, joined once
-    # each total starts at 0.0 and adds the day's value in day order
-    eta_total = irrigation_total = etm_total = 0.0
-    dep0 = scenario.irrigation.initial_depletion_mm
+    weather = generate_weather(scenario.season, scenario.seed)
+    days = len(weather)
     interval = scenario.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
     profile = scenario.profile
     taw = profile.taw_mm
-    frac = np.arange(1, samples_per_day + 1) / samples_per_day
-    cosines = _diurnal_cosines(interval, samples_per_day)
-    slot_offsets = interval * np.arange(1, samples_per_day + 1,
-                                        dtype=np.int64)
     thr = scenario.thresholds
-
+    cap = scenario.irrigation.cap_mm
     baseline = scenario.baseline
     latitude = scenario.season.latitude_deg
+    sensor_driven = policy == SENSOR_DRIVEN
+    frac = np.arange(1, samples_per_day + 1) / samples_per_day
 
-    for w in generate_weather(scenario.season, scenario.seed):
-        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
-        etc = crop_et(et0, w.day_index, scenario.calendar)
-
-        # no-irrigation projection used to interpolate within-day ground truth
-        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
-
-        irrigation_today = 0.0
-        if policy == CALENDAR_BASELINE and w.day_index % baseline.interval_days == 0:
-            irrigation_today = baseline.depth_mm
-            events.append(IrrigationEvent(
-                w.day_index, w.day_index * SECONDS_PER_DAY,
-                baseline.depth_mm, float("nan"), "calendar interval"))
-
-        # one standard normal per reading, in (soil, temp, rh) order per slot
-        z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
-        true_dep = dep0 + frac * (dep1 - dep0)
+    def soil_readings(dep_start, dep_projected, z_soil):
+        """Readings of the ground truth interpolated from the start-of-day
+        depletion towards the day's no-irrigation projection."""
+        true_dep = dep_start + frac * (dep_projected - dep_start)
         true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
                                                profile)
-        moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
-                                      z[:, 0])
-        temp, rh = sample_air_sensor(_diurnal_temp(w, cosines),
-                                     w.rh_mean_pct, scenario.air_noise_sigma,
-                                     z[:, 1], z[:, 2])
-        timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
-        columns.append((timestamps, moisture, temp, rh))
+        return sample_soil_sensor(true_moist, scenario.soil_sensor, z_soil)
 
-        if policy == SENSOR_DRIVEN:
-            sensed_dep = np.clip(moisture_pct_to_depletion(moisture, profile),
-                                 0.0, taw)
-            fired, depth = evaluate(moisture, temp, rh, sensed_dep, thr,
-                                    scenario.irrigation.cap_mm)
-            fired_days.append(fired)
+    # one standard normal per reading, in (soil, temp, rh) order per slot
+    z = noise.draw(3 * samples_per_day * days).reshape(
+        days, samples_per_day, 3)
+    t_min, t_max, rh_mean = np.array(
+        [(w.t_min_c, w.t_max_c, w.rh_mean_pct) for w in weather]).T[:, :, None]
+    # a sinusoidal diurnal cycle between each day's extremes
+    t_true = (t_min + t_max) / 2.0 + (t_max - t_min) / 2.0 * \
+        _diurnal_cosines(interval, samples_per_day)
+    temp, rh = sample_air_sensor(t_true, rh_mean, scenario.air_noise_sigma,
+                                 z[:, :, 1], z[:, :, 2])
+    # day * SECONDS_PER_DAY + slot * interval: the interval divides a day
+    timestamps = interval * np.arange(1, days * samples_per_day + 1,
+                                      dtype=np.int64)
+
+    events: list[IrrigationEvent] = []
+    daily: list[DailyRecord] = []
+    projected = []  # each day's no-irrigation end depletion
+    moisture = np.empty((days, samples_per_day))
+    sensed_dep = np.empty((days, samples_per_day))
+    # each total starts at 0.0 and adds the day's value in day order
+    eta_total = irrigation_total = etm_total = 0.0
+    dep0 = scenario.irrigation.initial_depletion_mm
+
+    for w in weather:
+        day = w.day_index
+        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
+        etc = crop_et(et0, day, scenario.calendar)
+        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
+        projected.append(dep1)
+
+        irrigation_today = 0.0
+        if sensor_driven:
+            readings = moisture[day] = soil_readings(dep0, dep1,
+                                                     z[day, :, 0])
+            sensed = sensed_dep[day] = np.clip(
+                moisture_pct_to_depletion(readings, profile), 0.0, taw)
+            depth = _refill_depth(readings, sensed, thr, cap)
             wet = np.flatnonzero(depth > 0.0)
             if wet.size:
-                k = wet[0]
+                k = wet[0].item()
                 irrigation_today = depth[k].item()
-                m = moisture[k].item()
+                m = readings[k].item()
                 events.append(IrrigationEvent(
-                    w.day_index, timestamps[k].item(), irrigation_today, m,
+                    day, timestamps[day * samples_per_day + k].item(),
+                    irrigation_today, m,
                     f"soil moisture {m:.1f}% below trigger "
                     f"{thr.soil_moisture_trigger_pct:.0f}%"))
+        elif day % baseline.interval_days == 0:
+            irrigation_today = baseline.depth_mm
+            events.append(IrrigationEvent(
+                day, day * SECONDS_PER_DAY, baseline.depth_mm, float("nan"),
+                "calendar interval"))
 
         dep_end, eta, drainage = step_soil_water(dep0, w, irrigation_today,
                                                  etc, profile)
         daily.append(DailyRecord(
-            day_index=w.day_index, depletion_start_mm=dep0,
+            day_index=day, depletion_start_mm=dep0,
             depletion_end_mm=dep_end, eta_mm=eta, drainage_mm=drainage,
-            irrigation_mm=irrigation_today,
-            moisture_end_pct=float(depletion_to_moisture_pct(dep_end,
-                                                             profile))))
+            irrigation_mm=irrigation_today))
         eta_total += eta
         irrigation_total += irrigation_today
         etm_total += etc
         dep0 = dep_end
 
-    timestamps, moisture, temp, rh = (np.concatenate(c)
-                                      for c in zip(*columns))
+    if not sensor_driven:
+        starts = np.array([d.depletion_start_mm for d in daily])
+        moisture = soil_readings(starts[:, None],
+                                 np.array(projected)[:, None], z[:, :, 0])
+    moisture, temp, rh = moisture.ravel(), temp.ravel(), rh.ravel()
     alerts: list[Alert] = []
-    if fired_days:
+    if sensor_driven:
+        fired, _ = evaluate(moisture, temp, rh, sensed_dep.ravel(), thr, cap)
         # row-major: readings in time order, each in ALERT_KINDS order
-        rows, kinds = np.nonzero(np.concatenate(fired_days))
+        rows, kinds = np.nonzero(fired)
         observed = np.array((temp, rh, rh, moisture))[kinds, rows]
         limits = (thr.temp_alert_c, *thr.humidity_range_pct,
                   thr.soil_moisture_trigger_pct)

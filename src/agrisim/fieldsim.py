@@ -195,13 +195,13 @@ def generate_weather(season: SeasonConfig, seed: int) -> list[WeatherDay]:
         c += rng.normal(0.0, 0.15 * t_half)
         # keep the center strictly inside so the diurnal spread is positive
         margin = 0.08 * t_half
-        c = float(np.clip(c, t_lo + margin, t_hi - margin))
+        c = min(max(c, t_lo + margin), t_hi - margin)
         spread = rng.uniform(0.55, 0.95) * min(c - t_lo, t_hi - c)
         t_min, t_max = c - spread, c + spread
 
         rh = rh_mid + 0.4 * rh_half * math.sin(phase + 2.1)
         rh += rng.normal(0.0, 0.2 * rh_half)
-        rh = float(np.clip(rh, rh_lo, rh_hi))
+        rh = float(min(max(rh, rh_lo), rh_hi))  # the envelope may hold ints
 
         if season.dry_season:
             rain = 0.0
@@ -250,7 +250,7 @@ def ks_stress(depletion_mm: float, profile: SoilProfile) -> float:
     taw = profile.taw_mm
     p = profile.depletion_fraction_p
     ks = (taw - depletion_mm) / (taw * (1.0 - p))
-    return float(np.clip(ks, 0.0, 1.0))
+    return min(max(ks, 0.0), 1.0)
 
 
 def depletion_to_moisture_pct(depletion_mm, profile: SoilProfile) -> np.ndarray:
@@ -300,22 +300,22 @@ def _round_tenths(values: np.ndarray) -> np.ndarray:
     Python's round works on the exact binary value; ``np.round(10 * v)``
     rounds ``10 * v``, which is off by about 1e-14 for clipped readings. The
     two pick the same integer except near a halfway point, so only those
-    values go through Python's round.
+    values go through Python's round. Works on an array of any shape.
     """
     scaled = 10.0 * values
     rounded = np.round(scaled) / 10.0
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
-    for k in np.flatnonzero(near_half).tolist():
-        rounded[k] = round(float(values[k]), 1)
+    rounded[near_half] = [round(v, 1) for v in values[near_half].tolist()]
     return rounded
 
 
-def sample_air_sensor(t_true_c: np.ndarray, rh_true_pct: float,
+def sample_air_sensor(t_true_c: np.ndarray, rh_true_pct: float | np.ndarray,
                       noise_sigma: float, temp_z: np.ndarray, rh_z: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate paired temperature/humidity readings quantized to 0.1, one
-    standard normal per reading in each noise column, both scaled by
-    ``noise_sigma``."""
+    standard normal per reading in each noise array, both scaled by
+    ``noise_sigma``. Works elementwise: ``rh_true_pct`` may be a scalar or
+    an array that broadcasts against the others."""
     t = np.clip(t_true_c + noise_sigma * temp_z,
                 SENSOR_TEMP_MIN_C, SENSOR_TEMP_MAX_C)
     rh = np.clip(rh_true_pct + noise_sigma * rh_z, 0.0, 100.0)

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from agrisim import alerting, decision, ingest, metrics, transport
-from agrisim.fieldsim import NoiseStream, generate_weather
+from agrisim.fieldsim import (NoiseStream, depletion_to_moisture_pct,
+                              generate_weather)
 from agrisim.scenario import Scenario
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -174,17 +175,19 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     return output
 
 
-def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult):
+def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult,
+                            profile):
+    depletion = [d.depletion_end_mm for d in arm.daily]
+    moisture = depletion_to_moisture_pct(np.array(depletion), profile)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
                          "rh_mean_pct", "rain_mm", "depletion_mm",
                          "moisture_pct"])
-        for w, d in zip(weather, arm.daily):
+        for w, dep, m in zip(weather, depletion, moisture.tolist()):
             writer.writerow([w.day_index, w.day_of_year, repr(w.t_min_c),
                              repr(w.t_max_c), repr(w.rh_mean_pct),
-                             repr(w.rain_mm), repr(d.depletion_end_mm),
-                             repr(d.moisture_end_pct)])
+                             repr(w.rain_mm), repr(dep), repr(m)])
 
 
 def _write_irrigation_log(path, system: decision.SeasonResult,
@@ -223,9 +226,9 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
         return out / name
 
     _write_ground_truth_csv(path("ground_truth_system.csv"), weather,
-                            output.system_arm)
+                            output.system_arm, scenario.profile)
     _write_ground_truth_csv(path("ground_truth_baseline.csv"), weather,
-                            output.baseline_arm)
+                            output.baseline_arm, scenario.profile)
     _write_irrigation_log(path("irrigation_log.csv"), output.system_arm,
                           output.baseline_arm)
     store.export(scenario.channel.channel_id, path("channel_export.csv"),

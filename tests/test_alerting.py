@@ -103,6 +103,11 @@ class TestCatalog:
             with pytest.raises(ConfigurationError, match="t/en"):
                 MessageTemplate("t", "en", text)
 
+    @pytest.mark.parametrize("placeholder", ["{x.y}", "{x[0]}", "{}", "{0}"])
+    def test_placeholder_that_is_not_a_name_rejected(self, placeholder):
+        with pytest.raises(ConfigurationError, match="t/en: placeholder"):
+            MessageTemplate("t", "en", f"value {placeholder} now")
+
     def test_locales_with_different_placeholders_rejected(self, tmp_path):
         path = write_catalog(tmp_path, """
 t:

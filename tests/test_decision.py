@@ -19,7 +19,12 @@ from agrisim.decision import (
     SENSOR_DRIVEN,
     Alert,
     CropCalendar,
+    DailyRecord,
+    IrrigationEvent,
+    Samples,
+    SeasonResult,
     Thresholds,
+    _diurnal_cosines,
     crop_et,
     et0_hargreaves,
     evaluate,
@@ -28,11 +33,17 @@ from agrisim.decision import (
 )
 from agrisim.errors import InputError
 from agrisim.fieldsim import (
+    SECONDS_PER_DAY,
     NoiseStream,
     SeasonConfig,
     SensorSpec,
     SoilProfile,
+    depletion_to_moisture_pct,
+    generate_weather,
     moisture_pct_to_depletion,
+    sample_air_sensor,
+    sample_soil_sensor,
+    step_soil_water,
 )
 from agrisim.scenario import (
     BaselinePolicyParams,
@@ -347,3 +358,131 @@ class TestScheduleSeason:
                 for e in result.events} == events
         for e in result.events:
             assert type(e.timestamp_s) is int and type(e.depth_mm) is float
+
+
+def _per_day_schedule_season(policy, scenario, noise):
+    """Reference season kernel: one day at a time, each day's noise, sensor
+    readings and threshold rules computed as that day's own arrays. The
+    batched ``schedule_season`` must match it bit for bit."""
+    events, daily, columns, fired_days = [], [], [], []
+    eta_total = irrigation_total = etm_total = 0.0
+    dep0 = scenario.irrigation.initial_depletion_mm
+    interval = scenario.soil_sensor.sample_interval_s
+    samples_per_day = SECONDS_PER_DAY // interval
+    profile = scenario.profile
+    taw = profile.taw_mm
+    frac = np.arange(1, samples_per_day + 1) / samples_per_day
+    cosines = _diurnal_cosines(interval, samples_per_day)
+    slot_offsets = interval * np.arange(1, samples_per_day + 1,
+                                        dtype=np.int64)
+    thr = scenario.thresholds
+    baseline = scenario.baseline
+    latitude = scenario.season.latitude_deg
+
+    for w in generate_weather(scenario.season, scenario.seed):
+        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
+        etc = crop_et(et0, w.day_index, scenario.calendar)
+        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
+
+        irrigation_today = 0.0
+        if policy == CALENDAR_BASELINE and \
+                w.day_index % baseline.interval_days == 0:
+            irrigation_today = baseline.depth_mm
+            events.append(IrrigationEvent(
+                w.day_index, w.day_index * SECONDS_PER_DAY,
+                baseline.depth_mm, float("nan"), "calendar interval"))
+
+        z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
+        true_dep = dep0 + frac * (dep1 - dep0)
+        true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
+                                               profile)
+        moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
+                                      z[:, 0])
+        half_range = (w.t_max_c - w.t_min_c) / 2.0
+        temp, rh = sample_air_sensor(w.t_mean_c + half_range * cosines,
+                                     w.rh_mean_pct, scenario.air_noise_sigma,
+                                     z[:, 1], z[:, 2])
+        timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
+        columns.append((timestamps, moisture, temp, rh))
+
+        if policy == SENSOR_DRIVEN:
+            sensed_dep = np.clip(moisture_pct_to_depletion(moisture, profile),
+                                 0.0, taw)
+            fired, depth = evaluate(moisture, temp, rh, sensed_dep, thr,
+                                    scenario.irrigation.cap_mm)
+            fired_days.append(fired)
+            wet = np.flatnonzero(depth > 0.0)
+            if wet.size:
+                k = wet[0]
+                irrigation_today = depth[k].item()
+                m = moisture[k].item()
+                events.append(IrrigationEvent(
+                    w.day_index, timestamps[k].item(), irrigation_today, m,
+                    f"soil moisture {m:.1f}% below trigger "
+                    f"{thr.soil_moisture_trigger_pct:.0f}%"))
+
+        dep_end, eta, drainage = step_soil_water(dep0, w, irrigation_today,
+                                                 etc, profile)
+        daily.append(DailyRecord(
+            day_index=w.day_index, depletion_start_mm=dep0,
+            depletion_end_mm=dep_end, eta_mm=eta, drainage_mm=drainage,
+            irrigation_mm=irrigation_today))
+        eta_total += eta
+        irrigation_total += irrigation_today
+        etm_total += etc
+        dep0 = dep_end
+
+    timestamps, moisture, temp, rh = (np.concatenate(c)
+                                      for c in zip(*columns))
+    alerts = []
+    if fired_days:
+        rows, kinds = np.nonzero(np.concatenate(fired_days))
+        observed = np.array((temp, rh, rh, moisture))[kinds, rows]
+        limits = (thr.temp_alert_c, *thr.humidity_range_pct,
+                  thr.soil_moisture_trigger_pct)
+        alerts = [Alert(ALERT_KINDS[k], obs, limits[k], ts)
+                  for k, obs, ts in zip(kinds.tolist(), observed.tolist(),
+                                        timestamps[rows].tolist())]
+    return SeasonResult(
+        policy=policy, events=events, daily=daily,
+        samples=Samples(timestamp_s=timestamps, moisture_pct=moisture,
+                        temp_c=temp, humidity_pct=rh),
+        alerts=alerts, irrigation_total_mm=irrigation_total,
+        eta_total_mm=eta_total, etm_total_mm=etm_total,
+        noise_digest=noise.digest())
+
+
+ORACLE_SEASONS = {
+    "dry": SeasonConfig(days=60, latitude_deg=0.4),
+    "wet": SeasonConfig(days=60, latitude_deg=0.4, dry_season=False,
+                        rain_probability=0.3, rain_mean_mm=8.0),
+}
+
+
+@pytest.mark.parametrize("trigger_pct", [25.0, 0.0])
+@pytest.mark.parametrize("interval_s", [300, 3600])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("season", sorted(ORACLE_SEASONS))
+def test_batched_kernel_matches_per_day_reference(season, seed, interval_s,
+                                                   trigger_pct):
+    setup = _setup(
+        seed=seed, season=ORACLE_SEASONS[season],
+        thresholds=Thresholds(soil_moisture_trigger_pct=trigger_pct),
+        soil_sensor=SensorSpec(noise_sigma=10.0, sample_interval_s=interval_s),
+        air_noise_sigma=1.5)
+    if season == "wet":
+        assert any(w.rain_mm > 0.0
+                   for w in generate_weather(setup.season, seed))
+    for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
+        got = schedule_season(policy, setup, NoiseStream(seed))
+        want = _per_day_schedule_season(policy, setup, NoiseStream(seed))
+        # repr shows every float bit for bit, sign of zero and NaN included
+        assert repr(got.events) == repr(want.events)
+        assert repr(got.daily) == repr(want.daily)
+        assert repr(got.alerts) == repr(want.alerts)
+        for column in SAMPLE_COLUMNS:
+            x, y = getattr(got.samples, column), getattr(want.samples, column)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for total in ("irrigation_total_mm", "eta_total_mm", "etm_total_mm"):
+            assert getattr(got, total).hex() == getattr(want, total).hex()
+        assert got.noise_digest == want.noise_digest

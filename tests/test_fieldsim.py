@@ -128,6 +128,17 @@ class TestSoilStep:
             assert 0.0 <= dep_end <= PROFILE.taw_mm
             dep = dep_end
 
+    def test_ks_is_a_python_float_equal_to_the_clipped_ratio(self):
+        taw, p = PROFILE.taw_mm, PROFILE.depletion_fraction_p
+        raw = p * taw
+        grid = [0.0, raw, taw, np.nextafter(raw, 0.0), np.nextafter(raw, taw),
+                np.nextafter(taw, 0.0), -1.0, taw + 1.0,
+                *np.linspace(0.0, taw, 257)]
+        for dep in map(float, grid):
+            ks = ks_stress(dep, PROFILE)
+            expected = float(np.clip((taw - dep) / (taw * (1.0 - p)), 0, 1))
+            assert type(ks) is float and ks.hex() == expected.hex(), dep
+
     @given(st.floats(0.0, 1.0))
     def test_ks_in_unit_interval_and_one_below_raw(self, frac):
         dep = frac * PROFILE.taw_mm
@@ -272,6 +283,15 @@ class TestRoundTenths:
              100.0]])
         assert _round_tenths(values).tobytes() == \
             _python_round_bytes(values.tolist())
+
+    def test_season_grid_rounds_each_element(self):
+        # a (days, slots) grid whose near-halfway values sit in later rows
+        values = np.random.default_rng(3).uniform(-40.0, 100.0, (60, 288))
+        flat = [45, 288, 5_000, 17_279]
+        values.flat[flat] = HALVES[[3, 500, 901, 1_399]]
+        rounded = _round_tenths(values)
+        assert rounded.shape == values.shape
+        assert rounded.tobytes() == _python_round_bytes(values.ravel().tolist())
 
     @given(st.lists(
         st.floats(-40.0, 100.0)
