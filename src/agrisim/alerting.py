@@ -13,17 +13,18 @@ window so 5-minute sampling cannot spam a farmer.
 
 from __future__ import annotations
 
-import csv
 import functools
+import heapq
 import string
 import urllib.parse
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from agrisim import decision
+from agrisim import decision, ingest
 from agrisim.errors import AgrisimError, ConfigurationError, InputError
 
 WHATSAPP_GATEWAY = "whatsapp_gateway"
@@ -56,17 +57,20 @@ class MessageTemplate:
     def __post_init__(self):
         where = f"{self.template_id}/{self.locale}"
         try:  # a text that is not a str, or has an unmatched brace, fails
-            names = [n for _, n, _, _ in _FORMATTER.parse(self.text)
-                     if n is not None]
+            fields = [f for f in _FORMATTER.parse(self.text)
+                      if f[1] is not None]
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
-        # render fills placeholders by keyword, so {}, {0}, {x.y} and
-        # {x[0]} could never be filled
-        for name in names:
-            if not name.isidentifier():
-                raise ConfigurationError(
-                    f"{where}: placeholder {{{name}}} is not a name")
-        object.__setattr__(self, "params", tuple(dict.fromkeys(names)))
+        if not self.text:  # the gateway refuses an empty message
+            raise ConfigurationError(f"{where}: empty text")
+        # render fills placeholders by keyword with parameters it formatted
+        # as str, so {}, {0}, {x.y}, {x[0]}, {x:.1f} and {x!r} cannot work
+        for _, name, spec, conversion in fields:
+            if not name.isidentifier() or spec or conversion:
+                raise ConfigurationError(f"{where}: placeholder {{{name}}} "
+                                         f"must be a bare name")
+        object.__setattr__(self, "params",
+                           tuple(dict.fromkeys(f[1] for f in fields)))
 
 
 _FORMATTER = string.Formatter()
@@ -187,24 +191,45 @@ class RecordingGatewayClient:
         self.requests.append(request_line)
 
 
-@dataclass(frozen=True)
-class DispatchRecord:
-    timestamp_s: int
-    template_id: str
-    text: str
-    status: str
-    dedup_key: str
-    detail: str = ""
+@dataclass
+class DispatchRecords:
+    """Dispatch outcomes as columns, one row per alert in dispatch order."""
+
+    timestamp_s: list = field(default_factory=list)
+    template_id: list[str] = field(default_factory=list)
+    text: list[str] = field(default_factory=list)
+    status: list[str] = field(default_factory=list)
+    dedup_key: list[str] = field(default_factory=list)
+    detail: list[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
 
 
-# alert kind -> (catalog template, the parameter that carries the reading);
-# heat_alert also prints the rule's limit, as threshold_c
-_ALERT_TEMPLATES = {
-    decision.HEAT: ("heat_alert", "temp_c"),
-    decision.HUMIDITY_LOW: ("humidity_low", "humidity_pct"),
-    decision.HUMIDITY_HIGH: ("humidity_high", "humidity_pct"),
-    decision.MOISTURE_LOW: ("irrigate_low_moisture", "moisture_pct"),
-}
+# per ALERT_KINDS entry: the catalog template and the parameter that carries
+# the reading; heat_alert also prints the rule's limit, as threshold_c
+_ALERT_TEMPLATES = (("heat_alert", "temp_c"), ("humidity_low", "humidity_pct"),
+                    ("humidity_high", "humidity_pct"),
+                    ("irrigate_low_moisture", "moisture_pct"))
+
+
+def _next_due(times: np.ndarray, start: int, last, window: float) -> int:
+    """The first index from ``start`` on whose time is not within the
+    window, ``t - last < window`` being false, or ``len(times)``. The times
+    are sorted and a rounded difference keeps their order, so this is a
+    ``searchsorted`` on the differences: ``t >= last + window`` would round
+    differently near the boundary."""
+    if last is None:
+        return start
+    return start + int(np.searchsorted(times[start:] - last, window))
+
+
+def _csv_column(column: list[str]) -> list[str]:
+    """Each field as ``csv.writer`` writes it, quoting each distinct value
+    once: quoted, quotes doubled, when it holds a comma, quote or newline."""
+    quoted = {t: '"' + t.replace('"', '""') + '"'
+              if any(c in t for c in ',"\r\n') else t for t in set(column)}
+    return list(map(quoted.__getitem__, column))
 
 
 class Dispatcher:
@@ -223,41 +248,102 @@ class Dispatcher:
         self.locale = locale
         self.dedup_window_s = dedup_window_s
         self.field_id = field_id
-        self.records: list[DispatchRecord] = []
+        self.records = DispatchRecords()
         self._last_sent: dict[str, float] = {}
 
-    def dispatch_alert(self, alert: decision.Alert) -> DispatchRecord:
-        if alert.kind not in _ALERT_TEMPLATES:
-            raise InputError(f"unknown alert kind: {alert.kind}")
-        template_id, reading = _ALERT_TEMPLATES[alert.kind]
-        text = self.catalog.render(template_id, self.locale, {
-            reading: alert.observed, "threshold_c": alert.threshold})
-        clock_s = alert.timestamp_s
-        key = f"{self.field_id}:{template_id}"
-        status, detail = SENT, ""
-        last = self._last_sent.get(key)
-        if last is not None and clock_s - last < self.dedup_window_s:
-            status = SUPPRESSED_DUPLICATE
-        else:
-            request_line = build_gateway_request(self.gateway, text)
+    def dispatch(self, alerts: decision.Alerts) -> None:
+        """Dispatch alerts given as columns in time order; append their
+        records. Each distinct (template, formatted parameters) renders
+        once. Each dedup key is a greedy scan that visits only the alerts it
+        sends or fails to send; a failed send does not move the window, so
+        the scan goes on to the key's next alert. Sends go out in alert
+        order. A kind outside ``ALERT_KINDS`` or a time out of order raises
+        ``InputError`` before anything is sent."""
+        kind, times = alerts.kind, alerts.timestamp_s
+        if len(kind) and not 0 <= kind.min() <= kind.max() < len(
+                _ALERT_TEMPLATES):
+            raise InputError("alert kinds must index ALERT_KINDS")
+        if not np.all(times[1:] >= times[:-1]):
+            raise InputError("alerts are not in time order")
+        template_id, key, text = (np.empty(len(kind), dtype=object)
+                                  for _ in range(3))
+        status = np.full(len(kind), SUPPRESSED_DUPLICATE, dtype=object)
+        detail = np.full(len(kind), "", dtype=object)
+        scans, due = {}, []  # due: a heap of (row, kind, index in its rows)
+
+        def schedule(k, start):
+            rows, key_times = scans[k]
+            j = _next_due(key_times, start, self._last_sent.get(key[rows[0]]),
+                          self.dedup_window_s)
+            if j < len(rows):
+                heapq.heappush(due, (rows[j], k, j))
+
+        for k in np.flatnonzero(np.bincount(kind)).tolist():
+            rows = np.flatnonzero(kind == k)
+            tid, reading = _ALERT_TEMPLATES[k]
+            template_id[rows], key[rows] = tid, f"{self.field_id}:{tid}"
+            text[rows] = self._texts(tid, {
+                reading: alerts.observed[rows],
+                "threshold_c": alerts.threshold[rows]})
+            scans[k] = rows, times[rows]
+            schedule(k, 0)
+        while due:
+            row, k, j = heapq.heappop(due)
+            request_line = build_gateway_request(self.gateway, text[row])
             try:
                 self.client.send(request_line)
             except Exception as exc:
-                status, detail = FAILED, str(exc)
+                status[row], detail[row] = FAILED, str(exc)
             else:
-                self._last_sent[key] = clock_s
-        record = DispatchRecord(clock_s, template_id, text, status, key,
-                                detail)
-        self.records.append(record)
-        return record
+                status[row] = SENT
+                self._last_sent[key[row]] = times[row].item()
+            schedule(k, j + 1)
+        for column, new in zip(vars(self.records).values(), (
+                times, template_id, text, status, key, detail)):
+            column += new.tolist()
+
+    def _texts(self, template_id: str, params: dict) -> np.ndarray:
+        """Each row's text, rendered once per distinct set of formatted
+        parameters. Each parameter is formatted once per distinct value; a
+        percent prints as an integer, so it is rounded first (``rint``
+        rounds half to even, as the format does)."""
+        group = np.zeros(len(params["threshold_c"]), dtype=np.int64)
+        for name in self.catalog.template(template_id, self.locale).params:
+            if name in params:  # else render names the missing one
+                values = params[name]
+                if name.endswith("_pct"):
+                    values = np.rint(values)
+                distinct, inverse = np.unique(values.view(np.int64),
+                                              return_inverse=True)
+                _, code = np.unique([_format_param(name, v) for v in
+                                     distinct.view(np.float64).tolist()],
+                                    return_inverse=True)
+                group = group * len(distinct) + code[inverse]
+        _, first, inverse = np.unique(group, return_index=True,
+                                      return_inverse=True)
+        return np.array([self.catalog.render(
+            template_id, self.locale, {n: c[r] for n, c in params.items()})
+            for r in first.tolist()], dtype=object)[inverse]
+
+    def dispatch_alert(self, kind: int, observed: float, threshold: float,
+                       timestamp_s=0) -> None:
+        """One alert: ``dispatch`` of a one-row ``Alerts``."""
+        self.dispatch(decision.Alerts(
+            np.array([kind]), np.array([observed], dtype=np.float64),
+            np.array([threshold], dtype=np.float64), np.array([timestamp_s])))
 
     def export_csv(self, path) -> int:
+        """Write the log as ``csv.writer`` would, one ``"".join`` per slice
+        of rows."""
+        r, n = self.records, len(self.records)
+        columns = [list(map(str, r.timestamp_s)), *map(_csv_column, (
+            [self.gateway.kind] * n, r.template_id, [self.locale] * n,
+            r.status, r.dedup_key, r.text, r.detail))]
+        seps = ["", *[","] * (len(columns) - 1), "\r\n"]
         with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp_s", "gateway", "template_id", "locale",
-                             "status", "dedup_key", "text", "detail"])
-            for r in self.records:
-                writer.writerow([r.timestamp_s, self.gateway.kind,
-                                 r.template_id, self.locale, r.status,
-                                 r.dedup_key, r.text, r.detail])
-        return len(self.records)
+            fh.write("timestamp_s,gateway,template_id,locale,status,"
+                     "dedup_key,text,detail\r\n")
+            for start in range(0, n, ingest._SLICE_ROWS):
+                fh.write(ingest._join_rows(seps, [
+                    c[start:start + ingest._SLICE_ROWS] for c in columns]))
+        return n

@@ -167,14 +167,6 @@ class Thresholds:
                 f"humidity range reversed: {self.humidity_range_pct}")
 
 
-@dataclass(frozen=True)
-class Alert:
-    kind: str
-    observed: float
-    threshold: float
-    timestamp_s: int = 0
-
-
 def evaluate(moisture: np.ndarray, temp: np.ndarray, humidity: np.ndarray,
              sensed_depletion_mm: np.ndarray, thresholds: Thresholds,
              cap_mm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +225,20 @@ class Samples:
         return len(self.timestamp_s)
 
 
+@dataclass(frozen=True)
+class Alerts:
+    """Alerts as columns, one row per (reading, kind) that crossed its
+    threshold, in time order."""
+
+    kind: np.ndarray         # index into ALERT_KINDS
+    observed: np.ndarray     # float64: the reading that crossed
+    threshold: np.ndarray    # float64: the limit it crossed
+    timestamp_s: np.ndarray  # int64 in a season
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
+
+
 @dataclass
 class SeasonResult:
     """Outcome of one policy arm over one season."""
@@ -241,7 +247,7 @@ class SeasonResult:
     events: list[IrrigationEvent]
     daily: list[DailyRecord]
     samples: Samples
-    alerts: list[Alert]
+    alerts: Alerts
     irrigation_total_mm: float
     eta_total_mm: float
     etm_total_mm: float
@@ -379,17 +385,17 @@ def schedule_season(policy: str, scenario: Scenario,
         moisture = soil_readings(starts[:, None],
                                  np.array(projected)[:, None], z[:, :, 0])
     moisture, temp, rh = moisture.ravel(), temp.ravel(), rh.ravel()
-    alerts: list[Alert] = []
     if sensor_driven:
         fired, _ = evaluate(moisture, temp, rh, sensed_dep.ravel(), thr, cap)
-        # row-major: readings in time order, each in ALERT_KINDS order
-        rows, kinds = np.nonzero(fired)
-        observed = np.array((temp, rh, rh, moisture))[kinds, rows]
-        limits = (thr.temp_alert_c, *thr.humidity_range_pct,
-                  thr.soil_moisture_trigger_pct)
-        alerts = [Alert(ALERT_KINDS[k], obs, limits[k], ts)
-                  for k, obs, ts in zip(kinds.tolist(), observed.tolist(),
-                                        timestamps[rows].tolist())]
+    else:
+        fired = np.zeros((moisture.size, len(ALERT_KINDS)), dtype=bool)
+    # row-major: readings in time order, each in ALERT_KINDS order
+    rows, kinds = np.nonzero(fired)
+    limits = np.array((thr.temp_alert_c, *thr.humidity_range_pct,
+                       thr.soil_moisture_trigger_pct))
+    observed = np.choose(kinds, [r[rows] for r in (temp, rh, rh, moisture)])
+    alerts = Alerts(kind=kinds, observed=observed, threshold=limits[kinds],
+                    timestamp_s=timestamps[rows])
     samples = Samples(timestamp_s=timestamps, moisture_pct=moisture,
                       temp_c=temp, humidity_pct=rh)
     return SeasonResult(

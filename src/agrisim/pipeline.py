@@ -104,8 +104,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
         locale=scenario.alerting.locale,
         dedup_window_s=scenario.alerting.dedup_window_s,
         field_id=scenario.field_id)
-    for alert in system.alerts:
-        dispatcher.dispatch_alert(alert)
+    dispatcher.dispatch(system.alerts)
 
     ym = scenario.yield_model.max_yield_kg_per_acre
     ky = scenario.yield_model.ky

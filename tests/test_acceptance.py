@@ -211,10 +211,11 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             clocks = np.sort(rng.uniform(0, 5 * 86_400, 12))
             d = Dispatcher(MessageCatalog.default(), GatewayConfig(),
                            RecordingGatewayClient(), dedup_window_s=window)
-            sent = [float(t) for t in clocks
-                    if d.dispatch_alert(decision.Alert(
-                        decision.MOISTURE_LOW, 22.0, 25.0,
-                        float(t))).status == "SENT"]
+            low = decision.ALERT_KINDS.index(decision.MOISTURE_LOW)
+            d.dispatch(decision.Alerts(np.full(12, low), np.full(12, 22.0),
+                                       np.full(12, 25.0), clocks))
+            sent = [t for t, s in zip(clocks.tolist(), d.records.status)
+                    if s == "SENT"]
             assert all(b - a >= window for a, b in zip(sent, sent[1:]))
 
         # QoS1 delivers a superset of QoS0 on the same attempt stream

@@ -1,14 +1,18 @@
 """Alerting: bilingual rendering, request-line encoding, dedup dispatch."""
 
+import csv
+import io
+import itertools
 import urllib.parse
 from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agrisim import decision
+from agrisim import alerting, decision
 from agrisim.alerting import (
     FAILED,
     SENT,
@@ -46,8 +50,13 @@ def make_dispatcher(client=None, locale="en", window=43_200.0,
                       locale=locale, dedup_window_s=window, field_id=field_id)
 
 
+KIND = {name: k for k, name in enumerate(decision.ALERT_KINDS)}
+HEAT, LOW = KIND[decision.HEAT], KIND[decision.MOISTURE_LOW]
+
+
 def low_moisture(clock_s, moisture_pct=22.0):
-    return decision.Alert(decision.MOISTURE_LOW, moisture_pct, 25.0, clock_s)
+    """The arguments of one MOISTURE_LOW ``dispatch_alert``."""
+    return LOW, moisture_pct, 25.0, clock_s
 
 
 def write_catalog(tmp_path, text):
@@ -107,6 +116,19 @@ class TestCatalog:
     def test_placeholder_that_is_not_a_name_rejected(self, placeholder):
         with pytest.raises(ConfigurationError, match="t/en: placeholder"):
             MessageTemplate("t", "en", f"value {placeholder} now")
+
+    @pytest.mark.parametrize("placeholder", [
+        "{moisture_pct:.1f}", "{moisture_pct:{w}}", "{moisture_pct!r}"])
+    def test_format_spec_or_conversion_rejected(self, placeholder):
+        # render formats every parameter to a str itself, so a spec fails
+        # there and a conversion quotes the str
+        with pytest.raises(ConfigurationError, match="t/en: placeholder"):
+            MessageTemplate("t", "en", f"Soil {placeholder}%")
+
+    def test_empty_text_rejected(self):
+        # the gateway refuses an empty message mid-dispatch
+        with pytest.raises(ConfigurationError, match="t/en: empty text"):
+            MessageTemplate("t", "en", "")
 
     def test_locales_with_different_placeholders_rejected(self, tmp_path):
         path = write_catalog(tmp_path, """
@@ -242,82 +264,86 @@ class TestTemplateMapping:
             d = make_dispatcher(locale=locale)
             for kind, expected in cases:
                 # rendering raises RenderError unless every parameter is given
-                record = d.dispatch_alert(decision.Alert(kind, 1.0, 2.0))
-                assert record.template_id == expected
-                assert record.status == SENT
+                d.dispatch_alert(KIND[kind], 1.0, 2.0)
+                assert d.records.template_id[-1] == expected
+                assert d.records.status[-1] == SENT
 
     def test_reading_and_threshold_reach_the_text(self):
         d = make_dispatcher()
-        heat = d.dispatch_alert(decision.Alert(decision.HEAT, 37.04, 35.0))
-        assert heat.text == CATALOG.render(
+        d.dispatch_alert(HEAT, 37.04, 35.0)
+        d.dispatch_alert(KIND[decision.HUMIDITY_LOW], 24.6, 30.0)
+        heat, low = d.records.text
+        assert heat == CATALOG.render(
             "heat_alert", "en", {"temp_c": 37.04, "threshold_c": 35.0})
-        assert "37.0 C" in heat.text and "35.0 C" in heat.text
-        low = d.dispatch_alert(
-            decision.Alert(decision.HUMIDITY_LOW, 24.6, 30.0))
-        assert "25%" in low.text
+        assert "37.0 C" in heat and "35.0 C" in heat
+        assert "25%" in low
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InputError):
-            make_dispatcher().dispatch_alert(
-                decision.Alert("COSMIC_RAY", 0.0, 0.0))
+        d = make_dispatcher()
+        for kind in (-1, len(decision.ALERT_KINDS)):
+            with pytest.raises(InputError):
+                d.dispatch_alert(kind, 0.0, 0.0)
+            with pytest.raises(InputError):
+                d.dispatch(alert_columns([(LOW, 0.0, 0.0, 0),
+                                          (kind, 0.0, 0.0, 0)]))
+        assert len(d.records) == 0
 
 
 class TestDispatcher:
     def test_first_send_recorded(self):
         client = RecordingGatewayClient()
         d = make_dispatcher(client)
-        record = d.dispatch_alert(low_moisture(0))
-        assert record.status == SENT
-        assert record.text == GOLDEN_EN
-        assert record.timestamp_s == 0
+        d.dispatch_alert(*low_moisture(0))
+        assert d.records.status == [SENT]
+        assert d.records.text == [GOLDEN_EN]
+        assert d.records.timestamp_s == [0]
         assert client.requests == [build_gateway_request(GatewayConfig(),
                                                          GOLDEN_EN)]
 
     def test_duplicate_within_window_suppressed(self):
         d = make_dispatcher()
-        first = d.dispatch_alert(low_moisture(0))
-        hour_later = d.dispatch_alert(low_moisture(3600, moisture_pct=21.0))
-        assert first.status == SENT
-        assert hour_later.status == SUPPRESSED_DUPLICATE
-        assert hour_later.timestamp_s == 3600
+        d.dispatch_alert(*low_moisture(0))
+        d.dispatch_alert(*low_moisture(3600, moisture_pct=21.0))
+        assert d.records.status == [SENT, SUPPRESSED_DUPLICATE]
+        assert d.records.timestamp_s == [0, 3600]
 
     def test_resend_after_window(self):
         d = make_dispatcher()
-        d.dispatch_alert(low_moisture(0))
-        later = d.dispatch_alert(low_moisture(43_200))
-        assert later.status == SENT
+        d.dispatch_alert(*low_moisture(0))
+        d.dispatch_alert(*low_moisture(43_200))
+        assert d.records.status == [SENT, SENT]
 
     def test_different_templates_do_not_collide(self):
         d = make_dispatcher()
-        d.dispatch_alert(low_moisture(0))
-        heat = d.dispatch_alert(decision.Alert(decision.HEAT, 37.0, 35.0, 1))
-        assert heat.status == SENT
+        d.dispatch_alert(*low_moisture(0))
+        d.dispatch_alert(HEAT, 37.0, 35.0, 1)
+        assert d.records.status == [SENT, SENT]
 
     def test_different_fields_do_not_collide(self):
         # the dedup key carries the dispatcher's field, so the logs of two
         # fields never share a key
         one, two = (make_dispatcher(field_id=f)
                     for f in ("field-1", "field-2"))
-        first = one.dispatch_alert(low_moisture(0))
-        other = two.dispatch_alert(low_moisture(1))
-        assert (first.status, other.status) == (SENT, SENT)
-        assert first.dedup_key == "field-1:irrigate_low_moisture"
-        assert other.dedup_key == "field-2:irrigate_low_moisture"
+        one.dispatch_alert(*low_moisture(0))
+        two.dispatch_alert(*low_moisture(1))
+        assert one.records.status == two.records.status == [SENT]
+        assert one.records.dedup_key == ["field-1:irrigate_low_moisture"]
+        assert two.records.dedup_key == ["field-2:irrigate_low_moisture"]
 
     def test_gateway_failure_recorded_not_raised(self):
         d = make_dispatcher(FailingGatewayClient("gateway unreachable"))
-        record = d.dispatch_alert(low_moisture(0))
-        assert record.status == FAILED
-        assert "unreachable" in record.detail
+        d.dispatch_alert(*low_moisture(0))
+        assert d.records.status == [FAILED]
+        assert "unreachable" in d.records.detail[0]
         # a failed send does not start a dedup window
         d.client = RecordingGatewayClient()
-        retry = d.dispatch_alert(low_moisture(60))
-        assert retry.status == SENT
+        d.dispatch_alert(*low_moisture(60))
+        assert d.records.status == [FAILED, SENT]
 
     def test_export_csv_row_count(self, tmp_path):
         d = make_dispatcher(locale="lg")
-        d.dispatch_alert(low_moisture(0))
-        d.dispatch_alert(low_moisture(60))
+        d.dispatch_alert(*low_moisture(0))
+        d.dispatch_alert(*low_moisture(60))
         path = tmp_path / "dispatch.csv"
         assert d.export_csv(path) == 2
         lines = path.read_text().splitlines()
@@ -334,11 +360,233 @@ class TestDispatcher:
     def test_at_most_one_send_per_window(self, clocks, window):
         # same key throughout: consecutive SENT timestamps must be >= window apart
         d = make_dispatcher(window=window)
-        sent_times = []
-        for t in sorted(clocks):
-            record = d.dispatch_alert(low_moisture(t))
-            if record.status == SENT:
-                sent_times.append(t)
+        clocks = sorted(clocks)
+        d.dispatch(alert_columns([(LOW, 22.0, 25.0, t) for t in clocks]))
+        sent_times = [t for t, status in zip(clocks, d.records.status)
+                      if status == SENT]
         assert sent_times  # the first attempt always sends
         for a, b in zip(sent_times, sent_times[1:]):
             assert b - a >= window
+
+    def test_alerts_out_of_time_order_rejected(self):
+        d = make_dispatcher()
+        with pytest.raises(InputError, match="time order"):
+            d.dispatch(alert_columns([(LOW, 22.0, 25.0, 60),
+                                      (HEAT, 37.0, 35.0, 0)]))
+        with pytest.raises(InputError, match="time order"):
+            d.dispatch(alert_columns([(LOW, 22.0, 25.0, float("nan")),
+                                      (LOW, 22.0, 25.0, 0.0)]))
+        assert len(d.records) == 0 and d._last_sent == {}
+
+    def test_season_alerts_are_in_time_order(self, default_run):
+        # the kernel's alert columns pass the column call's order check
+        alerts = default_run.system_arm.alerts
+        times = alerts.timestamp_s
+        assert len(alerts) and np.all(times[1:] >= times[:-1])
+        assert alerts.kind.dtype.kind == "i"
+        assert alerts.observed.dtype == alerts.threshold.dtype == np.float64
+        assert times.dtype == np.int64
+
+    def test_renders_once_per_text_and_visits_only_sends(self, default_run,
+                                                         monkeypatch):
+        # seed 42 of the shipped scenario: 828 MOISTURE_LOW alerts, 4 texts
+        alerts = default_run.system_arm.alerts
+        renders, visits = [], []
+        real_render = MessageCatalog.render
+        monkeypatch.setattr(MessageCatalog, "render", lambda self, *a:
+                            renders.append(a) or real_render(self, *a))
+        monkeypatch.setattr(alerting, "build_gateway_request",
+                            lambda *a: visits.append(a) or "request")
+        d = make_dispatcher()
+        d.dispatch(alerts)
+        records = d.records
+        assert len(records) == len(alerts) == 828
+        assert len(renders) == len(set(records.text)) == 4
+        assert len(visits) == records.status.count(SENT) == 12
+
+
+def alert_columns(rows):
+    """``decision.Alerts`` from (kind index, observed, threshold, time)
+    rows."""
+    kind, observed, threshold, times = zip(*rows)
+    return decision.Alerts(np.array(kind), np.array(observed, dtype=float),
+                           np.array(threshold, dtype=float),
+                           np.array(times))
+
+
+# alert kind -> (template, the parameter that carries the reading), as the
+# catalog documents it
+ORACLE_TEMPLATES = {
+    decision.HEAT: ("heat_alert", "temp_c"),
+    decision.HUMIDITY_LOW: ("humidity_low", "humidity_pct"),
+    decision.HUMIDITY_HIGH: ("humidity_high", "humidity_pct"),
+    decision.MOISTURE_LOW: ("irrigate_low_moisture", "moisture_pct"),
+}
+
+
+class OracleDispatcher:
+    """The per-alert dispatcher that the column path replaced: one render,
+    one dedup test and at most one send per alert, in alert order."""
+
+    def __init__(self, client, locale, window, field_id="field-1"):
+        self.client, self.locale, self.window = client, locale, window
+        self.field_id = field_id
+        self.rows = []
+        self._last_sent = {}
+
+    def dispatch_alert(self, kind, observed, threshold, clock_s):
+        template_id, reading = ORACLE_TEMPLATES[kind]
+        text = CATALOG.render(template_id, self.locale, {
+            reading: observed, "threshold_c": threshold})
+        key = f"{self.field_id}:{template_id}"
+        status, detail = SENT, ""
+        last = self._last_sent.get(key)
+        if last is not None and clock_s - last < self.window:
+            status = SUPPRESSED_DUPLICATE
+        else:
+            request_line = build_gateway_request(GatewayConfig(), text)
+            try:
+                self.client.send(request_line)
+            except Exception as exc:
+                status, detail = FAILED, str(exc)
+            else:
+                self._last_sent[key] = clock_s
+        self.rows.append((clock_s, template_id, text, status, key, detail))
+
+
+class FlakyClient(RecordingGatewayClient):
+    """Records every request line; raises on the sends numbered in
+    ``fail_on`` (0 is the first send)."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def send(self, request_line):
+        self.requests.append(request_line)
+        if len(self.requests) - 1 in self.fail_on:
+            raise ConnectionError(f"send {len(self.requests)} refused")
+
+
+def assert_matches_oracle(rows, window, locale, fail_on, split):
+    """Dispatch ``rows`` (kind name, observed, threshold, time) in two
+    column calls, split at ``split``, and one at a time through the oracle;
+    the records and the request lines must be the same."""
+    oracle = OracleDispatcher(FlakyClient(fail_on), locale, window)
+    for row in rows:
+        oracle.dispatch_alert(*row)
+    d = make_dispatcher(FlakyClient(fail_on), locale=locale, window=window)
+    for part in (rows[:split], rows[split:]):
+        if part:
+            d.dispatch(alert_columns([
+                (decision.ALERT_KINDS.index(kind), *rest)
+                for kind, *rest in part]))
+    r = d.records
+    assert list(zip(r.timestamp_s, r.template_id, r.text, r.status,
+                    r.dedup_key, r.detail)) == oracle.rows
+    assert list(map(type, r.timestamp_s)) == [type(row[-1]) for row in rows]
+    assert d.client.requests == oracle.client.requests
+    assert d._last_sent == oracle._last_sent
+
+
+# a reading on a rounding boundary of the one-decimal and integer formats,
+# or anywhere in range
+READINGS = st.one_of(st.integers(-200, 2000).map(lambda k: k / 20),
+                     st.floats(-50.0, 150.0))
+GAPS = {"int": st.integers(0, 30_000), "float": st.floats(0.0, 30_000.0)}
+
+
+@st.composite
+def alert_rows(draw):
+    clock = draw(st.sampled_from(sorted(GAPS)))
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(GAPS[clock], min_size=n, max_size=n))
+    return [(draw(st.sampled_from(decision.ALERT_KINDS)), draw(READINGS),
+             draw(READINGS), t)
+            for t in itertools.accumulate(gaps)]
+
+
+@given(rows=alert_rows(),
+       window=st.one_of(st.floats(0.5, 50_000.0), st.just(1e300),
+                        st.integers(1, 50_000).map(float)),
+       locale=st.sampled_from(["en", "lg"]),
+       fail_on=st.sets(st.integers(0, 40)), split=st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+@example(rows=[(kind, 24.5, 25.0, t) for t in (0, 60, 60, 90_000)
+               for kind in decision.ALERT_KINDS],
+         window=43_200.5, locale="lg", fail_on={1, 4}, split=6)
+@example(rows=[(decision.HEAT, 36.0, 35.0, 13436.424411240123),
+               (decision.HEAT, 36.0, 35.0, 21910.761780612447),
+               (decision.HEAT, 36.0, 35.0, 21910.76178061245)],
+         window=8474.337369372326, locale="en", fail_on=set(), split=3)
+@example(rows=[(decision.HEAT, 36.0, 35.0, 1803.3219124926613),
+               (decision.HEAT, 36.0, 35.0, 7382.823150883461)],
+         window=5579.5012383908, locale="en", fail_on=set(), split=1)
+def test_column_dispatch_matches_per_alert_oracle(rows, window, locale,
+                                                  fail_on, split):
+    # the last two examples put a time where ``t - last < window`` and
+    # ``t >= last + window`` are both true, and one where both are false
+    assert_matches_oracle(rows, window, locale, fail_on, split)
+
+
+def test_season_dispatch_matches_per_alert_oracle(default_run):
+    alerts = default_run.system_arm.alerts
+    rows = list(zip([decision.ALERT_KINDS[k] for k in alerts.kind.tolist()],
+                    alerts.observed.tolist(), alerts.threshold.tolist(),
+                    alerts.timestamp_s.tolist()))
+    assert_matches_oracle(rows, 43_200.0, "en", {1, 2}, len(rows) // 2)
+
+
+class TestLogBytes:
+    """``export_csv`` writes the bytes ``csv.writer`` would."""
+
+    @staticmethod
+    def csv_writer_bytes(d):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["timestamp_s", "gateway", "template_id", "locale",
+                         "status", "dedup_key", "text", "detail"])
+        r = d.records
+        for row in zip(r.timestamp_s, r.template_id, r.text, r.status,
+                       r.dedup_key, r.detail):
+            t, tid, text, status, key, detail = row
+            writer.writerow([t, d.gateway.kind, tid, d.locale, status, key,
+                             text, detail])
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("text", [
+        'a, b', 'say "hi"', 'line\rbreak', 'line\nbreak', 'crlf\r\nend',
+        '"", ,\n', "plain {moisture_pct}%"])
+    def test_quoted_texts_and_details(self, tmp_path, text):
+        tpl = MessageTemplate("irrigate_low_moisture", "en",
+                              text + " {moisture_pct}")
+        catalog = MessageCatalog({(tpl.template_id, tpl.locale): tpl})
+        d = Dispatcher(catalog, GatewayConfig(), FlakyClient({0}),
+                       dedup_window_s=100.0)
+        d.dispatch(alert_columns([(LOW, 20.0, 25.0, t)
+                                  for t in (0, 10, 200, 400)]))
+        d.client = FailingGatewayClient(text)
+        d.dispatch(alert_columns([(LOW, 21.0, 25.0, 1000)]))
+        assert d.records.status == [FAILED, SENT, SENT, SENT, FAILED]
+        assert "" in d.records.detail  # a SENT row's empty detail
+        path = tmp_path / "dispatch_log.csv"
+        assert d.export_csv(path) == 5
+        assert path.read_bytes() == self.csv_writer_bytes(d)
+
+    @given(st.text(max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_any_detail_text(self, tmp_path_factory, detail):
+        d = make_dispatcher(FailingGatewayClient(detail))
+        d.dispatch(alert_columns([(LOW, 20.0, 25.0, 0.5),
+                                  (HEAT, 36.0, 35.0, 1)]))
+        path = tmp_path_factory.mktemp("log") / "dispatch_log.csv"
+        d.export_csv(path)
+        assert path.read_bytes() == self.csv_writer_bytes(d)
+
+    def test_log_larger_than_one_slice(self, tmp_path):
+        d = make_dispatcher(window=50.0)
+        d.dispatch(alert_columns([(k % 4, 20.0 + k % 7, 25.0, 10 * k)
+                                  for k in range(5000)]))
+        path = tmp_path / "dispatch_log.csv"
+        assert d.export_csv(path) == 5000
+        assert path.read_bytes() == self.csv_writer_bytes(d)

@@ -17,7 +17,7 @@ from agrisim.decision import (
     HUMIDITY_LOW,
     MOISTURE_LOW,
     SENSOR_DRIVEN,
-    Alert,
+    Alerts,
     CropCalendar,
     DailyRecord,
     IrrigationEvent,
@@ -53,6 +53,7 @@ from agrisim.scenario import (
 
 PROFILE = SoilProfile()
 SAMPLE_COLUMNS = ("timestamp_s", "moisture_pct", "temp_c", "humidity_pct")
+ALERT_COLUMNS = ("kind", "observed", "threshold", "timestamp_s")
 
 
 def oracle_ra(lat_deg, doy):
@@ -341,18 +342,20 @@ class TestScheduleSeason:
                     (HUMIDITY_HIGH, rh, rh_hi, rh > rh_hi),
                     (MOISTURE_LOW, m, trigger, m < trigger)):
                 if crossed:
-                    alerts.append(Alert(kind, observed, limit, ts))
+                    alerts.append((kind, observed, limit, ts))
             dep = min(max(moisture_pct_to_depletion(m, PROFILE), 0.0),
                       PROFILE.taw_mm)
             if m < trigger and min(dep, cap) > 0.0:
                 events.setdefault((ts - 1) // 86_400, (
                     ts, min(dep, cap), m,
                     f"soil moisture {m:.1f}% below trigger {trigger:.0f}%"))
-        assert {a.kind for a in alerts} == set(ALERT_KINDS)
-        assert result.alerts == alerts
-        for a in result.alerts:
-            assert type(a.observed) is float and type(a.threshold) is float
-            assert type(a.timestamp_s) is int
+        assert {kind for kind, *_ in alerts} == set(ALERT_KINDS)
+        got = result.alerts
+        assert list(zip([ALERT_KINDS[k] for k in got.kind.tolist()],
+                        got.observed.tolist(), got.threshold.tolist(),
+                        got.timestamp_s.tolist())) == alerts
+        assert got.observed.dtype == got.threshold.dtype == np.float64
+        assert got.timestamp_s.dtype == np.int64
         assert {e.day_index: (e.timestamp_s, e.depth_mm,
                               e.observed_moisture_pct, e.reason)
                 for e in result.events} == events
@@ -434,15 +437,14 @@ def _per_day_schedule_season(policy, scenario, noise):
 
     timestamps, moisture, temp, rh = (np.concatenate(c)
                                       for c in zip(*columns))
-    alerts = []
-    if fired_days:
-        rows, kinds = np.nonzero(np.concatenate(fired_days))
-        observed = np.array((temp, rh, rh, moisture))[kinds, rows]
-        limits = (thr.temp_alert_c, *thr.humidity_range_pct,
-                  thr.soil_moisture_trigger_pct)
-        alerts = [Alert(ALERT_KINDS[k], obs, limits[k], ts)
-                  for k, obs, ts in zip(kinds.tolist(), observed.tolist(),
-                                        timestamps[rows].tolist())]
+    fired = (np.concatenate(fired_days) if fired_days
+             else np.zeros((len(timestamps), len(ALERT_KINDS)), dtype=bool))
+    rows, kinds = np.nonzero(fired)
+    limits = np.array((thr.temp_alert_c, *thr.humidity_range_pct,
+                       thr.soil_moisture_trigger_pct))
+    alerts = Alerts(kind=kinds,
+                    observed=np.array((temp, rh, rh, moisture))[kinds, rows],
+                    threshold=limits[kinds], timestamp_s=timestamps[rows])
     return SeasonResult(
         policy=policy, events=events, daily=daily,
         samples=Samples(timestamp_s=timestamps, moisture_pct=moisture,
@@ -479,10 +481,12 @@ def test_batched_kernel_matches_per_day_reference(season, seed, interval_s,
         # repr shows every float bit for bit, sign of zero and NaN included
         assert repr(got.events) == repr(want.events)
         assert repr(got.daily) == repr(want.daily)
-        assert repr(got.alerts) == repr(want.alerts)
-        for column in SAMPLE_COLUMNS:
-            x, y = getattr(got.samples, column), getattr(want.samples, column)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for part, columns in (("samples", SAMPLE_COLUMNS),
+                              ("alerts", ALERT_COLUMNS)):
+            for column in columns:
+                x, y = (getattr(getattr(arm, part), column)
+                        for arm in (got, want))
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for total in ("irrigation_total_mm", "eta_total_mm", "etm_total_mm"):
             assert getattr(got, total).hex() == getattr(want, total).hex()
         assert got.noise_digest == want.noise_digest

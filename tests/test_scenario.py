@@ -3,13 +3,14 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrisim import pipeline
-from agrisim.decision import HEAT
+from agrisim.decision import ALERT_KINDS, HEAT
 from agrisim.errors import ConfigurationError
 from agrisim.transport import PUBSUB, REQRESP
 from agrisim.scenario import (
@@ -256,11 +257,10 @@ class TestIntegerFloats:
     def test_int_threshold_reaches_alerts_as_a_float(self):
         raw = default_raw()
         raw["thresholds"]["temp_alert_c"] = 30  # 35 fires no heat alert
-        heat = [alert for alert in pipeline.run_season(
-            parse_scenario(raw)).system_arm.alerts if alert.kind == HEAT]
-        assert heat
-        assert all(type(alert.threshold) is float and alert.threshold == 30.0
-                   for alert in heat)
+        alerts = pipeline.run_season(parse_scenario(raw)).system_arm.alerts
+        heat = alerts.threshold[alerts.kind == ALERT_KINDS.index(HEAT)]
+        assert heat.size
+        assert heat.dtype == np.float64 and np.all(heat == 30.0)
 
 
 # Malformed values reproduced on the shipped mapping, grouped by how the
