@@ -10,8 +10,14 @@ memory, alternating the two. It also times the reference kernel of
 ``perfbench/calibrate.py`` (imported read-only) ``KERNEL_RUNS`` times before
 and after, because the speed of a shared host drifts: ``e2e_ref_s`` is each
 median passed through ``calibrate.to_reference`` with the median kernel
-times before and after. Last, it times one run of the tier-1 test command
-(``suite_s``) and keeps pytest's closing summary line.
+times before and after. Between those kernel runs it also times the sensor
+arm alone (``decision.schedule_season`` with SENSOR_DRIVEN), ``REPEATS``
+runs of each of three seasons in turn: the shipped scenario, its wet variant
+(perfbench's season-wet-lossy weather: ``dry_season: false``, rain
+probability 0.3, mean 8 mm) and a season that irrigates nearly every day
+(2 mm cap, 40% trigger). ``kernel_ref_s`` holds each one's reference-scaled
+median and its event count. Last, it times one run of the tier-1 test
+command (``suite_s``) and keeps pytest's closing summary line.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -69,6 +76,21 @@ def _summary(times: list[float]) -> dict:
             "iqr": q3 - q1, "n": len(times)}
 
 
+def _sensor_arm_seasons(scenario) -> dict:
+    """The seasons whose sensor arm ``kernel_ref_s`` times, by name."""
+    wet = dataclasses.replace(scenario.season, dry_season=False,
+                              rain_probability=0.3, rain_mean_mm=8.0)
+    return {
+        "shipped": scenario,
+        "wet": dataclasses.replace(scenario, season=wet),
+        "frequent_irrigation": dataclasses.replace(
+            scenario,
+            irrigation=dataclasses.replace(scenario.irrigation, cap_mm=2.0),
+            thresholds=dataclasses.replace(scenario.thresholds,
+                                           soil_moisture_trigger_pct=40.0)),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -77,7 +99,8 @@ def main() -> int:
     import numpy
     import yaml
 
-    from agrisim import pipeline
+    from agrisim import decision, pipeline
+    from agrisim.fieldsim import NoiseStream
     from agrisim.scenario import load_default_scenario
 
     calibrate = _calibrate()
@@ -93,6 +116,17 @@ def main() -> int:
                 pipeline.run_season(scenario, out_dir=out_dir)
                 if i:  # the first run of each kind is the warm-up
                     times[kind].append(time.perf_counter() - t0)
+    seasons = _sensor_arm_seasons(scenario)
+    arm_times = {name: [] for name in seasons}
+    events = {}
+    for i in range(REPEATS + 1):
+        for name, season in seasons.items():
+            t0 = time.perf_counter()
+            arm = decision.schedule_season(decision.SENSOR_DRIVEN, season,
+                                           NoiseStream(season.seed))
+            if i:
+                arm_times[name].append(time.perf_counter() - t0)
+            events[name] = arm.event_count
     after = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
     suite_s, suite_summary = _suite()
 
@@ -113,6 +147,11 @@ def main() -> int:
         "e2e_ref_s": {kind: calibrate.to_reference(s["median"], k_before,
                                                    k_after)
                       for kind, s in e2e.items()},
+        "kernel_ref_s": {
+            name: {"sensor_arm_median": calibrate.to_reference(
+                       statistics.median(t), k_before, k_after),
+                   "events": events[name], "n": len(t)}
+            for name, t in arm_times.items()},
         "src_loc": sum(len(p.read_text().splitlines())
                        for p in (ROOT / "src" / "agrisim").rglob("*.py")),
         "suite_s": suite_s, "suite_summary": suite_summary,

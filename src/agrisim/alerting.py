@@ -107,8 +107,12 @@ class MessageCatalog:
     @classmethod
     def from_file(cls, path) -> "MessageCatalog":
         """Load a catalog; a template's locales must share placeholders."""
-        with Path(path).open() as fh:
-            raw = _keys(f"catalog {path}", yaml.safe_load(fh))
+        try:
+            with Path(path).open("rb") as fh:
+                loaded = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
+        raw = _keys(f"catalog {path}", loaded)
         templates = {}
         for tid, entry in raw.items():
             where = f"template {tid}"
@@ -340,7 +344,7 @@ class Dispatcher:
             [self.gateway.kind] * n, r.template_id, [self.locale] * n,
             r.status, r.dedup_key, r.text, r.detail))]
         seps = ["", *[","] * (len(columns) - 1), "\r\n"]
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
             fh.write("timestamp_s,gateway,template_id,locale,status,"
                      "dedup_key,text,detail\r\n")
             for start in range(0, n, ingest._SLICE_ROWS):

@@ -68,7 +68,7 @@ def cmd_report(args) -> int:
     if not totals_path.exists():
         raise AgrisimError(f"no totals.json under {args.out_dir}")
     try:
-        data = json.loads(totals_path.read_text())
+        data = json.loads(totals_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise AgrisimError(f"{totals_path} is not valid JSON: {exc}") from None
     try:
@@ -116,6 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a C locale gives an ASCII stdout, and the report prints units such as
+    # °C: escape what it cannot encode, as Python already does on stderr
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

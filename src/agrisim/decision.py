@@ -284,13 +284,19 @@ def schedule_season(policy: str, scenario: Scenario,
 
     The soil balance itself advances daily; irrigation decided mid-day is
     applied within that day's step. Within a day the ground truth is the
-    no-irrigation projection, so no reading depends on that day's decision.
-    Only the bucket carries state from one day to the next, so the day loop
-    holds the scalar bucket step and, for SENSOR_DRIVEN, the day's soil
-    readings and their first trigger, which set the day's irrigation.
-    Everything else is computed once per season as (days, slots) arrays:
-    the noise, the air readings, the baseline arm's soil readings and, in
-    one ``evaluate`` call, the alert mask.
+    no-irrigation projection, so no reading depends on that day's decision,
+    and up to the next irrigation every reading follows from the
+    no-irrigation bucket. SENSOR_DRIVEN therefore reads its soil by stretch:
+    it projects the scalar bucket without irrigation over a look-ahead
+    window, reads the window as one (days, slots) batch and takes its first
+    positive depth. The days before it are final as projected, the trigger
+    day is stepped again with its depth, and the next stretch starts the day
+    after; a window without a trigger is final as a whole. The first window
+    is the rest of the season, then the length of the dry-down that just
+    ended, doubling after each window without a trigger. Each batch makes at
+    least one day final. Everything else is computed once per season as
+    (days, slots) arrays: the noise, the air readings, the baseline arm's
+    soil readings and, in one ``evaluate`` call, the alert mask.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
@@ -329,61 +335,81 @@ def schedule_season(policy: str, scenario: Scenario,
     # day * SECONDS_PER_DAY + slot * interval: the interval divides a day
     timestamps = interval * np.arange(1, days * samples_per_day + 1,
                                       dtype=np.int64)
+    etcs = [crop_et(et0_hargreaves(w.t_min_c, w.t_max_c, latitude,
+                                   w.day_of_year), w.day_index,
+                    scenario.calendar) for w in weather]
 
     events: list[IrrigationEvent] = []
     daily: list[DailyRecord] = []
-    projected = []  # each day's no-irrigation end depletion
-    moisture = np.empty((days, samples_per_day))
-    sensed_dep = np.empty((days, samples_per_day))
-    # each total starts at 0.0 and adds the day's value in day order
-    eta_total = irrigation_total = etm_total = 0.0
     dep0 = scenario.irrigation.initial_depletion_mm
 
-    for w in weather:
-        day = w.day_index
-        et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
-        etc = crop_et(et0, day, scenario.calendar)
-        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
-        projected.append(dep1)
-
-        irrigation_today = 0.0
-        if sensor_driven:
-            readings = moisture[day] = soil_readings(dep0, dep1,
-                                                     z[day, :, 0])
-            sensed = sensed_dep[day] = np.clip(
-                moisture_pct_to_depletion(readings, profile), 0.0, taw)
+    if sensor_driven:
+        moisture = np.empty((days, samples_per_day))
+        sensed_dep = np.empty((days, samples_per_day))
+        day = since = 0  # the first day of the stretch and of the dry-down
+        window = days
+        while day < days:
+            stop = min(day + window, days)
+            starts, flows = [], []  # the no-irrigation bucket, day by day
+            for d in range(day, stop):
+                starts.append(dep0)
+                flows.append(step_soil_water(dep0, weather[d], 0.0, etcs[d],
+                                             profile))
+                dep0 = flows[-1][0]
+            readings = soil_readings(
+                np.array(starts)[:, None],
+                np.array([f[0] for f in flows])[:, None], z[day:stop, :, 0])
+            sensed = np.clip(moisture_pct_to_depletion(readings, profile),
+                             0.0, taw)
             depth = _refill_depth(readings, sensed, thr, cap)
             wet = np.flatnonzero(depth > 0.0)
+            final = stop - day  # the days this window makes final
+            if wet.size:  # row-major: the earliest day's first trigger
+                r, k = divmod(wet[0].item(), samples_per_day)
+                final = r + 1
+            moisture[day:day + final] = readings[:final]
+            sensed_dep[day:day + final] = sensed[:final]
+            daily.extend(DailyRecord(day + j, starts[j], *flows[j], 0.0)
+                         for j in range(final))
             if wet.size:
-                k = wet[0].item()
-                irrigation_today = depth[k].item()
-                m = readings[k].item()
+                t = day + r
+                irrigation, m = depth[r, k].item(), readings[r, k].item()
                 events.append(IrrigationEvent(
-                    day, timestamps[day * samples_per_day + k].item(),
-                    irrigation_today, m,
-                    f"soil moisture {m:.1f}% below trigger "
+                    t, timestamps[t * samples_per_day + k].item(), irrigation,
+                    m, f"soil moisture {m:.1f}% below trigger "
                     f"{thr.soil_moisture_trigger_pct:.0f}%"))
-        elif day % baseline.interval_days == 0:
-            irrigation_today = baseline.depth_mm
-            events.append(IrrigationEvent(
-                day, day * SECONDS_PER_DAY, baseline.depth_mm, float("nan"),
-                "calendar interval"))
-
-        dep_end, eta, drainage = step_soil_water(dep0, w, irrigation_today,
-                                                 etc, profile)
-        daily.append(DailyRecord(
-            day_index=day, depletion_start_mm=dep0,
-            depletion_end_mm=dep_end, eta_mm=eta, drainage_mm=drainage,
-            irrigation_mm=irrigation_today))
-        eta_total += eta
-        irrigation_total += irrigation_today
-        etm_total += etc
-        dep0 = dep_end
-
-    if not sensor_driven:
+                daily[-1] = DailyRecord(t, starts[r], *step_soil_water(
+                    starts[r], weather[t], irrigation, etcs[t], profile),
+                    irrigation)
+                dep0 = daily[-1].depletion_end_mm
+                window, since = t + 1 - since, t + 1
+            else:
+                window *= 2
+            day += final
+    else:
+        projected = []  # each day's no-irrigation end depletion
+        for w, etc in zip(weather, etcs):
+            flow = step_soil_water(dep0, w, 0.0, etc, profile)
+            projected.append(flow[0])
+            irrigation = 0.0
+            if w.day_index % baseline.interval_days == 0:
+                irrigation = baseline.depth_mm
+                events.append(IrrigationEvent(
+                    w.day_index, w.day_index * SECONDS_PER_DAY, irrigation,
+                    float("nan"), "calendar interval"))
+                flow = step_soil_water(dep0, w, irrigation, etc, profile)
+            daily.append(DailyRecord(w.day_index, dep0, *flow, irrigation))
+            dep0 = flow[0]
         starts = np.array([d.depletion_start_mm for d in daily])
         moisture = soil_readings(starts[:, None],
                                  np.array(projected)[:, None], z[:, :, 0])
+
+    # each total starts at 0.0 and adds the day's value in day order
+    eta_total = irrigation_total = etm_total = 0.0
+    for record, etc in zip(daily, etcs):
+        eta_total += record.eta_mm
+        irrigation_total += record.irrigation_mm
+        etm_total += etc
     moisture, temp, rh = moisture.ravel(), temp.ravel(), rh.ravel()
     if sensor_driven:
         fired, _ = evaluate(moisture, temp, rh, sensed_dep.ravel(), thr, cap)

@@ -268,9 +268,11 @@ def depletion_to_moisture_pct(depletion_mm, profile: SoilProfile) -> np.ndarray:
     return np.clip(pct, 0.0, 100.0)
 
 
-def moisture_pct_to_depletion(moisture_pct: float, profile: SoilProfile) -> float:
+def moisture_pct_to_depletion(moisture_pct: float | np.ndarray,
+                              profile: SoilProfile) -> float | np.ndarray:
     """Inverse of the display mapping (unclamped in depletion; may exceed TAW
-    when the percentage lies below the wilting point)."""
+    when the percentage lies below the wilting point). Works elementwise: an
+    array of readings gives an array of depletions."""
     theta = (profile.theta_ad
              + moisture_pct / 100.0 * (profile.theta_sat - profile.theta_ad))
     return (profile.theta_fc - theta) * 1000.0 * profile.root_depth_m

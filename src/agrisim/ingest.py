@@ -183,8 +183,9 @@ class ChannelStore:
         jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
             (", " if k else ', "values": {') + json.dumps(names[j]) + ": "
             for k, j in enumerate(order)), "}}\n"]
-        with Path(csv_path).open("w", newline="") as csv_fh, \
-                Path(jsonl_path).open("w") as jsonl_fh:
+        with Path(csv_path).open("w", encoding="utf-8",
+                                 newline="") as csv_fh, \
+                Path(jsonl_path).open("w", encoding="utf-8") as jsonl_fh:
             csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
             entry_id = 1
             # one batch at a time, so a batch's int times print as ints

@@ -186,7 +186,7 @@ def format_report_table(report: MetricReport) -> str:
 
 
 def export_report_csv(report: MetricReport, path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "recorded", "threshold", "unit", "status"])
         for r in report.rows:
@@ -195,7 +195,7 @@ def export_report_csv(report: MetricReport, path) -> None:
 
 
 def export_radar_csv(report: MetricReport, path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "recorded", "target", "ratio"])
         for name, recorded, target, ratio in radar_data(report):

@@ -178,7 +178,7 @@ def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult,
                             profile):
     depletion = [d.depletion_end_mm for d in arm.daily]
     moisture = depletion_to_moisture_pct(np.array(depletion), profile)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
                          "rh_mean_pct", "rain_mm", "depletion_mm",
@@ -191,7 +191,7 @@ def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult,
 
 def _write_irrigation_log(path, system: decision.SeasonResult,
                           baseline: decision.SeasonResult):
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "policy", "depth_mm", "trigger_reason"])
         for arm in (system, baseline):
@@ -201,7 +201,7 @@ def _write_irrigation_log(path, system: decision.SeasonResult,
 
 
 def write_transport_csv(path, stats_by_protocol: dict):
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["protocol", "attempted", "delivered",
                          "retransmissions", "bytes_sent", "energy_mwh",
@@ -234,7 +234,8 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                  path("channel_snapshot.jsonl"))
     dispatcher.export_csv(path("dispatch_log.csv"))
     write_transport_csv(path("transport_stats.csv"), output.transport_stats)
-    path("report.txt").write_text(metrics.format_report_table(output.report))
+    path("report.txt").write_text(
+        metrics.format_report_table(output.report), encoding="utf-8")
     metrics.export_report_csv(output.report, path("report.csv"))
     metrics.export_radar_csv(output.report, path("radar.csv"))
 
@@ -244,7 +245,7 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
         "report_targets": scenario.report_targets,
         "totals": dataclasses.asdict(output.totals),
         "economics": output.economics,
-    }, sort_keys=True, indent=2) + "\n")
+    }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     manifest_entries = [
         {"file": name, "sha256": hashlib.sha256(
@@ -256,6 +257,6 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                              "sha256": output.system_arm.noise_digest})
     manifest_entries.append({"stream": "sensor_noise_baseline",
                              "sha256": output.baseline_arm.noise_digest})
-    with (out / MANIFEST_NAME).open("w") as fh:
+    with (out / MANIFEST_NAME).open("w", encoding="utf-8") as fh:
         for entry in manifest_entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")

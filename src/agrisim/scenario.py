@@ -292,7 +292,7 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open("rb") as fh:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc

@@ -140,6 +140,13 @@ t:
         with pytest.raises(ConfigurationError, match="template t"):
             MessageCatalog.from_file(path)
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "messages.yaml"
+        path.write_bytes('t:\n  locales:\n    en: {text: "café"}\n'
+                         .encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="cannot parse"):
+            MessageCatalog.from_file(path)
+
     def test_file_that_is_not_a_mapping_rejected(self, tmp_path):
         path = write_catalog(tmp_path, "- heat_alert\n- humidity_low\n")
         with pytest.raises(ConfigurationError, match="must be a mapping"):

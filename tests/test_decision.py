@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrisim import decision
 from agrisim.decision import (
     ALERT_KINDS,
     CALENDAR_BASELINE,
@@ -476,17 +477,109 @@ def test_batched_kernel_matches_per_day_reference(season, seed, interval_s,
         assert any(w.rain_mm > 0.0
                    for w in generate_weather(setup.season, seed))
     for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
-        got = schedule_season(policy, setup, NoiseStream(seed))
-        want = _per_day_schedule_season(policy, setup, NoiseStream(seed))
-        # repr shows every float bit for bit, sign of zero and NaN included
-        assert repr(got.events) == repr(want.events)
-        assert repr(got.daily) == repr(want.daily)
-        for part, columns in (("samples", SAMPLE_COLUMNS),
-                              ("alerts", ALERT_COLUMNS)):
-            for column in columns:
-                x, y = (getattr(getattr(arm, part), column)
-                        for arm in (got, want))
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for total in ("irrigation_total_mm", "eta_total_mm", "etm_total_mm"):
-            assert getattr(got, total).hex() == getattr(want, total).hex()
-        assert got.noise_digest == want.noise_digest
+        assert_same_season(
+            schedule_season(policy, setup, NoiseStream(seed)),
+            _per_day_schedule_season(policy, setup, NoiseStream(seed)))
+
+
+def assert_same_season(got, want):
+    # repr shows every float bit for bit, sign of zero and NaN included
+    assert repr(got.events) == repr(want.events)
+    assert repr(got.daily) == repr(want.daily)
+    for part, columns in (("samples", SAMPLE_COLUMNS),
+                          ("alerts", ALERT_COLUMNS)):
+        for column in columns:
+            x, y = (getattr(getattr(arm, part), column) for arm in (got, want))
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for total in ("irrigation_total_mm", "eta_total_mm", "etm_total_mm"):
+        assert getattr(got, total).hex() == getattr(want, total).hex()
+    assert got.noise_digest == want.noise_digest
+
+
+def sensor_arm_batches(monkeypatch, scenario):
+    """The sensor arm of ``scenario`` and the number of readings in each
+    soil-reading batch it made."""
+    readings = []
+
+    def counted(true_moisture_pct, spec, noise_z):
+        readings.append(true_moisture_pct.size)
+        return sample_soil_sensor(true_moisture_pct, spec, noise_z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decision, "sample_soil_sensor", counted)
+        result = schedule_season(SENSOR_DRIVEN, scenario,
+                                 NoiseStream(scenario.seed))
+    return result, readings
+
+
+def _frequent(scenario):
+    """A 2 mm cap and a 40% trigger: an irrigation nearly every day."""
+    return dataclasses.replace(
+        scenario, irrigation=dataclasses.replace(scenario.irrigation,
+                                                 cap_mm=2.0),
+        thresholds=dataclasses.replace(scenario.thresholds,
+                                       soil_moisture_trigger_pct=40.0))
+
+
+def _doubles(result, batches):
+    """Whether a window without a trigger was followed by another window.
+    Without that, each dry-down takes one batch and the days after the last
+    irrigation at most one."""
+    tail = len(result.daily) - 1 - result.events[-1].day_index
+    return len(batches) > result.event_count + (tail > 0)
+
+
+# each branch of the sensor arm's stretch loop, on the shipped scenario
+STRETCH_CASES = {
+    "trigger-on-day-0": (
+        lambda s: dataclasses.replace(s, irrigation=dataclasses.replace(
+            s.irrigation, initial_depletion_mm=s.profile.taw_mm)),
+        lambda result, batches: result.events[0].day_index == 0),
+    "frequent-irrigation": (
+        _frequent, lambda result, batches: result.event_count == 49),
+    "trigger-on-last-day": (
+        lambda s: dataclasses.replace(s, seed=43),
+        lambda result, batches: result.events[-1].day_index
+        == len(result.daily) - 1),
+    "window-doubles": (lambda s: s, _doubles),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRETCH_CASES))
+def test_stretch_loop_matches_per_day_reference(case, monkeypatch):
+    variant, covers = STRETCH_CASES[case]
+    scenario = variant(SHIPPED)
+    result, batches = sensor_arm_batches(monkeypatch, scenario)
+    assert covers(result, batches)
+    for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
+        assert_same_season(
+            schedule_season(policy, scenario, NoiseStream(scenario.seed)),
+            _per_day_schedule_season(policy, scenario,
+                                     NoiseStream(scenario.seed)))
+
+
+# the shipped scenario, the wet variant of the benchmark and a season that
+# irrigates nearly every day
+WORK_CASES = {
+    "shipped": lambda s: s,
+    "wet": lambda s: dataclasses.replace(s, season=dataclasses.replace(
+        s.season, dry_season=False, rain_probability=0.3,
+        rain_mean_mm=8.0)),
+    "frequent-irrigation": _frequent,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("case", sorted(WORK_CASES))
+def test_sensor_arm_reads_soil_by_stretch(case, seed, monkeypatch):
+    scenario = WORK_CASES[case](dataclasses.replace(SHIPPED, seed=seed))
+    result, batches = sensor_arm_batches(monkeypatch, scenario)
+    days = len(result.daily)
+    # each batch makes at least one day final; these seasons read about
+    # twice their readings, and no trigger pattern reaches 4 times
+    assert len(batches) <= days
+    assert sum(batches) <= 3 * len(result.samples)
+    if case == "shipped" and seed == 42:
+        # 7 irrigations; reading day by day took 60 batches
+        assert result.event_count == 7
+        assert len(batches) <= 12

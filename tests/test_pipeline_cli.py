@@ -1,12 +1,17 @@
 """End-to-end pipeline: artifacts, determinism, paired arms, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from agrisim import pipeline, transport
 from agrisim.cli import main
-from agrisim.scenario import default_scenario_path
+from agrisim.scenario import default_scenario_path, load_scenario
 
 EXPECTED_ARTIFACTS = {
     "ground_truth_system.csv",
@@ -180,6 +185,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and "absent.yaml" in err
+
+    def test_run_under_the_c_locale_matches_the_default_run(self, tmp_path):
+        # the C locale's ASCII default encoding must reach no file: the
+        # scenario is read as bytes and every artifact is written as UTF-8
+        with default_scenario_path() as path:
+            raw = yaml.safe_load(path.read_bytes())
+        raw["field_id"] = "nnyiŋŋa-1"  # lands in every dispatch_log.csv row
+        scenario_path = tmp_path / "nnyinga.yaml"
+        scenario_path.write_bytes(yaml.safe_dump(raw, allow_unicode=True)
+                                  .encode("utf-8"))
+        src = Path(pipeline.__file__).resolve().parents[1]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": str(src)}
+        for command in (["run", str(scenario_path), "--out",
+                         str(tmp_path / "c")], ["report", str(tmp_path / "c")]):
+            done = subprocess.run([sys.executable, "-m", "agrisim.cli",
+                                   *command], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode(errors="replace")
+        pipeline.run_season(load_scenario(scenario_path),
+                            out_dir=tmp_path / "default")
+        assert (tmp_path / "c" / "manifest.jsonl").read_bytes() == \
+            (tmp_path / "default" / "manifest.jsonl").read_bytes()
 
     def test_report_on_empty_dir_fails_cleanly(self, default_run, tmp_path,
                                                capsys):

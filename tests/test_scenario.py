@@ -219,6 +219,16 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="cannot parse"):
             load_scenario(path)
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # PyYAML decodes the bytes itself, whatever the locale's encoding
+        raw = default_raw()
+        raw["field_id"] = "café-1"
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(yaml.safe_dump(raw, allow_unicode=True)
+                         .encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="cannot parse"):
+            load_scenario(path)
+
 
 class TestDeterministicParsing:
     def test_same_raw_same_scenario(self):
