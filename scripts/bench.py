@@ -16,8 +16,13 @@ runs of each of three seasons in turn: the shipped scenario, its wet variant
 (perfbench's season-wet-lossy weather: ``dry_season: false``, rain
 probability 0.3, mean 8 mm) and a season that irrigates nearly every day
 (2 mm cap, 40% trigger). ``kernel_ref_s`` holds each one's reference-scaled
-median and its event count. Last, it times one run of the tier-1 test
-command (``suite_s``) and keeps pytest's closing summary line.
+median and its event count. Then it times ``ingest.ChannelStore.ingest_batch``
+on the rows that the shipped season's ``run_season`` offers to its channel
+(the pub/sub session's deliveries), into a fresh store, ``REPEATS`` times at
+each rate limit of ``INGEST_LIMITS_S`` in turn; ``ingest_ref_s`` holds each
+limit's reference-scaled median and its accepted count. Last, it times one
+run of the tier-1 test command (``suite_s``) and keeps pytest's closing
+summary line.
 """
 
 from __future__ import annotations
@@ -41,11 +46,14 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 REPEATS = 15
 KERNEL_RUNS = 5
+# the shipped channel's limit, and the wet, lossy variant's
+INGEST_LIMITS_S = (15.0, 600.0)
 
 
 def _calibrate():
@@ -91,6 +99,16 @@ def _sensor_arm_seasons(scenario) -> dict:
     }
 
 
+def _offered_rows(pipeline, ingest, scenario) -> tuple:
+    """The arguments after ``self`` of the one ``ingest_batch`` call that
+    an in-memory ``run_season`` of ``scenario`` makes."""
+    batch = ingest.ChannelStore.ingest_batch
+    with mock.patch.object(ingest.ChannelStore, "ingest_batch",
+                           autospec=True, side_effect=batch) as spy:
+        pipeline.run_season(scenario)
+    return spy.call_args.args[1:]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -99,7 +117,7 @@ def main() -> int:
     import numpy
     import yaml
 
-    from agrisim import decision, pipeline
+    from agrisim import decision, ingest, pipeline
     from agrisim.fieldsim import NoiseStream
     from agrisim.scenario import load_default_scenario
 
@@ -127,6 +145,19 @@ def main() -> int:
             if i:
                 arm_times[name].append(time.perf_counter() - t0)
             events[name] = arm.event_count
+    rows = _offered_rows(pipeline, ingest, scenario)
+    ingest_times = {limit: [] for limit in INGEST_LIMITS_S}
+    accepted = {}
+    for i in range(REPEATS + 1):
+        for limit in INGEST_LIMITS_S:
+            store = ingest.ChannelStore()
+            store.create_channel(dataclasses.replace(
+                scenario.channel, min_update_interval_s=limit))
+            t0 = time.perf_counter()
+            mask = store.ingest_batch(*rows)
+            if i:
+                ingest_times[limit].append(time.perf_counter() - t0)
+            accepted[limit] = int(mask.sum())
     after = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
     suite_s, suite_summary = _suite()
 
@@ -152,6 +183,13 @@ def main() -> int:
                        statistics.median(t), k_before, k_after),
                    "events": events[name], "n": len(t)}
             for name, t in arm_times.items()},
+        "ingest_ref_s": {
+            f"limit_{limit:g}s": {
+                "median": calibrate.to_reference(statistics.median(t),
+                                                 k_before, k_after),
+                "rows": len(rows[2]), "accepted": accepted[limit],
+                "n": len(t)}
+            for limit, t in ingest_times.items()},
         "src_loc": sum(len(p.read_text().splitlines())
                        for p in (ROOT / "src" / "agrisim").rglob("*.py")),
         "suite_s": suite_s, "suite_summary": suite_summary,

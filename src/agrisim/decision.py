@@ -168,21 +168,13 @@ class Thresholds:
 
 
 def evaluate(moisture: np.ndarray, temp: np.ndarray, humidity: np.ndarray,
-             sensed_depletion_mm: np.ndarray, thresholds: Thresholds,
-             cap_mm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the threshold rules to columns of readings.
-
-    Returns ``fired``, a readings x 4 bool mask whose columns follow
-    ``ALERT_KINDS``, and ``depth_mm``: the irrigation depth that refills the
-    sensed depletion, capped at ``cap_mm``, where MOISTURE_LOW fires, and 0
-    elsewhere.
-    """
+             thresholds: Thresholds) -> np.ndarray:
+    """Apply the threshold rules to columns of readings: a readings x 4
+    bool mask whose columns follow ``ALERT_KINDS``."""
     rh_lo, rh_hi = thresholds.humidity_range_pct
-    fired = np.array((temp > thresholds.temp_alert_c, humidity < rh_lo,
-                      humidity > rh_hi,
-                      moisture < thresholds.soil_moisture_trigger_pct)).T
-    return fired, _refill_depth(moisture, sensed_depletion_mm, thresholds,
-                                cap_mm)
+    return np.array((temp > thresholds.temp_alert_c, humidity < rh_lo,
+                     humidity > rh_hi,
+                     moisture < thresholds.soil_moisture_trigger_pct)).T
 
 
 def _refill_depth(moisture: np.ndarray, sensed_depletion_mm: np.ndarray,
@@ -345,7 +337,6 @@ def schedule_season(policy: str, scenario: Scenario,
 
     if sensor_driven:
         moisture = np.empty((days, samples_per_day))
-        sensed_dep = np.empty((days, samples_per_day))
         day = since = 0  # the first day of the stretch and of the dry-down
         window = days
         while day < days:
@@ -368,7 +359,6 @@ def schedule_season(policy: str, scenario: Scenario,
                 r, k = divmod(wet[0].item(), samples_per_day)
                 final = r + 1
             moisture[day:day + final] = readings[:final]
-            sensed_dep[day:day + final] = sensed[:final]
             daily.extend(DailyRecord(day + j, starts[j], *flows[j], 0.0)
                          for j in range(final))
             if wet.size:
@@ -412,7 +402,7 @@ def schedule_season(policy: str, scenario: Scenario,
         etm_total += etc
     moisture, temp, rh = moisture.ravel(), temp.ravel(), rh.ravel()
     if sensor_driven:
-        fired, _ = evaluate(moisture, temp, rh, sensed_dep.ravel(), thr, cap)
+        fired = evaluate(moisture, temp, rh, thr)
     else:
         fired = np.zeros((moisture.size, len(ALERT_KINDS)), dtype=bool)
     # row-major: readings in time order, each in ALERT_KINDS order

@@ -11,8 +11,11 @@ that text, one joined string per file for each slice of rows.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +32,8 @@ REJECTED_RATE = "REJECTED_RATE"
 # rows per joined string in an export: a whole file's text at once would
 # raise the peak memory of a run, and one string per row costs a join each
 _SLICE_ROWS = 2048
+
+_U64_MAX = 2**64 - 1
 
 
 class ChannelNotFound(InputError):
@@ -49,6 +54,12 @@ class Channel:
             raise ConfigurationError(f"1..{MAX_FIELDS} fields required")
         if len(set(self.field_names)) != len(self.field_names):
             raise ConfigurationError("field names must be unique")
+        # the comparison is False for NaN and exact for an int too large
+        # for a float
+        if not 0 <= self.min_update_interval_s <= sys.float_info.max:
+            raise ConfigurationError(
+                f"min_update_interval_s must be finite and non-negative: "
+                f"{self.min_update_interval_s!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +111,11 @@ class ChannelStore:
         after the last accepted row, in this batch or an earlier one.
         Rejections are counted so attempts always reconcile:
         accepted + rejected_auth + rejected_rate == rows offered. A value
-        column of the wrong count or length, or a non-finite time or value
-        (JSON has no NaN or infinity), raises ``InputError`` and stores
-        nothing.
+        column of the wrong count or length, a non-finite time or value
+        (JSON has no NaN or infinity), or a time earlier than the row before
+        it raises ``InputError`` and stores and counts nothing. A batch may
+        start before the last accepted row of an earlier batch; its rows are
+        tested against that row like any other.
         """
         st = self._state(channel_id)
         times = np.asarray(timestamps_s)
@@ -125,19 +138,35 @@ class ChannelStore:
                              f"{len(times)} rows, got shape {values.shape}")
         if not (np.isfinite(values).all() and np.isfinite(times).all()):
             raise InputError("non-finite timestamp or value")
+        if np.any(times[1:] < times[:-1]):
+            raise InputError("timestamps are not in time order")
 
-        accepted = np.zeros(len(times), dtype=bool)
+        # a row is accepted when ``last is None or t - last >= limit`` holds
+        # for its ``item()``, in Python's int/float arithmetic, and then
+        # becomes ``last``. In time order that test holds from some row on,
+        # so the first accepted row is a bisection, and each accepted row
+        # leads to the next row due after it.
         last, limit = st.last_accepted_s, st.channel.min_update_interval_s
-        for k, t in enumerate(times.tolist()):
-            if last is None or t - last >= limit:
-                accepted[k] = True
-                last = t
-        n = int(np.count_nonzero(accepted))
-        if n:
+        n = len(times)
+        first = bisect.bisect_left(range(n), True, key=lambda j: (
+            last is None or times[j].item() - last >= limit))
+        accepted = np.zeros(n + 1, dtype=bool)
+        if first < n:
+            # row n stands for "no row": the end of every chain
+            jump = np.append(_next_due(times, limit), n)
+            accepted[first] = True
+            # pointer doubling: after k rounds the first 2**k accepted rows
+            # are marked and ``jump`` skips 2**k accepted rows at once
+            while jump[first] != n:
+                accepted[jump[accepted]] = True
+                jump = jump[jump]
+        accepted = accepted[:n]
+        count = int(np.count_nonzero(accepted))
+        if count:
             st.batches.append((times[accepted], values[:, accepted]))
-        st.last_accepted_s = last
-        st.accepted += n
-        st.rejected_rate += len(times) - n
+            st.last_accepted_s = times[np.flatnonzero(accepted)[-1]].item()
+        st.accepted += count
+        st.rejected_rate += n - count
         return accepted
 
     def ingest(self, channel_id: str, write_key: str, timestamp_s: float,
@@ -202,6 +231,49 @@ class ChannelStore:
                         created_at, ids, *(fields[j] for j in order)]))
                     entry_id += len(created_at)
         return entry_id - 1
+
+
+# a float time plus the limit, or a difference of two, may pass the float
+# range; it is then inf, as in Python arithmetic
+@np.errstate(over="ignore")
+def _next_due(times: np.ndarray, limit) -> np.ndarray:
+    """For each row i of a batch in time order, the first row j > i with
+    ``times[j] - times[i] >= limit`` as Python computes it on the rows'
+    ``item()``s, or ``len(times)`` if there is none.
+
+    Int times compare exact differences, so a difference passes when it is
+    at least ``ceil(limit)``; they are taken as offsets from the first row
+    in uint64, where every difference of a sorted int64 batch fits. Float
+    times compare the float64 difference with the least float not below
+    ``limit``. A ``searchsorted`` of each row plus that bound gives a first
+    guess, which can be off where ``t + bound`` rounds differently from the
+    difference; the guess then moves by one distinct time at a time, forward
+    while it fails and back while the row before it passes, until no row
+    moves. The test is monotone in j, so this ends on the exact row.
+    """
+    n = len(times)
+    rows = np.arange(n)
+    if times.dtype.kind in "iu":
+        key = times.astype(np.uint64)
+        key -= key[0]
+        bound = math.ceil(limit)
+        guess = key + min(bound, _U64_MAX)
+        guess[guess < key] = _U64_MAX  # saturate instead of wrapping
+    else:
+        key, bound = times, float(limit)
+        if bound < limit:  # an int limit that rounds down as a float
+            bound = math.nextafter(bound, math.inf)
+        guess = key + bound
+    nxt = np.maximum(np.searchsorted(key, guess), rows + 1)
+    while True:
+        # nxt > i, so neither difference is negative
+        ahead = (nxt < n) & (key[np.minimum(nxt, n - 1)] - key < bound)
+        behind = (nxt - 1 > rows) & (key[nxt - 1] - key >= bound)
+        if not (ahead.any() or behind.any()):
+            return nxt
+        nxt[ahead] = np.searchsorted(key, key[nxt[ahead]], "right")
+        nxt[behind] = np.maximum(
+            np.searchsorted(key, key[nxt[behind] - 1]), rows[behind] + 1)
 
 
 def _reprs(column: np.ndarray) -> np.ndarray:

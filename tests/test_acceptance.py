@@ -199,9 +199,9 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
 
         # advice monotone in sensed moisture
         lo, hi = np.sort(rng.uniform(0, 100, (1000, 2)), axis=1).T
-        _, depth = decision.evaluate(
-            np.concatenate((lo, hi)), np.full(2000, 28.0), np.full(2000, 45.0),
-            np.full(2000, 20.0), decision.Thresholds(), 25.0)
+        depth = decision._refill_depth(
+            np.concatenate((lo, hi)), np.full(2000, 20.0),
+            decision.Thresholds(), 25.0)
         depth_lo, depth_hi = depth[:1000], depth[1000:]
         assert np.all(depth_hi[depth_lo == 0.0] == 0.0)
 

@@ -26,6 +26,7 @@ from agrisim.decision import (
     SeasonResult,
     Thresholds,
     _diurnal_cosines,
+    _refill_depth,
     crop_et,
     et0_hargreaves,
     evaluate,
@@ -173,8 +174,9 @@ def _rules(m=40.0, t=28.0, rh=45.0, dep=30.0, thresholds=Thresholds(),
            cap_mm=25.0):
     """The kinds that fire on one reading, in ALERT_KINDS order, and the
     irrigation depth."""
-    fired, depth = evaluate(np.array([m]), np.array([t]), np.array([rh]),
-                            np.array([dep]), thresholds, cap_mm)
+    moisture = np.array([m])
+    fired = evaluate(moisture, np.array([t]), np.array([rh]), thresholds)
+    depth = _refill_depth(moisture, np.array([dep]), thresholds, cap_mm)
     assert fired.shape == (1, len(ALERT_KINDS)) and depth.shape == (1,)
     kinds = [k for k, f in zip(ALERT_KINDS, fired[0].tolist()) if f]
     return kinds, depth[0].item()
@@ -231,8 +233,9 @@ class TestEvaluate:
                     min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_columns_match_one_reading_at_a_time(self, rows):
-        fired, depth = evaluate(*(np.array(c) for c in zip(*rows)),
-                                Thresholds(), 25.0)
+        moisture, temp, rh, dep = (np.array(c) for c in zip(*rows))
+        fired = evaluate(moisture, temp, rh, Thresholds())
+        depth = _refill_depth(moisture, dep, Thresholds(), 25.0)
         assert [([k for k, f in zip(ALERT_KINDS, r) if f], d) for r, d in
                 zip(fired.tolist(), depth.tolist())] == [
             _rules(*row) for row in rows]
@@ -412,8 +415,9 @@ def _per_day_schedule_season(policy, scenario, noise):
         if policy == SENSOR_DRIVEN:
             sensed_dep = np.clip(moisture_pct_to_depletion(moisture, profile),
                                  0.0, taw)
-            fired, depth = evaluate(moisture, temp, rh, sensed_dep, thr,
-                                    scenario.irrigation.cap_mm)
+            fired = evaluate(moisture, temp, rh, thr)
+            depth = _refill_depth(moisture, sensed_dep, thr,
+                                  scenario.irrigation.cap_mm)
             fired_days.append(fired)
             wet = np.flatnonzero(depth > 0.0)
             if wet.size:

@@ -123,6 +123,25 @@ class TestIngest:
         with pytest.raises(ConfigurationError):
             Channel("c", "k", ("a", "a"))
 
+    @pytest.mark.parametrize("limit", [-5.0, -1, float("nan"), float("inf"),
+                                       float("-inf"), 2**1024])
+    def test_rate_limit_finite_and_non_negative(self, limit):
+        with pytest.raises(ConfigurationError, match="min_update_interval_s"):
+            Channel("c", "k", FIELDS, min_update_interval_s=limit)
+
+    def test_decreasing_time_rejected_store_unchanged(self):
+        store = make_store()
+        store.ingest_batch("ch-1", "KEY", [0, 300], [[1.0, 2.0]] * 3)
+        with pytest.raises(InputError, match="time order"):
+            store.ingest_batch("ch-1", "KEY", [600, 900, 899],
+                               [[3.0, 4.0, 5.0]] * 3)
+        assert store.counters("ch-1") == {"accepted": 2, "rejected_auth": 0,
+                                          "rejected_rate": 0}
+        assert store.entries("ch-1")[0].tolist() == [0, 300]
+        # the carried last accepted time did not move either
+        assert store.ingest_batch("ch-1", "KEY", [305, 315],
+                                  [[3.0, 4.0]] * 3).tolist() == [False, True]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     def test_non_finite_value_or_time_rejected(self, bad):
@@ -321,6 +340,94 @@ class TestBatchMatchesReference:
             [str(i) for i in range(1, total + 1)]
         assert (rows[0][0], rows[-1][0]) == ("300", repr(total * 300.0 + 0.5))
         assert {row[2] for row in rows} == set(map(repr, special))
+
+
+def _offer(limit, batches):
+    """Offer each batch to a store and, row by row, to the reference: the
+    accepted masks and the carried last accepted time, type included, agree
+    after every batch."""
+    channel = Channel("ch", "KEY", ("v",), min_update_interval_s=limit)
+    store = ChannelStore()
+    store.create_channel(channel)
+    reference = ReferenceChannel(channel)
+    for times in batches:
+        times = np.asarray(times)
+        expected = [reference.ingest("KEY", t, (0.0,)) == ACCEPTED
+                    for t in times.tolist()]
+        accepted = store.ingest_batch("ch", "KEY", times,
+                                      [np.zeros(len(times))])
+        assert accepted.tolist() == expected
+        last = store._state("ch").last_accepted_s
+        assert (type(last), last) == (type(reference.last), reference.last)
+    assert store.counters("ch") == reference.counters
+
+
+def _sum_rule_differs(times, limit) -> bool:
+    """Whether ``t[j] >= t[i] + limit`` and ``t[j] - t[i] >= limit``
+    disagree on some pair i < j of the batch."""
+    later = np.triu(np.ones((len(times), len(times)), dtype=bool), 1)
+    by_sum = times[None, :] >= times[:, None] + limit
+    by_difference = times[None, :] - times[:, None] >= limit
+    return bool(np.any((by_sum != by_difference) & later))
+
+
+class TestRateLimitMatchesLoop:
+    """The vectorized rate limit against the per-row reference, on the
+    inputs where a shortcut would go wrong."""
+
+    @pytest.mark.parametrize("limit", [0.0, 15.0, 599.9999999, 600.0])
+    @pytest.mark.parametrize("as_int", [True, False])
+    def test_long_batches(self, limit, as_int):
+        steps = np.random.default_rng(3).choice(
+            [0, 1, 14, 15, 150, 300, 599, 600, 601, 900], 6000)
+        times = np.cumsum(steps) if as_int else np.cumsum(steps) + 0.125
+        _offer(limit, [times[:4000], times[4000:]])
+
+    def test_duplicate_times(self):
+        _offer(0.0, [[5, 5, 5, 7, 7], [7, 7, 8], [6.5, 8.0, 8.0, 8.0]])
+        _offer(15.0, [[0, 0, 15, 15, 15, 29, 30, 30], [30, 45, 45]])
+
+    @pytest.mark.parametrize("limit", [0.1, 0.5, 299.5, 599.9999999])
+    def test_non_integral_limit_on_int_times(self, limit):
+        steps = np.random.default_rng(4).choice([0, 1, 299, 300, 600], 3000)
+        times = np.cumsum(steps)
+        _offer(limit, [times[:1000], times[1000:]])
+
+    @pytest.mark.parametrize("base", [2.0**53, 1e17, -1e17])
+    @pytest.mark.parametrize("limit", [0.1, 15.0, 599.9999999, 600.0])
+    def test_float_times_where_the_sum_rounds(self, base, limit):
+        # steps of 0, 1 or 2 units in the last place, so every difference
+        # near the limit occurs
+        ulp = np.spacing(abs(base))
+        times = base + ulp * np.cumsum(
+            np.random.default_rng(5).choice([0, 1, 2], 800))
+        if 0 < limit % ulp <= ulp / 2:  # t + limit can round down
+            assert _sum_rule_differs(times, limit)
+        _offer(limit, [times[:300], times[300:]])
+
+    def test_int_and_float_batches_mixed(self):
+        # float(2**53 + 1) is 2**53, so Python finds 2.0 between the int
+        # 2**53 + 1 and the float 2**53 + 2, not 1
+        _offer(1.5, [np.array([2**53 + 1], np.int64),
+                     np.array([2.0**53 + 2, 2.0**53 + 4]),
+                     np.array([2**53 + 3, 2**53 + 5, 2**53 + 7], np.int64)])
+        # an int limit compares exactly with a float difference: 2.0**53 is
+        # less than 2**53 + 1
+        _offer(2**53 + 1, [np.array([0.0, 2.0**53, 2.0**53 + 2])])
+        # each batch starts before the carried last accepted time
+        _offer(1.0, [np.array([0.5, 1.25]), np.array([1, 2, 3]),
+                     np.array([2.5, 3.5, 4.0, 4.5]), np.array([3, 4, 5, 6])])
+
+    def test_huge_limit_and_int64_edges(self):
+        lo, hi = -2**63, 2**63 - 1
+        edges = np.array([lo, lo, -1, 0, hi], np.int64)
+        # 0 - lo and hi - lo wrap around in int64
+        for limit in (2.0**63, 2.0**64, 2.0**64 - 2048, 1e308):
+            _offer(limit, [edges, np.array([hi], np.int64)])
+        _offer(2.0**63, [np.array([0, 2**63, 2**64 - 1], np.uint64)])
+        _offer(1e308, [np.array([-1.7e308, 0.0, 1.7e308]),
+                       np.array([-1.7e308, 1.7e308])])
+        _offer(1e308, [np.array([-1.7e308, 1.7e308])])
 
 
 class TestPersistence:

@@ -332,6 +332,7 @@ def test_malformed_value_names_its_key(path, value):
     ("irrigation.initial_depletion_mm", 500.0,
      r"irrigation\.initial_depletion_mm .*TAW 48\.6"),
     ("report_targets.Temperature", 0.0, r"report_targets\.Temperature"),
+    ("channel.min_update_interval_s", -5.0, "min_update_interval_s"),
 ])
 def test_out_of_range_value_rejected(path, value, match):
     raw = default_raw()
