@@ -10,9 +10,11 @@ memory, alternating the two. It also times the reference kernel of
 ``perfbench/calibrate.py`` (imported read-only) ``KERNEL_RUNS`` times before
 and after, because the speed of a shared host drifts: ``e2e_ref_s`` is each
 median passed through ``calibrate.to_reference`` with the median kernel
-times before and after. Between those kernel runs it also times the sensor
-arm alone (``decision.schedule_season`` with SENSOR_DRIVEN), ``REPEATS``
-runs of each of three seasons in turn: the shipped scenario, its wet variant
+times before and after. Between those kernel runs it also times a whole
+sensor arm alone: the season's weather, its ``decision.season_drivers`` and
+``decision.schedule_season`` with SENSOR_DRIVEN, all the work of one arm
+whose inputs no other arm shares. It runs ``REPEATS`` times for each of
+three seasons in turn: the shipped scenario, its wet variant
 (perfbench's season-wet-lossy weather: ``dry_season: false``, rain
 probability 0.3, mean 8 mm) and a season that irrigates nearly every day
 (2 mm cap, 40% trigger). ``kernel_ref_s`` holds each one's reference-scaled
@@ -118,7 +120,7 @@ def main() -> int:
     import yaml
 
     from agrisim import decision, ingest, pipeline
-    from agrisim.fieldsim import NoiseStream
+    from agrisim.fieldsim import NoiseStream, generate_weather
     from agrisim.scenario import load_default_scenario
 
     calibrate = _calibrate()
@@ -140,8 +142,11 @@ def main() -> int:
     for i in range(REPEATS + 1):
         for name, season in seasons.items():
             t0 = time.perf_counter()
+            drivers = decision.season_drivers(
+                season, generate_weather(season.season, season.seed),
+                NoiseStream(season.seed))
             arm = decision.schedule_season(decision.SENSOR_DRIVEN, season,
-                                           NoiseStream(season.seed))
+                                           drivers)
             if i:
                 arm_times[name].append(time.perf_counter() - t0)
             events[name] = arm.event_count

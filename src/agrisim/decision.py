@@ -24,8 +24,8 @@ from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     SECONDS_PER_DAY,
     NoiseStream,
+    WeatherDay,
     depletion_to_moisture_pct,
-    generate_weather,
     moisture_pct_to_depletion,
     sample_air_sensor,
     sample_soil_sensor,
@@ -260,12 +260,50 @@ def _diurnal_cosines(interval_s: int, samples_per_day: int) -> np.ndarray:
                      for h in hours])
 
 
-def schedule_season(policy: str, scenario: Scenario,
-                    noise: NoiseStream) -> SeasonResult:
-    """Run one policy arm over the scenario's season.
+@dataclass(frozen=True)
+class SeasonDrivers:
+    """Policy-free season inputs that every arm of a run shares, read-only."""
 
-    The weather is generated from the scenario's season and seed, so every
-    arm of one scenario sees the same weather.
+    weather: list[WeatherDay]
+    soil_z: np.ndarray        # (days, slots)
+    noise_digest: str
+    timestamp_s: np.ndarray   # int64, one per reading
+    temp_c: np.ndarray        # float64, one per reading
+    humidity_pct: np.ndarray
+    etc_mm: list[float]       # one per day
+
+
+def season_drivers(scenario: Scenario, weather: list[WeatherDay],
+                   noise: NoiseStream) -> SeasonDrivers:
+    """One noise block, one standard normal per reading in (soil, temp,
+    rh) order per slot; air readings of a diurnal sinusoid; crop ET."""
+    days, interval = len(weather), scenario.soil_sensor.sample_interval_s
+    samples_per_day = SECONDS_PER_DAY // interval
+    z = noise.draw(3 * samples_per_day * days).reshape(
+        days, samples_per_day, 3)
+    t_min, t_max, rh_mean = np.array(
+        [(w.t_min_c, w.t_max_c, w.rh_mean_pct) for w in weather]).T[:, :, None]
+    t_true = (t_min + t_max) / 2.0 + (t_max - t_min) / 2.0 * \
+        _diurnal_cosines(interval, samples_per_day)
+    temp, rh = sample_air_sensor(t_true, rh_mean, scenario.air_noise_sigma,
+                                 z[:, :, 1], z[:, :, 2])
+    # day * SECONDS_PER_DAY + slot * interval: the interval divides a day
+    timestamps = interval * np.arange(1, days * samples_per_day + 1,
+                                      dtype=np.int64)
+    soil_z, temp, rh = z[:, :, 0], temp.ravel(), rh.ravel()
+    for column in (soil_z, timestamps, temp, rh):  # in both arms' Samples
+        column.flags.writeable = False
+    latitude = scenario.season.latitude_deg
+    etcs = [crop_et(et0_hargreaves(w.t_min_c, w.t_max_c, latitude,
+                                   w.day_of_year), w.day_index,
+                    scenario.calendar) for w in weather]
+    return SeasonDrivers(weather, soil_z, noise.digest(), timestamps, temp,
+                         rh, etcs)
+
+
+def schedule_season(policy: str, scenario: Scenario,
+                    drivers: SeasonDrivers) -> SeasonResult:
+    """Run one policy arm over the season inputs that all arms share.
 
     SENSOR_DRIVEN applies the threshold rules to every sampling step's
     noisy sensor readings (ground truth interpolated between daily states)
@@ -286,23 +324,20 @@ def schedule_season(policy: str, scenario: Scenario,
     after; a window without a trigger is final as a whole. The first window
     is the rest of the season, then the length of the dry-down that just
     ended, doubling after each window without a trigger. Each batch makes at
-    least one day final. Everything else is computed once per season as
-    (days, slots) arrays: the noise, the air readings, the baseline arm's
-    soil readings and, in one ``evaluate`` call, the alert mask.
+    least one day final. The baseline reads its soil as one batch after
+    its loop, and the alert mask is one ``evaluate`` call.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
 
-    weather = generate_weather(scenario.season, scenario.seed)
-    days = len(weather)
-    interval = scenario.soil_sensor.sample_interval_s
-    samples_per_day = SECONDS_PER_DAY // interval
+    weather, etcs, z = drivers.weather, drivers.etc_mm, drivers.soil_z
+    days, samples_per_day = z.shape
+    timestamps = drivers.timestamp_s
     profile = scenario.profile
     taw = profile.taw_mm
     thr = scenario.thresholds
     cap = scenario.irrigation.cap_mm
     baseline = scenario.baseline
-    latitude = scenario.season.latitude_deg
     sensor_driven = policy == SENSOR_DRIVEN
     frac = np.arange(1, samples_per_day + 1) / samples_per_day
 
@@ -313,23 +348,6 @@ def schedule_season(policy: str, scenario: Scenario,
         true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
                                                profile)
         return sample_soil_sensor(true_moist, scenario.soil_sensor, z_soil)
-
-    # one standard normal per reading, in (soil, temp, rh) order per slot
-    z = noise.draw(3 * samples_per_day * days).reshape(
-        days, samples_per_day, 3)
-    t_min, t_max, rh_mean = np.array(
-        [(w.t_min_c, w.t_max_c, w.rh_mean_pct) for w in weather]).T[:, :, None]
-    # a sinusoidal diurnal cycle between each day's extremes
-    t_true = (t_min + t_max) / 2.0 + (t_max - t_min) / 2.0 * \
-        _diurnal_cosines(interval, samples_per_day)
-    temp, rh = sample_air_sensor(t_true, rh_mean, scenario.air_noise_sigma,
-                                 z[:, :, 1], z[:, :, 2])
-    # day * SECONDS_PER_DAY + slot * interval: the interval divides a day
-    timestamps = interval * np.arange(1, days * samples_per_day + 1,
-                                      dtype=np.int64)
-    etcs = [crop_et(et0_hargreaves(w.t_min_c, w.t_max_c, latitude,
-                                   w.day_of_year), w.day_index,
-                    scenario.calendar) for w in weather]
 
     events: list[IrrigationEvent] = []
     daily: list[DailyRecord] = []
@@ -349,7 +367,7 @@ def schedule_season(policy: str, scenario: Scenario,
                 dep0 = flows[-1][0]
             readings = soil_readings(
                 np.array(starts)[:, None],
-                np.array([f[0] for f in flows])[:, None], z[day:stop, :, 0])
+                np.array([f[0] for f in flows])[:, None], z[day:stop])
             sensed = np.clip(moisture_pct_to_depletion(readings, profile),
                              0.0, taw)
             depth = _refill_depth(readings, sensed, thr, cap)
@@ -392,7 +410,7 @@ def schedule_season(policy: str, scenario: Scenario,
             dep0 = flow[0]
         starts = np.array([d.depletion_start_mm for d in daily])
         moisture = soil_readings(starts[:, None],
-                                 np.array(projected)[:, None], z[:, :, 0])
+                                 np.array(projected)[:, None], z)
 
     # each total starts at 0.0 and adds the day's value in day order
     eta_total = irrigation_total = etm_total = 0.0
@@ -400,7 +418,7 @@ def schedule_season(policy: str, scenario: Scenario,
         eta_total += record.eta_mm
         irrigation_total += record.irrigation_mm
         etm_total += etc
-    moisture, temp, rh = moisture.ravel(), temp.ravel(), rh.ravel()
+    moisture, temp, rh = moisture.ravel(), drivers.temp_c, drivers.humidity_pct
     if sensor_driven:
         fired = evaluate(moisture, temp, rh, thr)
     else:
@@ -418,4 +436,4 @@ def schedule_season(policy: str, scenario: Scenario,
         policy=policy, events=events, daily=daily, samples=samples,
         alerts=alerts, irrigation_total_mm=irrigation_total,
         eta_total_mm=eta_total, etm_total_mm=etm_total,
-        noise_digest=noise.digest())
+        noise_digest=drivers.noise_digest)

@@ -46,10 +46,6 @@ class WeatherDay:
         if self.rain_mm < 0.0:
             raise ConfigurationError(f"negative rain: {self.rain_mm}")
 
-    @property
-    def t_mean_c(self) -> float:
-        return (self.t_min_c + self.t_max_c) / 2.0
-
 
 @dataclass(frozen=True)
 class SeasonConfig:
@@ -67,10 +63,9 @@ class SeasonConfig:
     def __post_init__(self):
         if self.days < 1:
             raise ConfigurationError("season must be at least 1 day")
-        if self.temp_envelope_c[0] > self.temp_envelope_c[1]:
-            raise ConfigurationError(
-                f"temperature envelope reversed: {self.temp_envelope_c}"
-            )
+        if self.temp_envelope_c[0] >= self.temp_envelope_c[1]:
+            raise ConfigurationError(  # no diurnal range would mean no ET0
+                f"temperature envelope not increasing: {self.temp_envelope_c}")
         if self.rh_envelope_pct[0] > self.rh_envelope_pct[1]:
             raise ConfigurationError(
                 f"humidity envelope reversed: {self.rh_envelope_pct}"

@@ -67,16 +67,17 @@ def _weather_digest(weather) -> str:
 def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     """Execute the full pipeline; write artifact files when out_dir is given.
 
-    Both policy arms see the scenario's weather and the same sensor-noise
-    stream.
+    Both policy arms read one set of season inputs: the scenario's weather,
+    one sensor-noise block and the air readings it drives.
     """
     weather = generate_weather(scenario.season, scenario.seed)
     sensor_ss, pubsub_ss, reqresp_ss = np.random.SeedSequence(
         scenario.seed).spawn(3)
-    system = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
+    drivers = decision.season_drivers(scenario, weather,
                                       NoiseStream(sensor_ss))
-    baseline = decision.schedule_season(decision.CALENDAR_BASELINE, scenario,
-                                        NoiseStream(sensor_ss))
+    system, baseline = (decision.schedule_season(policy, scenario, drivers)
+                        for policy in (decision.SENSOR_DRIVEN,
+                                       decision.CALENDAR_BASELINE))
     samples = system.samples
     days = scenario.season.days
 

@@ -1,6 +1,7 @@
 """The benchmark under perfbench/ drives agrisim by name: its traced run
 wraps the attributes listed in perfbench/layers.py, its gate tests wrap
-decision.schedule_season as (policy, scenario, noise), its season workloads
+decision.schedule_season as (policy, scenario, noise) and pass the third
+argument (the season inputs) through positionally, its season workloads
 check each run's daily records and its captured channel store and
 dispatcher against the model invariants and a pinned digest, and its
 transport-sweep workload calls transport.run_session on a list of
@@ -17,7 +18,7 @@ import pytest
 
 from agrisim import decision, transport
 from agrisim.decision import CropCalendar
-from agrisim.fieldsim import NoiseStream
+from agrisim.fieldsim import NoiseStream, generate_weather
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,6 +81,9 @@ def test_schedule_season_takes_policy_scenario_noise_positionally(
         default_scenario,
         season=dataclasses.replace(default_scenario.season, days=days),
         calendar=CropCalendar.maize(days))
+    drivers = decision.season_drivers(
+        scenario, generate_weather(scenario.season, scenario.seed),
+        NoiseStream(0))
     result = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
-                                      NoiseStream(0))
+                                      drivers)
     assert len(result.samples) == days * 288

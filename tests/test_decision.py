@@ -32,6 +32,7 @@ from agrisim.decision import (
     evaluate,
     extraterrestrial_radiation,
     schedule_season,
+    season_drivers,
 )
 from agrisim.errors import InputError
 from agrisim.fieldsim import (
@@ -277,47 +278,59 @@ def _setup(**overrides):
     return dataclasses.replace(SHIPPED, **kwargs)
 
 
+def _drivers(scenario, noise_seed):
+    """The scenario's shared season inputs on a fresh noise stream."""
+    return season_drivers(scenario,
+                          generate_weather(scenario.season, scenario.seed),
+                          NoiseStream(noise_seed))
+
+
+def _arm(policy, scenario, noise_seed):
+    """One policy arm on its own season inputs."""
+    return schedule_season(policy, scenario, _drivers(scenario, noise_seed))
+
+
 class TestScheduleSeason:
     def test_baseline_event_arithmetic(self):
-        result = schedule_season(CALENDAR_BASELINE, _setup(), NoiseStream(0))
+        result = _arm(CALENDAR_BASELINE, _setup(), 0)
         assert result.event_count == 15
         assert result.irrigation_total_mm == pytest.approx(180.0)
 
     def test_zero_trigger_never_fires(self):
         setup = _setup(thresholds=Thresholds(soil_moisture_trigger_pct=0.0))
-        result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(0))
+        result = _arm(SENSOR_DRIVEN, setup, 0)
         assert result.event_count == 0
         assert result.irrigation_total_mm == 0.0
 
     def test_sensor_events_audit_against_readings(self):
         # the decision instant's sensed moisture must be below the trigger
-        result = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(0))
+        result = _arm(SENSOR_DRIVEN, _setup(), 0)
         trigger = Thresholds().soil_moisture_trigger_pct
         assert result.event_count > 0
         for event in result.events:
             assert event.observed_moisture_pct < trigger
 
     def test_at_most_one_event_per_day(self):
-        result = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(0))
+        result = _arm(SENSOR_DRIVEN, _setup(), 0)
         days = [e.day_index for e in result.events]
         assert len(days) == len(set(days))
 
     def test_eta_never_exceeds_etm(self):
         for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
-            result = schedule_season(policy, _setup(), NoiseStream(0))
+            result = _arm(policy, _setup(), 0)
             assert 0.0 <= result.eta_total_mm <= result.etm_total_mm + 1e-9
 
     def test_sample_count(self):
-        result = schedule_season(CALENDAR_BASELINE, _setup(), NoiseStream(0))
+        result = _arm(CALENDAR_BASELINE, _setup(), 0)
         assert len(result.samples) == 60 * 288
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(InputError):
-            schedule_season("GREEDY", _setup(), NoiseStream(0))
+            _arm("GREEDY", _setup(), 0)
 
     def test_deterministic_per_noise_seed(self):
-        a = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(4))
-        b = schedule_season(SENSOR_DRIVEN, _setup(), NoiseStream(4))
+        a = _arm(SENSOR_DRIVEN, _setup(), 4)
+        b = _arm(SENSOR_DRIVEN, _setup(), 4)
         for column in SAMPLE_COLUMNS:
             x, y = getattr(a.samples, column), getattr(b.samples, column)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -331,7 +344,7 @@ class TestScheduleSeason:
             thresholds=Thresholds(temp_alert_c=26.0,
                                   humidity_range_pct=(42.0, 50.0)),
             air_noise_sigma=3.0)
-        result = schedule_season(SENSOR_DRIVEN, setup, NoiseStream(7))
+        result = _arm(SENSOR_DRIVEN, setup, 7)
         thr, cap = setup.thresholds, setup.irrigation.cap_mm
         rh_lo, rh_hi = thr.humidity_range_pct
         trigger = thr.soil_moisture_trigger_pct
@@ -406,7 +419,8 @@ def _per_day_schedule_season(policy, scenario, noise):
         moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
                                       z[:, 0])
         half_range = (w.t_max_c - w.t_min_c) / 2.0
-        temp, rh = sample_air_sensor(w.t_mean_c + half_range * cosines,
+        t_mean = (w.t_min_c + w.t_max_c) / 2.0
+        temp, rh = sample_air_sensor(t_mean + half_range * cosines,
                                      w.rh_mean_pct, scenario.air_noise_sigma,
                                      z[:, 1], z[:, 2])
         timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
@@ -480,10 +494,26 @@ def test_batched_kernel_matches_per_day_reference(season, seed, interval_s,
     if season == "wet":
         assert any(w.rain_mm > 0.0
                    for w in generate_weather(setup.season, seed))
+    # both arms read one set of inputs, as in a run; each oracle draws its
+    # own weather and noise
+    drivers = _drivers(setup, seed)
     for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         assert_same_season(
-            schedule_season(policy, setup, NoiseStream(seed)),
+            schedule_season(policy, setup, drivers),
             _per_day_schedule_season(policy, setup, NoiseStream(seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_shared_drivers_match_per_day_reference_in_either_order(seed):
+    # the first arm leaves the shared inputs as the second arm needs them
+    scenario = dataclasses.replace(SHIPPED, seed=seed)
+    for order in ((SENSOR_DRIVEN, CALENDAR_BASELINE),
+                  (CALENDAR_BASELINE, SENSOR_DRIVEN)):
+        drivers = _drivers(scenario, seed)
+        for policy in order:
+            assert_same_season(
+                schedule_season(policy, scenario, drivers),
+                _per_day_schedule_season(policy, scenario, NoiseStream(seed)))
 
 
 def assert_same_season(got, want):
@@ -511,8 +541,7 @@ def sensor_arm_batches(monkeypatch, scenario):
 
     with monkeypatch.context() as patch:
         patch.setattr(decision, "sample_soil_sensor", counted)
-        result = schedule_season(SENSOR_DRIVEN, scenario,
-                                 NoiseStream(scenario.seed))
+        result = _arm(SENSOR_DRIVEN, scenario, scenario.seed)
     return result, readings
 
 
@@ -555,9 +584,10 @@ def test_stretch_loop_matches_per_day_reference(case, monkeypatch):
     scenario = variant(SHIPPED)
     result, batches = sensor_arm_batches(monkeypatch, scenario)
     assert covers(result, batches)
+    drivers = _drivers(scenario, scenario.seed)
     for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         assert_same_season(
-            schedule_season(policy, scenario, NoiseStream(scenario.seed)),
+            schedule_season(policy, scenario, drivers),
             _per_day_schedule_season(policy, scenario,
                                      NoiseStream(scenario.seed)))
 

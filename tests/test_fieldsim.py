@@ -48,7 +48,7 @@ class TestWeather:
     def test_envelope_respected(self):
         # default envelope: 15-30 C mean temperature, 30-60% humidity
         for w in generate_weather(SeasonConfig(days=60), 42):
-            assert 15.0 <= w.t_mean_c <= 30.0
+            assert 15.0 <= (w.t_min_c + w.t_max_c) / 2.0 <= 30.0
             assert 15.0 <= w.t_min_c <= w.t_max_c <= 30.0
             assert 30.0 <= w.rh_mean_pct <= 60.0
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline: artifacts, determinism, paired arms, CLI."""
 
+import collections
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from agrisim import pipeline, transport
+from agrisim import decision, fieldsim, pipeline, transport
 from agrisim.cli import main
 from agrisim.scenario import default_scenario_path, load_scenario
 
@@ -54,6 +55,38 @@ class TestRunSeason:
         assert entries["sensor_noise_system"] == entries["sensor_noise_baseline"]
         assert default_run.system_arm.noise_digest == \
             default_run.baseline_arm.noise_digest
+
+    def test_arms_share_read_only_season_inputs(self, default_run):
+        system = default_run.system_arm.samples
+        baseline = default_run.baseline_arm.samples
+        for column in ("timestamp_s", "temp_c", "humidity_pct"):
+            shared = getattr(system, column)
+            assert shared is getattr(baseline, column)
+            with pytest.raises(ValueError):
+                shared[0] = shared[1]
+
+    def test_one_weather_noise_draw_and_air_call_per_run(
+            self, default_scenario, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        weather = fieldsim.generate_weather
+        monkeypatch.setattr(pipeline, "generate_weather",
+                            counted("weather", weather))
+        # an arm that generated its own weather would do it through here
+        monkeypatch.setattr(decision, "generate_weather",
+                            counted("weather", weather), raising=False)
+        monkeypatch.setattr(fieldsim.NoiseStream, "draw",
+                            counted("draw", fieldsim.NoiseStream.draw))
+        monkeypatch.setattr(decision, "sample_air_sensor",
+                            counted("air", decision.sample_air_sensor))
+        pipeline.run_season(default_scenario)
+        assert calls == {"weather": 1, "draw": 1, "air": 1}
 
     def test_channel_holds_only_delivered_packets(self, default_run):
         stats = default_run.transport_stats[transport.PUBSUB]

@@ -110,6 +110,19 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError):
             parse_scenario(raw)
 
+    def test_zero_width_temp_envelope(self):
+        # no diurnal range, so zero ET0: the run would fail in the yield model
+        raw = default_raw()
+        raw["season"]["temp_envelope_c"] = [20.0, 20.0]
+        with pytest.raises(ConfigurationError, match="temperature envelope"):
+            parse_scenario(raw)
+
+    def test_zero_width_humidity_envelope_runs(self):
+        raw = default_raw()
+        raw["season"]["rh_envelope_pct"] = [45.0, 45.0]
+        output = pipeline.run_season(parse_scenario(raw))
+        assert output.observations["Humidity"] == pytest.approx(45.0, abs=1.0)
+
     def test_stage_days_must_sum_to_season(self):
         raw = default_raw()
         raw["crop_calendar"]["stage_days"] = [10, 20, 20, 5]  # sums to 55

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from agrisim import decision, transport
 from agrisim.errors import ConfigurationError, InputError
-from agrisim.fieldsim import NoiseStream
+from agrisim.fieldsim import NoiseStream, generate_weather
 from agrisim.pipeline import packets_from_samples
 from agrisim.transport import (
     PUBSUB,
@@ -298,8 +298,12 @@ class TestPacketCount:
         # 60 days of one packet per 300 s sample
         assert default_scenario.season.days == 60
         assert default_scenario.soil_sensor.sample_interval_s == 300
+        weather = generate_weather(default_scenario.season,
+                                   default_scenario.seed)
+        drivers = decision.season_drivers(default_scenario, weather,
+                                          NoiseStream(0))
         result = decision.schedule_season(decision.SENSOR_DRIVEN,
-                                          default_scenario, NoiseStream(0))
+                                          default_scenario, drivers)
         packets = packets_from_samples(result.samples, "farm/f/telemetry")
         assert len(packets) == SEASON_PACKETS == 60 * 288
         assert [p.sequence_no for p in packets[:2]] == [1, 2]
