@@ -336,18 +336,17 @@ class Dispatcher:
             np.array([kind]), np.array([observed], dtype=np.float64),
             np.array([threshold], dtype=np.float64), np.array([timestamp_s])))
 
-    def export_csv(self, path) -> int:
-        """Write the log as ``csv.writer`` would, one ``"".join`` per slice
-        of rows."""
+    def export_csv(self, fh) -> int:
+        """Write the log to a text stream as ``csv.writer`` would, one
+        ``"".join`` per slice of rows."""
         r, n = self.records, len(self.records)
         columns = [list(map(str, r.timestamp_s)), *map(_csv_column, (
             [self.gateway.kind] * n, r.template_id, [self.locale] * n,
             r.status, r.dedup_key, r.text, r.detail))]
         seps = ["", *[","] * (len(columns) - 1), "\r\n"]
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            fh.write("timestamp_s,gateway,template_id,locale,status,"
-                     "dedup_key,text,detail\r\n")
-            for start in range(0, n, ingest._SLICE_ROWS):
-                fh.write(ingest._join_rows(seps, [
-                    c[start:start + ingest._SLICE_ROWS] for c in columns]))
+        fh.write("timestamp_s,gateway,template_id,locale,status,"
+                 "dedup_key,text,detail\r\n")
+        for start in range(0, n, ingest._SLICE_ROWS):
+            fh.write(ingest._join_rows(seps, [
+                c[start:start + ingest._SLICE_ROWS] for c in columns]))
         return n

@@ -51,7 +51,8 @@ def cmd_bench_transport(args) -> int:
     out_path = args.out
     stats = pipeline.run_season(scenario).transport_stats
     if out_path:
-        pipeline.write_transport_csv(out_path, stats)
+        with Path(out_path).open("w", encoding="utf-8", newline="") as fh:
+            pipeline.write_transport_csv(fh, stats)
     ps, rr = stats[transport.PUBSUB], stats[transport.REQRESP]
     for name, s in ((transport.PUBSUB, ps), (transport.REQRESP, rr)):
         print(f"{name:8s} attempted={s.attempted} delivered={s.delivered} "

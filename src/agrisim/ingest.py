@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -192,11 +191,11 @@ class ChannelStore:
         return {"accepted": st.accepted, "rejected_auth": st.rejected_auth,
                 "rejected_rate": st.rejected_rate}
 
-    def export(self, channel_id: str, csv_path, jsonl_path) -> int:
-        """Write the channel as CSV (created_at, entry_id, then the field
-        columns) and as JSON lines, one entry object per line as
-        ``json.dumps(entry, sort_keys=True)`` writes it; returns the number
-        of entries.
+    def export(self, channel_id: str, csv_fh, jsonl_fh) -> int:
+        """Write the channel to two text streams, as CSV (created_at,
+        entry_id, then the field columns) and as JSON lines, one entry
+        object per line as ``json.dumps(entry, sort_keys=True)`` writes it;
+        returns the number of entries.
 
         Each column calls ``repr`` (which is how ``json.dumps`` writes a
         finite float) once per distinct value. Both files are written from
@@ -212,24 +211,20 @@ class ChannelStore:
         jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
             (", " if k else ', "values": {') + json.dumps(names[j]) + ": "
             for k, j in enumerate(order)), "}}\n"]
-        with Path(csv_path).open("w", encoding="utf-8",
-                                 newline="") as csv_fh, \
-                Path(jsonl_path).open("w", encoding="utf-8") as jsonl_fh:
-            csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
-            entry_id = 1
-            # one batch at a time, so a batch's int times print as ints
-            for times, values in st.batches:
-                columns = [_reprs(times), *map(_reprs, values)]
-                for start in range(0, len(times), _SLICE_ROWS):
-                    rows = slice(start, start + _SLICE_ROWS)
-                    created_at, *fields = [c[rows].tolist() for c in columns]
-                    ids = list(map(str, range(entry_id,
-                                              entry_id + len(created_at))))
-                    csv_fh.write(_join_rows(csv_seps,
-                                            [created_at, ids, *fields]))
-                    jsonl_fh.write(_join_rows(jsonl_seps, [
-                        created_at, ids, *(fields[j] for j in order)]))
-                    entry_id += len(created_at)
+        csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
+        entry_id = 1
+        # one batch at a time, so a batch's int times print as ints
+        for times, values in st.batches:
+            columns = [_reprs(times), *map(_reprs, values)]
+            for start in range(0, len(times), _SLICE_ROWS):
+                rows = slice(start, start + _SLICE_ROWS)
+                created_at, *fields = [c[rows].tolist() for c in columns]
+                ids = list(map(str, range(entry_id,
+                                          entry_id + len(created_at))))
+                csv_fh.write(_join_rows(csv_seps, [created_at, ids, *fields]))
+                jsonl_fh.write(_join_rows(jsonl_seps, [
+                    created_at, ids, *(fields[j] for j in order)]))
+                entry_id += len(created_at)
         return entry_id - 1
 
 

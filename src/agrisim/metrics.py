@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 from agrisim.errors import ConfigurationError, InputError
 
@@ -185,18 +184,16 @@ def format_report_table(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report_csv(report: MetricReport, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "recorded", "threshold", "unit", "status"])
-        for r in report.rows:
-            writer.writerow([r.parameter, repr(r.recorded), repr(r.threshold),
-                             r.unit, r.status])
+def export_report_csv(report: MetricReport, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["parameter", "recorded", "threshold", "unit", "status"])
+    for r in report.rows:
+        writer.writerow([r.parameter, repr(r.recorded), repr(r.threshold),
+                         r.unit, r.status])
 
 
-def export_radar_csv(report: MetricReport, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "recorded", "target", "ratio"])
-        for name, recorded, target, ratio in radar_data(report):
-            writer.writerow([name, repr(recorded), repr(target), repr(ratio)])
+def export_radar_csv(report: MetricReport, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["metric", "recorded", "target", "ratio"])
+    for name, recorded, target, ratio in radar_data(report):
+        writer.writerow([name, repr(recorded), repr(target), repr(ratio)])

@@ -13,6 +13,7 @@ arms were paired.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -175,82 +176,96 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     return output
 
 
-def _write_ground_truth_csv(path, weather, arm: decision.SeasonResult,
+def _write_ground_truth_csv(fh, weather, arm: decision.SeasonResult,
                             profile):
     depletion = [d.depletion_end_mm for d in arm.daily]
     moisture = depletion_to_moisture_pct(np.array(depletion), profile)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
-                         "rh_mean_pct", "rain_mm", "depletion_mm",
-                         "moisture_pct"])
-        for w, dep, m in zip(weather, depletion, moisture.tolist()):
-            writer.writerow([w.day_index, w.day_of_year, repr(w.t_min_c),
-                             repr(w.t_max_c), repr(w.rh_mean_pct),
-                             repr(w.rain_mm), repr(dep), repr(m)])
+    writer = csv.writer(fh)
+    writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
+                     "rh_mean_pct", "rain_mm", "depletion_mm",
+                     "moisture_pct"])
+    for w, dep, m in zip(weather, depletion, moisture.tolist()):
+        writer.writerow([w.day_index, w.day_of_year, repr(w.t_min_c),
+                         repr(w.t_max_c), repr(w.rh_mean_pct),
+                         repr(w.rain_mm), repr(dep), repr(m)])
 
 
-def _write_irrigation_log(path, system: decision.SeasonResult,
+def _write_irrigation_log(fh, system: decision.SeasonResult,
                           baseline: decision.SeasonResult):
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "policy", "depth_mm", "trigger_reason"])
-        for arm in (system, baseline):
-            for e in arm.events:
-                writer.writerow([e.day_index, arm.policy, repr(e.depth_mm),
-                                 e.reason])
+    writer = csv.writer(fh)
+    writer.writerow(["day", "policy", "depth_mm", "trigger_reason"])
+    for arm in (system, baseline):
+        for e in arm.events:
+            writer.writerow([e.day_index, arm.policy, repr(e.depth_mm),
+                             e.reason])
 
 
-def write_transport_csv(path, stats_by_protocol: dict):
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "attempted", "delivered",
-                         "retransmissions", "bytes_sent", "energy_mwh",
-                         "mean_latency_s", "delivery_rate"])
-        for proto in (transport.PUBSUB, transport.REQRESP):
-            s = stats_by_protocol[proto]
-            writer.writerow([proto, s.attempted, s.delivered,
-                             s.retransmissions, s.bytes_sent,
-                             repr(s.energy_mwh), repr(s.mean_latency_s),
-                             repr(s.delivery_rate)])
+def write_transport_csv(fh, stats_by_protocol: dict):
+    writer = csv.writer(fh)
+    writer.writerow(["protocol", "attempted", "delivered",
+                     "retransmissions", "bytes_sent", "energy_mwh",
+                     "mean_latency_s", "delivery_rate"])
+    for proto in (transport.PUBSUB, transport.REQRESP):
+        s = stats_by_protocol[proto]
+        writer.writerow([proto, s.attempted, s.delivered,
+                         s.retransmissions, s.bytes_sent,
+                         repr(s.energy_mwh), repr(s.mean_latency_s),
+                         repr(s.delivery_rate)])
+
+
+class _Artifact:
+    """A text stream over one run-directory file: each text it is given is
+    written as UTF-8, untranslated, and added to the file's sha256."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self._fh.write(data)
+        self.sha256.update(data)
+        return len(text)
 
 
 def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                      dispatcher):
     out = output.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    written = []  # the manifest lists these files, not whatever else is there
+    # the manifest lists these files, not whatever else is there
+    written: dict[str, _Artifact] = {}
+    with contextlib.ExitStack() as files:  # closes every file on exit
+        def artifact(name: str) -> _Artifact:
+            fh = files.enter_context((out / name).open("wb"))
+            written[name] = _Artifact(fh)
+            return written[name]
 
-    def path(name: str) -> Path:
-        written.append(name)
-        return out / name
-
-    _write_ground_truth_csv(path("ground_truth_system.csv"), weather,
-                            output.system_arm, scenario.profile)
-    _write_ground_truth_csv(path("ground_truth_baseline.csv"), weather,
-                            output.baseline_arm, scenario.profile)
-    _write_irrigation_log(path("irrigation_log.csv"), output.system_arm,
-                          output.baseline_arm)
-    store.export(scenario.channel.channel_id, path("channel_export.csv"),
-                 path("channel_snapshot.jsonl"))
-    dispatcher.export_csv(path("dispatch_log.csv"))
-    write_transport_csv(path("transport_stats.csv"), output.transport_stats)
-    path("report.txt").write_text(
-        metrics.format_report_table(output.report), encoding="utf-8")
-    metrics.export_report_csv(output.report, path("report.csv"))
-    metrics.export_radar_csv(output.report, path("radar.csv"))
-
-    path("totals.json").write_text(json.dumps({
-        "scenario": scenario.name,
-        "observations": output.observations,
-        "report_targets": scenario.report_targets,
-        "totals": dataclasses.asdict(output.totals),
-        "economics": output.economics,
-    }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_ground_truth_csv(artifact("ground_truth_system.csv"), weather,
+                                output.system_arm, scenario.profile)
+        _write_ground_truth_csv(artifact("ground_truth_baseline.csv"),
+                                weather, output.baseline_arm, scenario.profile)
+        _write_irrigation_log(artifact("irrigation_log.csv"),
+                              output.system_arm, output.baseline_arm)
+        store.export(scenario.channel.channel_id,
+                     artifact("channel_export.csv"),
+                     artifact("channel_snapshot.jsonl"))
+        dispatcher.export_csv(artifact("dispatch_log.csv"))
+        write_transport_csv(artifact("transport_stats.csv"),
+                            output.transport_stats)
+        artifact("report.txt").write(
+            metrics.format_report_table(output.report))
+        metrics.export_report_csv(output.report, artifact("report.csv"))
+        metrics.export_radar_csv(output.report, artifact("radar.csv"))
+        artifact("totals.json").write(json.dumps({
+            "scenario": scenario.name,
+            "observations": output.observations,
+            "report_targets": scenario.report_targets,
+            "totals": dataclasses.asdict(output.totals),
+            "economics": output.economics,
+        }, sort_keys=True, indent=2) + "\n")
 
     manifest_entries = [
-        {"file": name, "sha256": hashlib.sha256(
-            (out / name).read_bytes()).hexdigest()}
+        {"file": name, "sha256": written[name].sha256.hexdigest()}
         for name in sorted(written)]
     manifest_entries.append({"stream": "weather",
                              "sha256": _weather_digest(weather)})

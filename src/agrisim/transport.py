@@ -173,13 +173,18 @@ def _one_decimal_widths(column: np.ndarray) -> np.ndarray:
     """``len(f"{v:.1f}")`` of each value, without formatting any.
 
     The text is a sign for a negative value (``-0.0`` and ``-0.04`` print as
-    ``"-0.0"``), the integer digits, and ``".d"``; the digit count comes
-    from the magnitude's place among ``_STEPS``. Non-finite values and
-    magnitudes of ``_EXACT_BELOW`` or more are formatted by Python.
+    ``"-0.0"``), the integer digits, and ``".d"``; each step of ``_STEPS``
+    that the magnitude reaches adds one digit. Only the steps up to the
+    column's largest magnitude, NaN aside, are compared: two for readings
+    in [0, 100]. Non-finite values and magnitudes of ``_EXACT_BELOW`` or more
+    are formatted by Python.
     """
     magnitude = np.abs(column)
-    widths = (3 + np.searchsorted(_STEPS, magnitude, side="right")
-              + np.signbit(column))
+    widths = 3 + np.signbit(column)
+    # fmax skips NaN; the initial 0.0 lets an empty column reduce
+    top = np.fmax.reduce(magnitude, initial=0.0)
+    for step in _STEPS[_STEPS <= top].tolist():
+        widths += magnitude >= step
     exact = ~(magnitude < _EXACT_BELOW)
     if exact.any():
         widths[exact] = [len(f"{v:.1f}") for v in column[exact].tolist()]

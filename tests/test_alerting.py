@@ -347,13 +347,13 @@ class TestDispatcher:
         d.dispatch_alert(*low_moisture(60))
         assert d.records.status == [FAILED, SENT]
 
-    def test_export_csv_row_count(self, tmp_path):
+    def test_export_csv_row_count(self):
         d = make_dispatcher(locale="lg")
         d.dispatch_alert(*low_moisture(0))
         d.dispatch_alert(*low_moisture(60))
-        path = tmp_path / "dispatch.csv"
-        assert d.export_csv(path) == 2
-        lines = path.read_text().splitlines()
+        buf = io.StringIO(newline="")
+        assert d.export_csv(buf) == 2
+        lines = buf.getvalue().splitlines()
         assert len(lines) == 3  # header + 2 rows
         # gateway kind and locale are the dispatcher's, written on every row
         assert [line.split(",")[:5] for line in lines[1:]] == [
@@ -564,7 +564,7 @@ class TestLogBytes:
     @pytest.mark.parametrize("text", [
         'a, b', 'say "hi"', 'line\rbreak', 'line\nbreak', 'crlf\r\nend',
         '"", ,\n', "plain {moisture_pct}%"])
-    def test_quoted_texts_and_details(self, tmp_path, text):
+    def test_quoted_texts_and_details(self, text):
         tpl = MessageTemplate("irrigate_low_moisture", "en",
                               text + " {moisture_pct}")
         catalog = MessageCatalog({(tpl.template_id, tpl.locale): tpl})
@@ -576,24 +576,24 @@ class TestLogBytes:
         d.dispatch(alert_columns([(LOW, 21.0, 25.0, 1000)]))
         assert d.records.status == [FAILED, SENT, SENT, SENT, FAILED]
         assert "" in d.records.detail  # a SENT row's empty detail
-        path = tmp_path / "dispatch_log.csv"
-        assert d.export_csv(path) == 5
-        assert path.read_bytes() == self.csv_writer_bytes(d)
+        buf = io.StringIO(newline="")
+        assert d.export_csv(buf) == 5
+        assert buf.getvalue().encode() == self.csv_writer_bytes(d)
 
     @given(st.text(max_size=30))
     @settings(max_examples=200, deadline=None)
-    def test_any_detail_text(self, tmp_path_factory, detail):
+    def test_any_detail_text(self, detail):
         d = make_dispatcher(FailingGatewayClient(detail))
         d.dispatch(alert_columns([(LOW, 20.0, 25.0, 0.5),
                                   (HEAT, 36.0, 35.0, 1)]))
-        path = tmp_path_factory.mktemp("log") / "dispatch_log.csv"
-        d.export_csv(path)
-        assert path.read_bytes() == self.csv_writer_bytes(d)
+        buf = io.StringIO(newline="")
+        d.export_csv(buf)
+        assert buf.getvalue().encode() == self.csv_writer_bytes(d)
 
-    def test_log_larger_than_one_slice(self, tmp_path):
+    def test_log_larger_than_one_slice(self):
         d = make_dispatcher(window=50.0)
         d.dispatch(alert_columns([(k % 4, 20.0 + k % 7, 25.0, 10 * k)
                                   for k in range(5000)]))
-        path = tmp_path / "dispatch_log.csv"
-        assert d.export_csv(path) == 5000
-        assert path.read_bytes() == self.csv_writer_bytes(d)
+        buf = io.StringIO(newline="")
+        assert d.export_csv(buf) == 5000
+        assert buf.getvalue().encode() == self.csv_writer_bytes(d)

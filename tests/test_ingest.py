@@ -30,6 +30,14 @@ def make_store(min_interval=15.0):
     return store
 
 
+def export_files(store, channel_id, csv_path, jsonl_path):
+    """``store.export`` into two files opened as UTF-8 text with no newline
+    translation, as a run directory's artifacts are written."""
+    with csv_path.open("w", encoding="utf-8", newline="") as csv_fh, \
+            jsonl_path.open("w", encoding="utf-8", newline="") as jsonl_fh:
+        return store.export(channel_id, csv_fh, jsonl_fh)
+
+
 class ReferenceChannel:
     """The per-record store the batch path replaced: one entry tuple per
     accepted row, one ``csv.writer`` row and one ``json.dumps`` per entry."""
@@ -77,7 +85,8 @@ class TestIngest:
         store = make_store()
         result = store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
         assert result.status == ACCEPTED
-        store.export("ch-1", tmp_path / "chan.csv", tmp_path / "chan.jsonl")
+        export_files(store, "ch-1", tmp_path / "chan.csv",
+                     tmp_path / "chan.jsonl")
         [line] = (tmp_path / "chan.jsonl").read_text().splitlines()
         assert json.loads(line)["entry_id"] == 1
 
@@ -300,7 +309,7 @@ class TestBatchMatchesReference:
             assert values.tobytes() == np.ascontiguousarray(
                 ref_values).tobytes()
             n = len(ref_times)
-            assert store.export("ch", out / "chan.csv",
+            assert export_files(store, "ch", out / "chan.csv",
                                 out / "chan.jsonl") == n
             assert (out / "chan.csv").read_bytes() == \
                 (out / "ref.csv").read_bytes()
@@ -327,7 +336,7 @@ class TestBatchMatchesReference:
                 assert reference.ingest("KEY", t, values) == ACCEPTED
 
         total = n_int + n_float
-        assert store.export("ch", tmp_path / "chan.csv",
+        assert export_files(store, "ch", tmp_path / "chan.csv",
                             tmp_path / "chan.jsonl") == total
         reference.export_csv(tmp_path / "ref.csv")
         reference.snapshot_jsonl(tmp_path / "ref.jsonl")
@@ -434,7 +443,7 @@ class TestPersistence:
     def test_empty_export_header_only(self, tmp_path):
         store = make_store()
         path = tmp_path / "chan.csv"
-        assert store.export("ch-1", path, tmp_path / "chan.jsonl") == 0
+        assert export_files(store, "ch-1", path, tmp_path / "chan.jsonl") == 0
         assert path.read_text().splitlines() == [
             "created_at,entry_id,moisture,temp,humidity"]
         assert (tmp_path / "chan.jsonl").read_text() == ""
@@ -443,7 +452,7 @@ class TestPersistence:
         store = make_store(min_interval=0.0)
         for i in range(3):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
-        assert store.export("ch-1", tmp_path / "chan.csv",
+        assert export_files(store, "ch-1", tmp_path / "chan.csv",
                             tmp_path / "chan.jsonl") == 3
 
     def test_round_trip_import_equals_store(self, tmp_path):
@@ -452,7 +461,7 @@ class TestPersistence:
             store.ingest("ch-1", "KEY", i * 300.0,
                          (40.0 + i * 0.1, 22.0, 45.5))
         path = tmp_path / "chan.csv"
-        store.export("ch-1", path, tmp_path / "chan.jsonl")
+        export_files(store, "ch-1", path, tmp_path / "chan.jsonl")
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["created_at", "entry_id", *FIELDS]
@@ -467,5 +476,5 @@ class TestPersistence:
         for i in range(4):
             store.ingest("ch-1", "KEY", float(i), (i, i, i))
         path = tmp_path / "chan.jsonl"
-        assert store.export("ch-1", tmp_path / "chan.csv", path) == 4
+        assert export_files(store, "ch-1", tmp_path / "chan.csv", path) == 4
         assert len(path.read_text().splitlines()) == 4

@@ -1,6 +1,8 @@
 """Metrics: efficiency/yield/economics formulas against closed-form oracles
 and the seven-row threshold report."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,11 +220,11 @@ class TestReport:
             assert any(line.startswith(parameter) for line in lines)
         assert "Exceeded" in text and "Within Range" in text
 
-    def test_csv_export_round_trip_values(self, tmp_path):
+    def test_csv_export_round_trip_values(self):
         report = build_report(VALIDATION_OBSERVATIONS, VALIDATION_THRESHOLDS)
-        path = tmp_path / "report.csv"
-        export_report_csv(report, path)
-        lines = path.read_text().splitlines()
+        buf = io.StringIO(newline="")
+        export_report_csv(report, buf)
+        lines = buf.getvalue().splitlines()
         assert len(lines) == 8
         parsed = [line.split(",") for line in lines[1:]]
         for parameter, recorded, _, _, status in parsed:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: artifacts, determinism, paired arms, CLI."""
 
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,14 @@ class TestRunSeason:
 
 
 class TestManifest:
+    def test_file_hashes_match_the_closed_files(self, default_run):
+        # the writers hash the bytes they write; once run_season returns,
+        # every file holds exactly those bytes
+        for entry in read_manifest(default_run.out_dir):
+            if "file" in entry:
+                data = (default_run.out_dir / entry["file"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
     def test_stray_file_stays_out_of_the_manifest(self, default_run,
                                                   default_scenario, tmp_path):
         (tmp_path / "notes.txt").write_text("not written by the run\n")

@@ -155,6 +155,27 @@ class TestPayloadWidths:
             np.array(values, dtype=np.float64))
         assert widths.tolist() == [len(f"{v:.1f}") for v in values]
 
+    # each column compares only the steps up to its own largest magnitude,
+    # so the columns below are sized one at a time
+    @pytest.mark.parametrize("values", [
+        [math.nan, 9.94, 9.95, 9.96, math.nan, 99.94, 99.95, 99.96, math.nan],
+        [9.949999999999999, math.nan, -9.95, 99.94999999999999, -99.95],
+        [math.nan, 5.0, math.nan],
+        [math.nan],
+        [math.nan, math.nan, -math.nan],
+        [],
+        [math.inf, 0.5, -math.inf, -3.2, 9.0],
+        [-math.inf, 1.0],
+        [1e17, 1.0, -2.5, 9.9],
+        [3.0, -1e17, 0.04],
+    ], ids=["nan-around-steps", "nan-signed-steps", "nan-one-digit",
+            "one-nan", "all-nan", "empty", "inf-small", "neg-inf-small",
+            "huge-single-digits", "neg-huge-single-digits"])
+    def test_in_range_bound_per_column(self, values):
+        widths = transport._one_decimal_widths(
+            np.array(values, dtype=np.float64))
+        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
+
 
 class TestPublish:
     def test_lossless_first_attempt(self):
