@@ -6,12 +6,14 @@ figures as JSON.
 
 After one warm-up run of each kind, it times ``REPEATS`` runs of the shipped
 scenario with artifacts (to a fresh temporary directory each) and as many in
-memory, alternating the two. It also times the reference kernel of
-``perfbench/calibrate.py`` (imported read-only) ``KERNEL_RUNS`` times before
-and after, because the speed of a shared host drifts: ``e2e_ref_s`` is each
-median passed through ``calibrate.to_reference`` with the median kernel
-times before and after. Between those kernel runs it also times a whole
-sensor arm alone: the season's weather, its ``decision.season_drivers`` and
+memory, alternating the two, and keeps each run's ``RunOutput.timings``:
+``layers`` holds each stage's reference-scaled median, by kind of run. It
+also times the reference kernel of ``perfbench/calibrate.py`` (imported
+read-only) ``KERNEL_RUNS`` times before and after, because the speed of a
+shared host drifts: ``e2e_ref_s`` and ``layers`` pass each median through
+``calibrate.to_reference`` with the median kernel times before and after.
+Between those kernel runs it also times a whole sensor arm alone: the
+season's weather, its ``decision.season_drivers`` and
 ``decision.schedule_season`` with SENSOR_DRIVEN, all the work of one arm
 whose inputs no other arm shares. It runs ``REPEATS`` times for each of
 three seasons in turn: the shipped scenario, its wet variant
@@ -127,15 +129,18 @@ def main() -> int:
     scenario = load_default_scenario()
     before = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
     times = {"with_artifacts": [], "in_memory": []}
+    stage_times = {kind: {} for kind in times}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(REPEATS + 1):
             for kind in times:
                 out_dir = Path(tmp) / f"{kind}-{i}" \
                     if kind == "with_artifacts" else None
                 t0 = time.perf_counter()
-                pipeline.run_season(scenario, out_dir=out_dir)
+                out = pipeline.run_season(scenario, out_dir=out_dir)
                 if i:  # the first run of each kind is the warm-up
                     times[kind].append(time.perf_counter() - t0)
+                    for stage, seconds in out.timings.items():
+                        stage_times[kind].setdefault(stage, []).append(seconds)
     seasons = _sensor_arm_seasons(scenario)
     arm_times = {name: [] for name in seasons}
     events = {}
@@ -183,6 +188,11 @@ def main() -> int:
         "e2e_ref_s": {kind: calibrate.to_reference(s["median"], k_before,
                                                    k_after)
                       for kind, s in e2e.items()},
+        "layers": {
+            kind: {stage: calibrate.to_reference(statistics.median(t),
+                                                 k_before, k_after)
+                   for stage, t in stages.items()}
+            for kind, stages in stage_times.items()},
         "kernel_ref_s": {
             name: {"sensor_arm_median": calibrate.to_reference(
                        statistics.median(t), k_before, k_after),

@@ -4,6 +4,10 @@ Subcommands:
   run <scenario> [--out DIR] [--seed N]   full two-arm season + artifacts
   bench-transport <scenario> [--out FILE] per-protocol transport stats of a run
   report <out-dir>                        re-render tables from stored totals
+
+``run`` also writes ``timings.json`` beside the manifest: the wall seconds
+of ``run_season`` and of each of its stages. Wall time differs from run to
+run, so the manifest does not list the file; ``report`` prints it if present.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from agrisim import metrics, pipeline, transport
 from agrisim.errors import AgrisimError
 from agrisim.scenario import load_scenario
+
+TIMINGS_NAME = "timings.json"
 
 
 def _load(path: str, seed_override):
@@ -29,7 +36,12 @@ def _load(path: str, seed_override):
 def cmd_run(args) -> int:
     scenario = _load(args.scenario, args.seed)
     out_dir = Path(args.out) if args.out else Path(f"out_{scenario.name}")
+    start = time.perf_counter()
     output = pipeline.run_season(scenario, out_dir=out_dir)
+    run_s = time.perf_counter() - start
+    (out_dir / TIMINGS_NAME).write_text(json.dumps(
+        {"run_season_s": run_s, "stages_s": output.timings}, indent=2) + "\n",
+        encoding="utf-8")
     print(f"scenario: {scenario.name}  seed: {scenario.seed}")
     print(metrics.format_report_table(output.report))
     t = output.totals
@@ -64,29 +76,46 @@ def cmd_bench_transport(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    totals_path = Path(args.out_dir) / "totals.json"
-    if not totals_path.exists():
-        raise AgrisimError(f"no totals.json under {args.out_dir}")
+def _totals_lines(data) -> list[str]:
+    report = metrics.build_report(data["observations"], data["report_targets"])
+    econ = data["economics"]
+    return [
+        f"scenario: {data['scenario']}",
+        metrics.format_report_table(report),
+        f"cost savings: {econ['cost_savings_ugx']:.0f} UGX "
+        f"({econ['cost_savings_fraction_pct']:.1f}% of baseline cost)",
+        f"revenue gain: {econ['revenue_gain_ugx']:.0f} UGX",
+    ]
+
+
+def _timings_lines(data) -> list[str]:
+    return [f"stage times (run_season {data['run_season_s'] * 1e3:.1f} ms):",
+            *(f"  {name:16s}{seconds * 1e3:9.2f} ms"
+              for name, seconds in data["stages_s"].items())]
+
+
+def _render(path: Path, lines) -> list[str]:
+    """``lines`` of the JSON document in ``path``; a file that is not one,
+    or lacks an entry, fails as an ``AgrisimError`` that names it."""
     try:
-        data = json.loads(totals_path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise AgrisimError(f"{totals_path} is not valid JSON: {exc}") from None
+        raise AgrisimError(f"{path} is not valid JSON: {exc}") from None
     try:
-        report = metrics.build_report(data["observations"],
-                                      data["report_targets"])
-        econ = data["economics"]
-        lines = [
-            f"scenario: {data['scenario']}",
-            metrics.format_report_table(report),
-            f"cost savings: {econ['cost_savings_ugx']:.0f} UGX "
-            f"({econ['cost_savings_fraction_pct']:.1f}% of baseline cost)",
-            f"revenue gain: {econ['revenue_gain_ugx']:.0f} UGX",
-        ]
+        return lines(data)
     except KeyError as exc:
-        raise AgrisimError(f"{totals_path} has no {exc} entry") from None
-    except (TypeError, ValueError) as exc:
-        raise AgrisimError(f"{totals_path} is malformed: {exc}") from None
+        raise AgrisimError(f"{path} has no {exc} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise AgrisimError(f"{path} is malformed: {exc}") from None
+
+
+def cmd_report(args) -> int:
+    out_dir = Path(args.out_dir)
+    if not (out_dir / "totals.json").exists():
+        raise AgrisimError(f"no totals.json under {args.out_dir}")
+    lines = _render(out_dir / "totals.json", _totals_lines)
+    if (out_dir / TIMINGS_NAME).exists():
+        lines += _render(out_dir / TIMINGS_NAME, _timings_lines)
     print("\n".join(lines))
     return 0
 

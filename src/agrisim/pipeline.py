@@ -18,7 +18,8 @@ import csv
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,34 @@ class RunOutput:
     transport_stats: dict[str, transport.TransportStats]
     economics: dict[str, float]
     out_dir: Path | None = None
+    # wall seconds per stage (see Stages); not part of any artifact
+    timings: dict[str, float] = field(default_factory=dict)
+
+
+class Stages:
+    """Wall seconds per stage of one run, by stage name, in ``seconds``.
+
+    ``with stages(name):`` records the block's ``perf_counter`` time as that
+    stage's. A stage timed inside another is taken out of the outer stage's
+    time, so no two stages overlap and their sum is at most the run's.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._inner: list[float] = []  # nested stages' time, per open stage
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        self._inner.append(0.0)
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            inner = self._inner.pop()
+            if self._inner:
+                self._inner[-1] += elapsed
+            self.seconds[name] = elapsed - inner
 
 
 def packets_from_samples(samples: decision.Samples,
@@ -69,16 +98,25 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     """Execute the full pipeline; write artifact files when out_dir is given.
 
     Both policy arms read one set of season inputs: the scenario's weather,
-    one sensor-noise block and the air readings it drives.
+    one sensor-noise block and the air readings it drives. The wall time of
+    each stage goes to ``RunOutput.timings``: weather, drivers, each arm,
+    each session (without the pub/sub session's ingest), ingest, dispatch,
+    metrics and, with ``out_dir``, artifacts.
     """
-    weather = generate_weather(scenario.season, scenario.seed)
+    stages = Stages()
+    with stages("weather"):
+        weather = generate_weather(scenario.season, scenario.seed)
     sensor_ss, pubsub_ss, reqresp_ss = np.random.SeedSequence(
         scenario.seed).spawn(3)
-    drivers = decision.season_drivers(scenario, weather,
-                                      NoiseStream(sensor_ss))
-    system, baseline = (decision.schedule_season(policy, scenario, drivers)
-                        for policy in (decision.SENSOR_DRIVEN,
-                                       decision.CALENDAR_BASELINE))
+    with stages("drivers"):
+        drivers = decision.season_drivers(scenario, weather,
+                                          NoiseStream(sensor_ss))
+    with stages("sensor_arm"):
+        system = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
+                                          drivers)
+    with stages("baseline_arm"):
+        baseline = decision.schedule_season(decision.CALENDAR_BASELINE,
+                                            scenario, drivers)
     samples = system.samples
     days = scenario.season.days
 
@@ -86,28 +124,51 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     store.create_channel(scenario.channel)
 
     def deliver_to_channel(attempts, delivered):
-        store.ingest_batch(
-            scenario.channel.channel_id, scenario.channel.write_key,
-            samples.timestamp_s[delivered],
-            [column[delivered] for column in (
-                samples.moisture_pct, samples.temp_c, samples.humidity_pct)])
+        with stages("ingest"):
+            store.ingest_batch(
+                scenario.channel.channel_id, scenario.channel.write_key,
+                samples.timestamp_s[delivered],
+                [column[delivered] for column in (samples.moisture_pct,
+                                                  samples.temp_c,
+                                                  samples.humidity_pct)])
 
-    stats_pubsub = transport.run_session(
-        samples, transport.PUBSUB, scenario.qos, scenario.link,
-        scenario.energy, np.random.default_rng(pubsub_ss), days=days,
-        on_result=deliver_to_channel)
-    stats_reqresp = transport.run_session(
-        samples, transport.REQRESP, scenario.qos, scenario.link,
-        scenario.energy, np.random.default_rng(reqresp_ss), days=days)
+    with stages("pubsub_session"):
+        stats_pubsub = transport.run_session(
+            samples, transport.PUBSUB, scenario.qos, scenario.link,
+            scenario.energy, np.random.default_rng(pubsub_ss), days=days,
+            on_result=deliver_to_channel)
+    with stages("reqresp_session"):
+        stats_reqresp = transport.run_session(
+            samples, transport.REQRESP, scenario.qos, scenario.link,
+            scenario.energy, np.random.default_rng(reqresp_ss), days=days)
 
-    catalog = alerting.MessageCatalog.default()
-    dispatcher = alerting.Dispatcher(
-        catalog, scenario.gateway, alerting.RecordingGatewayClient(),
-        locale=scenario.alerting.locale,
-        dedup_window_s=scenario.alerting.dedup_window_s,
-        field_id=scenario.field_id)
-    dispatcher.dispatch(system.alerts)
+    with stages("dispatch"):
+        catalog = alerting.MessageCatalog.default()
+        dispatcher = alerting.Dispatcher(
+            catalog, scenario.gateway, alerting.RecordingGatewayClient(),
+            locale=scenario.alerting.locale,
+            dedup_window_s=scenario.alerting.dedup_window_s,
+            field_id=scenario.field_id)
+        dispatcher.dispatch(system.alerts)
 
+    with stages("metrics"):
+        output = _season_output(scenario, system, baseline, stats_pubsub,
+                                stats_reqresp)
+    output.timings = stages.seconds
+    if out_dir is not None:
+        output.out_dir = Path(out_dir)
+        with stages("artifacts"):
+            _write_artifacts(output, scenario, weather, store, dispatcher)
+    return output
+
+
+def _season_output(scenario: Scenario, system: decision.SeasonResult,
+                   baseline: decision.SeasonResult,
+                   stats_pubsub: transport.TransportStats,
+                   stats_reqresp: transport.TransportStats) -> RunOutput:
+    """The season totals, observations, report and economics of two arms
+    and their sessions."""
+    samples = system.samples
     ym = scenario.yield_model.max_yield_kg_per_acre
     ky = scenario.yield_model.ky
     yield_system = metrics.yield_from_water_stress(
@@ -162,18 +223,13 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
             econ.maize_price_ugx_per_kg),
     }
 
-    output = RunOutput(
+    return RunOutput(
         totals=totals, report=report,
         observations=observations, system_arm=system, baseline_arm=baseline,
         transport_stats={transport.PUBSUB: stats_pubsub,
                          transport.REQRESP: stats_reqresp},
         economics=economics,
     )
-
-    if out_dir is not None:
-        output.out_dir = Path(out_dir)
-        _write_artifacts(output, scenario, weather, store, dispatcher)
-    return output
 
 
 def _write_ground_truth_csv(fh, weather, arm: decision.SeasonResult,

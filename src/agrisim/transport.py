@@ -60,6 +60,10 @@ class LinkModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob < 1.0:
             raise ConfigurationError(f"loss_prob must be in [0, 1): {self.loss_prob}")
+        if (not isinstance(self.max_retries, int)
+                or isinstance(self.max_retries, bool)):
+            raise ConfigurationError(
+                f"max_retries must be an integer: {self.max_retries!r}")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         for proto in PROTOCOLS:
@@ -123,25 +127,32 @@ def _deliveries(n: int, max_attempts: int, loss_prob: float,
     A trial with ``rng.random() < loss_prob`` is lost. The trials are drawn
     in blocks of one per unfinished packet: each of those needs at least one
     more trial, so no block draws past the session's last trial, and ``rng``
-    consumes exactly the trials of a packet-at-a-time loop, in its order.
+    consumes exactly the trials of a packet-at-a-time loop, in its order. At
+    one attempt per packet every trial finishes its packet, so the first
+    block is the whole session: ``n`` trials, each packet's only one.
     """
+    if max_attempts == 1:
+        return np.ones(n, dtype=np.int64), rng.random(n) >= loss_prob
     attempts = np.full(n, max_attempts, dtype=np.int64)
     delivered = np.zeros(n, dtype=bool)
     done = carry = 0  # finished packets; lost trials of the next packet
     while done < n:
         block = n - done
         ok = np.flatnonzero(rng.random(block) >= loss_prob)
-        # a run of r lost trials before a success is r // M lost packets of
-        # M trials each, then one delivered packet of r % M + 1 trials
-        runs = np.diff(ok, prepend=-1 - carry) - 1
-        lost, tries = np.divmod(runs, max_attempts)
-        finished = done + np.cumsum(lost + 1)
-        attempts[finished - 1] = tries + 1
-        delivered[finished - 1] = True
+        if ok.size:
+            # a run of r lost trials before a success is r // M lost packets
+            # of M trials each, then one delivered packet of r % M + 1 trials
+            runs = ok.copy()
+            runs[1:] -= ok[:-1] + 1
+            runs[0] += carry
+            lost = runs // max_attempts
+            rows = done + np.cumsum(lost) + np.arange(ok.size)
+            attempts[rows] = runs - lost * max_attempts + 1
+            delivered[rows] = True
+            done, carry, block = int(rows[-1]) + 1, 0, block - 1 - int(ok[-1])
         # lost trials after the block's last success carry into the next
-        tail = block - 1 - (ok[-1] if ok.size else -1 - carry)
-        done = (int(finished[-1]) if ok.size else done) + tail // max_attempts
-        carry = tail % max_attempts
+        lost_packets, carry = divmod(carry + block, max_attempts)
+        done += lost_packets
     return attempts, delivered
 
 

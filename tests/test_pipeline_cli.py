@@ -4,8 +4,11 @@ import collections
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,12 @@ EXPECTED_ARTIFACTS = {
     "totals.json",
     "manifest.jsonl",
 }
+
+
+# the stages of an in-memory run, in the order they finish; a run with
+# artifacts adds "artifacts"
+STAGES = ["weather", "drivers", "sensor_arm", "baseline_arm", "ingest",
+          "pubsub_session", "reqresp_session", "dispatch", "metrics"]
 
 
 def read_manifest(out_dir):
@@ -133,6 +142,28 @@ class TestManifest:
             (default_run.out_dir / "manifest.jsonl").read_bytes()
 
 
+class TestStages:
+    def test_nested_stage_is_taken_out_of_the_outer_one(self, monkeypatch):
+        clock = iter([0.0, 1.0, 3.0, 6.0])
+        monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(clock)))
+        stages = pipeline.Stages()
+        with stages("pubsub_session"):
+            with stages("ingest"):
+                pass
+        assert stages.seconds == {"ingest": 2.0, "pubsub_session": 4.0}
+
+    def test_every_stage_timed_within_the_run(self, default_scenario,
+                                              default_run):
+        start = time.perf_counter()
+        out = pipeline.run_season(default_scenario)
+        total = time.perf_counter() - start
+        assert list(out.timings) == STAGES
+        assert list(default_run.timings) == STAGES + ["artifacts"]
+        assert min(out.timings.values()) >= 0.0
+        assert sum(out.timings.values()) <= total
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, default_scenario, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -182,6 +213,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cost savings" in out
         assert "revenue gain" in out
+
+    def test_run_writes_timings_that_the_manifest_leaves_out(self, tmp_path,
+                                                            capsys):
+        run_dir = tmp_path / "run"
+        with default_scenario_path() as scenario_path:
+            assert main(["run", str(scenario_path), "--out",
+                         str(run_dir)]) == 0
+        timings = json.loads((run_dir / "timings.json").read_text())
+        stages = timings["stages_s"]
+        assert list(stages) == STAGES + ["artifacts"]
+        assert min(stages.values()) >= 0.0
+        assert sum(stages.values()) <= timings["run_season_s"]
+        assert "timings.json" not in {e.get("file")
+                                      for e in read_manifest(run_dir)}
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "stage times" in out
+        assert all(f"  {name} " in out for name in stages)
 
     def test_bench_command(self, tmp_path, capsys):
         with default_scenario_path() as scenario_path:
@@ -266,4 +316,21 @@ class TestCli:
             assert code == 1, name
             err = capsys.readouterr().err
             assert "totals.json" in err, name
+            assert err.count("\n") == 1 and "Traceback" not in err, name
+
+    def test_report_on_malformed_timings_fails_cleanly(self, default_run,
+                                                       tmp_path, capsys):
+        # a truncated file, a file missing a key, stages that are no mapping
+        for name, text in (("truncated", '{"run_season_s": 0.1, "sta'),
+                           ("no-stages", '{"run_season_s": 0.1}'),
+                           ("stage-list", '{"run_season_s": 0.1, '
+                                          '"stages_s": [0.1]}')):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            shutil.copy(default_run.out_dir / "totals.json", run_dir)
+            (run_dir / "timings.json").write_text(text)
+            code = main(["report", str(run_dir)])
+            assert code == 1, name
+            err = capsys.readouterr().err
+            assert "timings.json" in err, name
             assert err.count("\n") == 1 and "Traceback" not in err, name

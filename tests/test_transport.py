@@ -87,6 +87,24 @@ PAYLOAD_VALUES = [
       for to in (0.0, math.inf)), 9.95, 99.95,
 ]
 payload_value = st.sampled_from(PAYLOAD_VALUES) | st.floats(-200.0, 200.0)
+# a season of readings: the edge values in turn as moisture, a temperature
+# ramp across 9.95 and 99.95, and a constant humidity
+SEASON_VALUES = [(PAYLOAD_VALUES[i % len(PAYLOAD_VALUES)], 0.1 * (i % 1009),
+                  45.0) for i in range(SEASON_PACKETS)]
+
+
+def _season_examples(test):
+    """``test`` with season-length sessions as explicit examples: the
+    many-block sessions that ``run_season`` sends, with and without
+    retries, from a lossless to a nearly dead link."""
+    for loss in (0.0, 0.2, 0.95):
+        for max_retries in (0, 5):
+            test = example(loss=loss, qos=1, max_retries=max_retries,
+                           seed=42, protocol=PUBSUB,
+                           per_msg=850.0 / SEASON_PACKETS,
+                           idle=0.5, days=60, latency=3.0,
+                           values=SEASON_VALUES)(test)
+    return test
 
 
 class TestBatchedSession:
@@ -97,6 +115,7 @@ class TestBatchedSession:
            days=st.integers(0, 90), latency=st.floats(0.1, 20.0),
            values=st.lists(st.tuples(payload_value, payload_value,
                                      payload_value), max_size=500))
+    @_season_examples
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_packet_loop(self, loss, qos, max_retries, seed,
                                          protocol, per_msg, idle, days,
@@ -304,6 +323,17 @@ class TestSession:
         # five-sigma normal deviation
         lower, upper = _binomial_tails(n, loss, n - stats.delivered)
         assert min(lower, upper) >= _FIVE_SIGMA_TAIL
+
+
+class TestLinkModel:
+    # the loader rejects these; a LinkModel built in code must too, or the
+    # session fails inside the delivery kernel or retries the wrong count
+    @pytest.mark.parametrize("max_retries", [2.5, 1e9, True, False],
+                             ids=["fraction", "float-literal", "true",
+                                  "false"])
+    def test_non_integer_retry_budget_rejected(self, max_retries):
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            LinkModel(max_retries=max_retries)
 
 
 class TestStatsMerge:
