@@ -30,7 +30,7 @@ PAYLOAD_FIELDS = ("moisture", "temp", "humidity")
 _READING_ATTRS = ("moisture_pct", "temp_c", "humidity_pct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryPacket:
     """One consolidated per-interval message (moisture %, temp C, humidity %)."""
 
@@ -66,6 +66,10 @@ class LinkModel:
                 f"max_retries must be an integer: {self.max_retries!r}")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
+        if 1 + self.max_retries > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"max_retries must be at most 2**63 - 2, so that 1 + "
+                f"max_retries attempts fit in int64: {self.max_retries}")
         for proto in PROTOCOLS:
             if self.latency_s.get(proto, 0.0) <= 0.0:
                 raise ConfigurationError(f"latency for {proto} must be positive")

@@ -1,11 +1,14 @@
 """Transport: delivery under loss, QoS retransmission, energy and latency
 accounting."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from agrisim import decision, transport
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import NoiseStream, generate_weather
 from agrisim.pipeline import packets_from_samples
+from agrisim.scenario import default_scenario_path, parse_scenario
 from agrisim.transport import (
     PUBSUB,
     REQRESP,
@@ -41,6 +45,30 @@ class TestPacket:
 
     def test_topic_convention(self):
         assert _packets(1)[0].topic == "farm/field-1/telemetry"
+
+    def test_slotted_record_has_no_instance_dict(self):
+        assert not hasattr(_packets(1)[0], "__dict__")
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            _packets(1)[0].moisture_pct = 41.0
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_copies_compare_and_hash_equal(self, round_trip):
+        p = _packets(1)[0]
+        q = round_trip(p)
+        assert q == p and hash(q) == hash(p) and q.payload == p.payload
+
+    def test_replace_and_asdict(self):
+        p = _packets(1)[0]
+        q = dataclasses.replace(p, moisture_pct=40.25)
+        assert q.payload == "moisture=40.2,temp=22.0,humidity=45.0"
+        assert dataclasses.asdict(q) == {
+            "sequence_no": 1, "timestamp_s": 0.0, "moisture_pct": 40.25,
+            "temp_c": 22.0, "humidity_pct": 45.0,
+            "topic": "farm/field-1/telemetry"}
 
 
 def _outcomes(packets, protocol, qos, link, energy, rng, days=0.0):
@@ -334,6 +362,26 @@ class TestLinkModel:
     def test_non_integer_retry_budget_rejected(self, max_retries):
         with pytest.raises(ConfigurationError, match="max_retries"):
             LinkModel(max_retries=max_retries)
+
+    # a packet's 1 + max_retries attempts are an int64 column
+    @pytest.mark.parametrize("max_retries", [2**63 - 1, 10**20],
+                             ids=["2**63-1", "10**20"])
+    def test_retry_budget_past_int64_rejected(self, max_retries):
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            LinkModel(max_retries=max_retries)
+
+    def test_largest_retry_budget_runs(self):
+        link = LinkModel(loss_prob=0.5, max_retries=2**63 - 2)
+        stats = run_session(_packets(100), PUBSUB, 1, link, EnergyModel(),
+                            np.random.default_rng(0))
+        assert stats.delivered == stats.attempted == 100
+
+    def test_scenario_with_oversized_retry_budget_fails_at_load(self):
+        with default_scenario_path() as path:
+            raw = yaml.safe_load(path.read_text())
+        raw["link"].update(qos=1, max_retries=10**20)
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            parse_scenario(raw)
 
 
 class TestStatsMerge:
