@@ -8,7 +8,8 @@ request line is built exactly as a free WhatsApp-gateway or SMS GET call
 would be, but nothing ever touches the network.
 
 Identical messages for the same field are deduplicated within a configurable
-window so 5-minute sampling cannot spam a farmer.
+window so 5-minute sampling cannot spam a farmer. Alerts are timed in whole
+seconds.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class RecordingGatewayClient:
 class DispatchRecords:
     """Dispatch outcomes as columns, one row per alert in dispatch order."""
 
-    timestamp_s: list = field(default_factory=list)
+    timestamp_s: list[int] = field(default_factory=list)
     template_id: list[str] = field(default_factory=list)
     text: list[str] = field(default_factory=list)
     status: list[str] = field(default_factory=list)
@@ -217,17 +218,6 @@ _ALERT_TEMPLATES = (("heat_alert", "temp_c"), ("humidity_low", "humidity_pct"),
                     ("irrigate_low_moisture", "moisture_pct"))
 
 
-def _next_due(times: np.ndarray, start: int, last, window: float) -> int:
-    """The first index from ``start`` on whose time is not within the
-    window, ``t - last < window`` being false, or ``len(times)``. The times
-    are sorted and a rounded difference keeps their order, so this is a
-    ``searchsorted`` on the differences: ``t >= last + window`` would round
-    differently near the boundary."""
-    if last is None:
-        return start
-    return start + int(np.searchsorted(times[start:] - last, window))
-
-
 def _csv_column(column: list[str]) -> list[str]:
     """Each field as ``csv.writer`` writes it, quoting each distinct value
     once: quoted, quotes doubled, when it holds a comma, quote or newline."""
@@ -239,8 +229,9 @@ def _csv_column(column: list[str]) -> list[str]:
 class Dispatcher:
     """Serialized dispatcher of one field's alerts, with duplicate
     suppression: at most one SENT per (field, template) key within the dedup
-    window, timed by each alert's own timestamp. Alerts render in the
-    dispatcher's locale; client failures are recorded, never raised."""
+    window, timed by each alert's own timestamp in whole seconds. Alerts
+    render in the dispatcher's locale; client failures are recorded, never
+    raised."""
 
     def __init__(self, catalog: MessageCatalog, gateway: GatewayConfig,
                  client, locale: str = "en",
@@ -250,38 +241,33 @@ class Dispatcher:
         self.gateway = gateway
         self.client = client
         self.locale = locale
+        ingest.check_interval("dedup_window_s", dedup_window_s)
         self.dedup_window_s = dedup_window_s
         self.field_id = field_id
         self.records = DispatchRecords()
-        self._last_sent: dict[str, float] = {}
+        self._last_sent: dict[str, int] = {}
 
     def dispatch(self, alerts: decision.Alerts) -> None:
         """Dispatch alerts given as columns in time order; append their
         records. Each distinct (template, formatted parameters) renders
-        once. Each dedup key is a greedy scan that visits only the alerts it
-        sends or fails to send; a failed send does not move the window, so
-        the scan goes on to the key's next alert. Sends go out in alert
-        order. A kind outside ``ALERT_KINDS`` or a time out of order raises
+        once. Each dedup key is a greedy scan along ``ingest.due_rows`` that
+        visits only the alerts it sends or fails to send: after a send it
+        goes to the next alert due, and after a failed send, which does not
+        move the window, to the key's next alert. Sends go out in alert
+        order. A kind outside ``ALERT_KINDS``, a time column that is not
+        whole seconds in the int64 range, or a time out of order raises
         ``InputError`` before anything is sent."""
-        kind, times = alerts.kind, alerts.timestamp_s
+        kind, times = alerts.kind, ingest.whole_seconds(alerts.timestamp_s)
         if len(kind) and not 0 <= kind.min() <= kind.max() < len(
                 _ALERT_TEMPLATES):
             raise InputError("alert kinds must index ALERT_KINDS")
-        if not np.all(times[1:] >= times[:-1]):
+        if np.any(times[1:] < times[:-1]):
             raise InputError("alerts are not in time order")
         template_id, key, text = (np.empty(len(kind), dtype=object)
                                   for _ in range(3))
         status = np.full(len(kind), SUPPRESSED_DUPLICATE, dtype=object)
         detail = np.full(len(kind), "", dtype=object)
         scans, due = {}, []  # due: a heap of (row, kind, index in its rows)
-
-        def schedule(k, start):
-            rows, key_times = scans[k]
-            j = _next_due(key_times, start, self._last_sent.get(key[rows[0]]),
-                          self.dedup_window_s)
-            if j < len(rows):
-                heapq.heappush(due, (rows[j], k, j))
-
         for k in np.flatnonzero(np.bincount(kind)).tolist():
             rows = np.flatnonzero(kind == k)
             tid, reading = _ALERT_TEMPLATES[k]
@@ -289,19 +275,27 @@ class Dispatcher:
             text[rows] = self._texts(tid, {
                 reading: alerts.observed[rows],
                 "threshold_c": alerts.threshold[rows]})
-            scans[k] = rows, times[rows]
-            schedule(k, 0)
+            first, nxt = ingest.due_rows(
+                times[rows], self._last_sent.get(key[rows[0]]),
+                self.dedup_window_s)
+            scans[k] = rows, nxt
+            if first < len(rows):
+                heapq.heappush(due, (rows[first], k, first))
         while due:
             row, k, j = heapq.heappop(due)
+            rows, nxt = scans[k]
             request_line = build_gateway_request(self.gateway, text[row])
             try:
                 self.client.send(request_line)
             except Exception as exc:
                 status[row], detail[row] = FAILED, str(exc)
+                j += 1  # the window did not move, so the next alert is due
             else:
                 status[row] = SENT
                 self._last_sent[key[row]] = times[row].item()
-            schedule(k, j + 1)
+                j = nxt[j]
+            if j < len(rows):
+                heapq.heappush(due, (rows[j], k, j))
         for column, new in zip(vars(self.records).values(), (
                 times, template_id, text, status, key, detail)):
             column += new.tolist()
@@ -330,7 +324,7 @@ class Dispatcher:
             for r in first.tolist()], dtype=object)[inverse]
 
     def dispatch_alert(self, kind: int, observed: float, threshold: float,
-                       timestamp_s=0) -> None:
+                       timestamp_s: int = 0) -> None:
         """One alert: ``dispatch`` of a one-row ``Alerts``."""
         self.dispatch(decision.Alerts(
             np.array([kind]), np.array([observed], dtype=np.float64),

@@ -188,7 +188,7 @@ def _refill_depth(moisture: np.ndarray, sensed_depletion_mm: np.ndarray,
 @dataclass(frozen=True)
 class IrrigationEvent:
     day_index: int
-    timestamp_s: float
+    timestamp_s: int
     depth_mm: float
     observed_moisture_pct: float
     reason: str

@@ -3,15 +3,15 @@ an append-only in-memory time series, per-channel counters, CSV export, and
 JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
-a timestamp per row and one value column per channel field (at most eight).
-Accepted rows are kept as columns. One export pass `repr`s each distinct value
-of a column once and writes both the CSV file and the JSON-lines snapshot from
-that text, one joined string per file for each slice of rows.
+a timestamp per row in whole seconds and one value column per channel field
+(at most eight). Accepted rows are kept as columns. One export pass `repr`s
+each distinct value of a column once and writes both the CSV file and the
+JSON-lines snapshot from that text, one joined string per file for each
+slice of rows.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
@@ -32,6 +32,7 @@ REJECTED_RATE = "REJECTED_RATE"
 # raise the peak memory of a run, and one string per row costs a join each
 _SLICE_ROWS = 2048
 
+_I64_MAX = 2**63 - 1
 _U64_MAX = 2**64 - 1
 
 
@@ -53,12 +54,17 @@ class Channel:
             raise ConfigurationError(f"1..{MAX_FIELDS} fields required")
         if len(set(self.field_names)) != len(self.field_names):
             raise ConfigurationError("field names must be unique")
-        # the comparison is False for NaN and exact for an int too large
-        # for a float
-        if not 0 <= self.min_update_interval_s <= sys.float_info.max:
-            raise ConfigurationError(
-                f"min_update_interval_s must be finite and non-negative: "
-                f"{self.min_update_interval_s!r}")
+        check_interval("min_update_interval_s", self.min_update_interval_s)
+
+
+def check_interval(name: str, seconds) -> None:
+    """Raise ``ConfigurationError`` unless ``seconds`` is a finite,
+    non-negative number of seconds, as ``due_rows`` needs of its limit."""
+    # the comparison is False for NaN and exact for an int too large for a
+    # float
+    if not 0 <= seconds <= sys.float_info.max:
+        raise ConfigurationError(
+            f"{name} must be finite and non-negative: {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,10 @@ class IngestResult:
 @dataclass
 class _ChannelState:
     channel: Channel
-    # accepted rows, one (timestamps, fields x rows values) pair per batch;
-    # a batch keeps its timestamps' dtype, so int times export as ints
+    # accepted rows, one (int64 timestamps, fields x rows values) pair per
+    # batch
     batches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    last_accepted_s: float | None = None
+    last_accepted_s: int | None = None
     accepted: int = 0
     rejected_auth: int = 0
     rejected_rate: int = 0
@@ -103,26 +109,23 @@ class ChannelStore:
                      columns) -> np.ndarray | None:
         """Append the rows that pass auth and the rate limit, in order.
 
-        ``columns`` holds one value column per channel field, each as long
-        as ``timestamps_s``. A wrong write key rejects every row and returns
+        ``timestamps_s`` is an integer column of whole seconds in the int64
+        range, and ``columns`` holds one value column per channel field,
+        each as long as it. A wrong write key rejects every row and returns
         None; otherwise the result is the mask of accepted rows. A row is
         rate-rejected when it comes less than ``min_update_interval_s``
         after the last accepted row, in this batch or an earlier one.
         Rejections are counted so attempts always reconcile:
-        accepted + rejected_auth + rejected_rate == rows offered. A value
-        column of the wrong count or length, a non-finite time or value
-        (JSON has no NaN or infinity), or a time earlier than the row before
-        it raises ``InputError`` and stores and counts nothing. A batch may
-        start before the last accepted row of an earlier batch; its rows are
-        tested against that row like any other.
+        accepted + rejected_auth + rejected_rate == rows offered. A time
+        column that is not whole seconds, a value column of the wrong count
+        or length, a non-finite value (JSON has no NaN or infinity), or a
+        time earlier than the row before it raises ``InputError`` and stores
+        and counts nothing. A batch may start before the last accepted row
+        of an earlier batch; its rows are tested against that row like any
+        other.
         """
         st = self._state(channel_id)
-        times = np.asarray(timestamps_s)
-        if times.dtype.kind not in "iu":
-            times = times.astype(np.float64)
-        if times.ndim != 1:
-            raise InputError(f"expected a column of timestamps, got shape "
-                             f"{times.shape}")
+        times = whole_seconds(timestamps_s)
         if write_key != st.channel.write_key:
             st.rejected_auth += len(times)
             return None
@@ -135,24 +138,18 @@ class ChannelStore:
         if values.shape != (width, len(times)):
             raise InputError(f"expected {width} value columns of "
                              f"{len(times)} rows, got shape {values.shape}")
-        if not (np.isfinite(values).all() and np.isfinite(times).all()):
-            raise InputError("non-finite timestamp or value")
+        if not np.isfinite(values).all():
+            raise InputError("non-finite value")
         if np.any(times[1:] < times[:-1]):
             raise InputError("timestamps are not in time order")
 
-        # a row is accepted when ``last is None or t - last >= limit`` holds
-        # for its ``item()``, in Python's int/float arithmetic, and then
-        # becomes ``last``. In time order that test holds from some row on,
-        # so the first accepted row is a bisection, and each accepted row
-        # leads to the next row due after it.
-        last, limit = st.last_accepted_s, st.channel.min_update_interval_s
         n = len(times)
-        first = bisect.bisect_left(range(n), True, key=lambda j: (
-            last is None or times[j].item() - last >= limit))
+        first, jump = due_rows(times, st.last_accepted_s,
+                               st.channel.min_update_interval_s)
         accepted = np.zeros(n + 1, dtype=bool)
         if first < n:
             # row n stands for "no row": the end of every chain
-            jump = np.append(_next_due(times, limit), n)
+            jump = np.append(jump, n)
             accepted[first] = True
             # pointer doubling: after k rounds the first 2**k accepted rows
             # are marked and ``jump`` skips 2**k accepted rows at once
@@ -168,7 +165,7 @@ class ChannelStore:
         st.rejected_rate += n - count
         return accepted
 
-    def ingest(self, channel_id: str, write_key: str, timestamp_s: float,
+    def ingest(self, channel_id: str, write_key: str, timestamp_s: int,
                values) -> IngestResult:
         """One-row ``ingest_batch``: append one entry, or say why not."""
         accepted = self.ingest_batch(channel_id, write_key, [timestamp_s],
@@ -181,7 +178,7 @@ class ChannelStore:
         """Copies of the accepted entries as columns: the creation times
         (entry id k + 1 at index k) and a fields x entries value array."""
         st = self._state(channel_id)
-        times = [t for t, _ in st.batches] or [np.empty(0)]
+        times = [t for t, _ in st.batches] or [np.empty(0, np.int64)]
         values = [v for _, v in st.batches] or [
             np.empty((len(st.channel.field_names), 0))]
         return np.concatenate(times), np.concatenate(values, axis=1)
@@ -213,7 +210,6 @@ class ChannelStore:
             for k, j in enumerate(order)), "}}\n"]
         csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
         entry_id = 1
-        # one batch at a time, so a batch's int times print as ints
         for times, values in st.batches:
             columns = [_reprs(times), *map(_reprs, values)]
             for start in range(0, len(times), _SLICE_ROWS):
@@ -228,47 +224,47 @@ class ChannelStore:
         return entry_id - 1
 
 
-# a float time plus the limit, or a difference of two, may pass the float
-# range; it is then inf, as in Python arithmetic
-@np.errstate(over="ignore")
-def _next_due(times: np.ndarray, limit) -> np.ndarray:
-    """For each row i of a batch in time order, the first row j > i with
-    ``times[j] - times[i] >= limit`` as Python computes it on the rows'
-    ``item()``s, or ``len(times)`` if there is none.
+def whole_seconds(times) -> np.ndarray:
+    """``times`` as an int64 column. ``InputError`` unless it is a column of
+    integers in the int64 range; an empty column may have any dtype."""
+    times = np.asarray(times)
+    if times.ndim != 1:
+        raise InputError(f"expected a column of timestamps, got shape "
+                         f"{times.shape}")
+    if len(times) and times.dtype.kind not in "iu":
+        raise InputError(f"timestamps must be whole seconds in an integer "
+                         f"column, got {times.dtype}")
+    if times.dtype.kind == "u" and np.any(times > _I64_MAX):
+        raise InputError("timestamps past the int64 range")
+    return times.astype(np.int64, copy=False)
 
-    Int times compare exact differences, so a difference passes when it is
-    at least ``ceil(limit)``; they are taken as offsets from the first row
-    in uint64, where every difference of a sorted int64 batch fits. Float
-    times compare the float64 difference with the least float not below
-    ``limit``. A ``searchsorted`` of each row plus that bound gives a first
-    guess, which can be off where ``t + bound`` rounds differently from the
-    difference; the guess then moves by one distinct time at a time, forward
-    while it fails and back while the row before it passes, until no row
-    moves. The test is monotone in j, so this ends on the exact row.
+
+def due_rows(times: np.ndarray, last: int | None,
+             limit) -> tuple[int, np.ndarray]:
+    """The rows of an int64 column in time order that are due: those at
+    least ``limit`` seconds after a kept time. Returns the first row due
+    after ``last``, the time last kept (every row if None), and for each
+    row i the first row j > i due after row i; ``len(times)`` stands for
+    no row. This is the rate limit of a channel and the dedup window of a
+    dispatcher.
+
+    Whole seconds are ``limit`` apart when they are ``ceil(limit)`` apart.
+    The differences are taken exactly, as uint64 offsets from the first
+    row: every difference of a sorted int64 column fits. A time that would
+    fall past the uint64 range is later than any row.
     """
     n = len(times)
-    rows = np.arange(n)
-    if times.dtype.kind in "iu":
-        key = times.astype(np.uint64)
-        key -= key[0]
-        bound = math.ceil(limit)
-        guess = key + min(bound, _U64_MAX)
-        guess[guess < key] = _U64_MAX  # saturate instead of wrapping
-    else:
-        key, bound = times, float(limit)
-        if bound < limit:  # an int limit that rounds down as a float
-            bound = math.nextafter(bound, math.inf)
-        guess = key + bound
-    nxt = np.maximum(np.searchsorted(key, guess), rows + 1)
-    while True:
-        # nxt > i, so neither difference is negative
-        ahead = (nxt < n) & (key[np.minimum(nxt, n - 1)] - key < bound)
-        behind = (nxt - 1 > rows) & (key[nxt - 1] - key >= bound)
-        if not (ahead.any() or behind.any()):
-            return nxt
-        nxt[ahead] = np.searchsorted(key, key[nxt[ahead]], "right")
-        nxt[behind] = np.maximum(
-            np.searchsorted(key, key[nxt[behind] - 1]), rows[behind] + 1)
+    bound = math.ceil(limit)
+    if not n or bound > _U64_MAX:  # no two int64 times are that far apart
+        return (0 if last is None else n), np.full(n, n)
+    key = times.astype(np.uint64)
+    key -= key[0]
+    lead = 0 if last is None else max(last - times[0].item() + bound, 0)
+    goal = np.append(np.uint64(min(lead, _U64_MAX)), key + np.uint64(bound))
+    due = np.searchsorted(key, goal)
+    due[np.append(lead > _U64_MAX, goal[1:] < key)] = n  # past 2**64 - 1
+    # a zero bound finds the first row at row i's time, which may be i
+    return int(due[0]), np.maximum(due[1:], np.arange(1, n + 1))
 
 
 def _reprs(column: np.ndarray) -> np.ndarray:

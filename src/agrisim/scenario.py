@@ -69,8 +69,11 @@ class AlertingParams:
     def __post_init__(self):
         if self.locale not in ("en", "lg"):
             raise ConfigurationError(f"unsupported locale: {self.locale}")
-        if self.dedup_window_s <= 0.0:
-            raise ConfigurationError("dedup_window_s must be positive")
+        # the dispatcher takes no infinite window either
+        if not 0.0 < self.dedup_window_s <= sys.float_info.max:
+            raise ConfigurationError(
+                f"dedup_window_s must be positive and finite: "
+                f"{self.dedup_window_s!r}")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class LinkModel:
                 f"max_retries must be at most 2**63 - 2, so that 1 + "
                 f"max_retries attempts fit in int64: {self.max_retries}")
         for proto in PROTOCOLS:
-            if self.latency_s.get(proto, 0.0) <= 0.0:
+            if not self.latency_s.get(proto, 0.0) > 0.0:
                 raise ConfigurationError(f"latency for {proto} must be positive")
 
 
@@ -89,11 +89,11 @@ class EnergyModel:
     idle_mwh_per_day: float = 0.0
 
     def __post_init__(self):
-        if self.idle_mwh_per_day < 0.0:
+        if not self.idle_mwh_per_day >= 0.0:
             raise ConfigurationError("idle_mwh_per_day must be non-negative")
         for proto in PROTOCOLS:
             per_msg = self.energy_per_message_mwh.get(proto, -1.0)
-            if per_msg < 0.0:
+            if not per_msg >= 0.0:
                 raise ConfigurationError(f"missing/negative energy for {proto}")
             # a session must spend some energy: efficiency and the protocol
             # energy ratio divide by its total

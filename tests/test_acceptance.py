@@ -208,7 +208,7 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
         # dedup: at most one send per window for one key
         for _ in range(1000):
             window = float(rng.uniform(60, 86_400))
-            clocks = np.sort(rng.uniform(0, 5 * 86_400, 12))
+            clocks = np.sort(rng.integers(0, 5 * 86_400, 12))
             d = Dispatcher(MessageCatalog.default(), GatewayConfig(),
                            RecordingGatewayClient(), dedup_window_s=window)
             low = decision.ALERT_KINDS.index(decision.MOISTURE_LOW)

@@ -83,7 +83,7 @@ class ReferenceChannel:
 class TestIngest:
     def test_first_write_accepted_with_entry_id_1(self, tmp_path):
         store = make_store()
-        result = store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
+        result = store.ingest("ch-1", "KEY", 0, (40.0, 22.0, 45.0))
         assert result.status == ACCEPTED
         export_files(store, "ch-1", tmp_path / "chan.csv",
                      tmp_path / "chan.jsonl")
@@ -92,16 +92,16 @@ class TestIngest:
 
     def test_write_inside_interval_throttled(self):
         store = make_store()
-        store.ingest("ch-1", "KEY", 0.0, (40.0, 22.0, 45.0))
-        result = store.ingest("ch-1", "KEY", 5.0, (41.0, 22.0, 45.0))
+        store.ingest("ch-1", "KEY", 0, (40.0, 22.0, 45.0))
+        result = store.ingest("ch-1", "KEY", 5, (41.0, 22.0, 45.0))
         assert result.status == REJECTED_RATE
         times, values = store.entries("ch-1")
-        assert times.tolist() == [0.0]
+        assert times.tolist() == [0]
         assert values.tolist() == [[40.0], [22.0], [45.0]]
 
     def test_wrong_key_rejected_store_unchanged(self):
         store = make_store()
-        result = store.ingest("ch-1", "WRONG", 0.0, (40.0, 22.0, 45.0))
+        result = store.ingest("ch-1", "WRONG", 0, (40.0, 22.0, 45.0))
         assert result.status == REJECTED_AUTH
         times, values = store.entries("ch-1")
         assert len(times) == 0 and values.shape == (len(FIELDS), 0)
@@ -109,15 +109,15 @@ class TestIngest:
     def test_unknown_channel(self):
         store = make_store()
         with pytest.raises(ChannelNotFound):
-            store.ingest("nope", "KEY", 0.0, (1.0, 2.0, 3.0))
+            store.ingest("nope", "KEY", 0, (1.0, 2.0, 3.0))
 
     def test_counters_reconcile(self):
         store = make_store()
         outcomes = [
-            store.ingest("ch-1", "KEY", 0.0, (1, 2, 3)),
-            store.ingest("ch-1", "BAD", 1.0, (1, 2, 3)),
-            store.ingest("ch-1", "KEY", 2.0, (1, 2, 3)),
-            store.ingest("ch-1", "KEY", 20.0, (1, 2, 3)),
+            store.ingest("ch-1", "KEY", 0, (1, 2, 3)),
+            store.ingest("ch-1", "BAD", 1, (1, 2, 3)),
+            store.ingest("ch-1", "KEY", 2, (1, 2, 3)),
+            store.ingest("ch-1", "KEY", 20, (1, 2, 3)),
         ]
         counters = store.counters("ch-1")
         assert counters == {"accepted": 2, "rejected_auth": 1,
@@ -154,11 +154,12 @@ class TestIngest:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     def test_non_finite_value_or_time_rejected(self, bad):
-        # JSON has no NaN or Infinity, so such a row could not be exported
+        # JSON has no NaN or Infinity, so such a row could not be exported;
+        # a non-finite time is not whole seconds
         store = make_store(min_interval=0.0)
         with pytest.raises(InputError, match="non-finite"):
-            store.ingest("ch-1", "KEY", 0.0, (40.0, bad, 45.0))
-        with pytest.raises(InputError, match="non-finite"):
+            store.ingest("ch-1", "KEY", 0, (40.0, bad, 45.0))
+        with pytest.raises(InputError, match="whole seconds"):
             store.ingest("ch-1", "KEY", bad, (40.0, 22.0, 45.0))
         with pytest.raises(InputError, match="non-finite"):
             store.ingest_batch("ch-1", "KEY", [0, 300],
@@ -198,6 +199,43 @@ class TestIngest:
                                   [[1.0, 2.0]] * 3) is None
         assert store.counters("ch-1")["rejected_auth"] == 2
 
+    @pytest.mark.parametrize("times", [
+        np.array([0.0, 300.0]),                     # float, if whole
+        [0, 300.5],
+        np.array([0, 2**63], np.uint64),            # past int64
+        [0, 2**64],                                 # an object column
+        np.array([True, False]),
+    ], ids=["float", "fraction", "uint64", "object", "bool"])
+    def test_times_not_whole_int64_seconds_rejected(self, times):
+        store = make_store()
+        store.ingest_batch("ch-1", "KEY", [0], [[1.0]] * 3)
+        for key in ("KEY", "BAD"):  # raised before the key is checked
+            with pytest.raises(InputError, match="whole seconds|int64"):
+                store.ingest_batch("ch-1", key, times, [[2.0, 3.0]] * 3)
+        with pytest.raises(InputError, match="whole seconds|int64"):
+            store.ingest("ch-1", "KEY", times[-1], (2.0, 3.0, 4.0))
+        assert store.counters("ch-1") == {"accepted": 1, "rejected_auth": 0,
+                                          "rejected_rate": 0}
+        assert store.entries("ch-1")[0].tolist() == [0]
+        assert store._state("ch-1").last_accepted_s == 0
+
+    def test_empty_batch_of_any_dtype_accepted(self):
+        store = make_store()
+        for times in ([], np.empty(0), np.empty(0, np.uint64)):
+            assert store.ingest_batch("ch-1", "KEY", times,
+                                      [[]] * 3).tolist() == []
+        assert sum(store.counters("ch-1").values()) == 0
+        assert store.entries("ch-1")[0].dtype == np.int64
+
+    def test_unsigned_times_in_int64_range_accepted(self):
+        store = make_store()
+        assert store.ingest_batch("ch-1", "KEY",
+                                  np.array([0, 10, 2**63 - 1], np.uint64),
+                                  [[1.0] * 3] * 3).tolist() == [
+            True, False, True]
+        times = store.entries("ch-1")[0]
+        assert times.dtype == np.int64 and times.tolist() == [0, 2**63 - 1]
+
 
 class TestQuery:
     def test_empty_store_empty_result(self):
@@ -207,12 +245,12 @@ class TestQuery:
     def test_full_range_returns_everything(self):
         store = make_store(min_interval=0.0)
         for i in range(5):
-            store.ingest("ch-1", "KEY", float(i * 100), (i, i, i))
+            store.ingest("ch-1", "KEY", i * 100, (i, i, i))
         times, values = store.entries("ch-1")
-        assert times.tolist() == [0.0, 100.0, 200.0, 300.0, 400.0]
+        assert times.tolist() == [0, 100, 200, 300, 400]
         assert values.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]] * 3
 
-    @given(st.lists(st.tuples(st.floats(0, 1e5), st.booleans()),
+    @given(st.lists(st.tuples(st.integers(0, 10**5), st.booleans()),
                     min_size=0, max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_query_matches_flat_log_oracle(self, attempts):
@@ -233,26 +271,25 @@ class TestQuery:
     def test_repeated_queries_stable(self):
         store = make_store(min_interval=0.0)
         for i in range(10):
-            store.ingest("ch-1", "KEY", float(i), (i, i, i))
+            store.ingest("ch-1", "KEY", i, (i, i, i))
         times, values = store.entries("ch-1")
         again = store.entries("ch-1")
         assert again[0].tolist() == times.tolist()
         assert again[1].tolist() == values.tolist()
-        times[:] = -1.0  # a caller's copy, not the store's own columns
+        times[:] = -1  # a caller's copy, not the store's own columns
         values[:] = -1.0
         assert store.entries("ch-1")[0].tolist() == again[0].tolist()
         assert store.entries("ch-1")[1].tolist() == again[1].tolist()
 
 
 def _batches(width):
-    """Batches of rows on a shared clock: write key, whether the times are
-    ints or floats, clock steps, and one row of values per step."""
+    """Batches of rows on a shared clock: write key, clock steps, and one
+    row of values per step."""
     value = st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 22.5, -40.0, 0.1]) | \
         st.floats(-1e17, 1e17, allow_nan=False, allow_infinity=False)
     step = st.sampled_from([0, 1, 150, 300, 599, 600, 900])
     return st.lists(st.tuples(
-        st.booleans() | st.just(True), st.booleans(),
-        st.sampled_from([0.0, 0.125, 1e-7]),
+        st.booleans() | st.just(True),
         st.lists(st.tuples(step, st.lists(value, min_size=width,
                                           max_size=width)),
                  max_size=12)), max_size=5)
@@ -275,19 +312,18 @@ class TestBatchMatchesReference:
         reference = ReferenceChannel(channel)
 
         clock = 0
-        for good_key, as_int, offset, rows in data.draw(_batches(len(names))):
+        for good_key, rows in data.draw(_batches(len(names))):
             key = "KEY" if good_key else "BAD"
             times = []
             for step, _ in rows:
                 clock += step
-                times.append(clock if as_int else clock + offset)
+                times.append(clock)
             columns = [[values[j] for _, values in rows]
                        for j in range(len(names))]
             expected = [reference.ingest(key, t, values)
                         for t, (_, values) in zip(times, rows)]
             accepted = batch_store.ingest_batch(
-                "ch", key, np.array(times, np.int64 if as_int else np.float64),
-                columns)
+                "ch", key, np.array(times, np.int64), columns)
             if good_key:
                 assert accepted.tolist() == [s == ACCEPTED for s in expected]
             else:
@@ -318,16 +354,16 @@ class TestBatchMatchesReference:
 
     def test_long_batches_cross_export_slices(self, tmp_path):
         # the batches drawn above never fill one export slice; these cross
-        # three slice boundaries, and a batch of float times follows
+        # three slice boundaries, and a second batch follows
         channel = Channel("ch", "KEY", FIELDS, min_update_interval_s=0.0)
         store = ChannelStore()
         store.create_channel(channel)
         reference = ReferenceChannel(channel)
         special = [0.0, -0.0, 0.0, 1e16, 1e-7, 5e-324, -0.0, 22.5, 22.5]
         rng = np.random.default_rng(7)
-        n_int, n_float = 3 * _SLICE_ROWS + 1, _SLICE_ROWS + 2
-        for times in (np.arange(1, n_int + 1, dtype=np.int64) * 300,
-                      (n_int + 1 + np.arange(n_float)) * 300.0 + 0.5):
+        n_first, n_second = 3 * _SLICE_ROWS + 1, _SLICE_ROWS + 2
+        for times in (np.arange(1, n_first + 1, dtype=np.int64) * 300,
+                      (n_first + 1 + np.arange(n_second)) * 300 + 7):
             n = len(times)
             columns = [np.resize(special, n), rng.uniform(-40, 100, n),
                        np.round(rng.uniform(20, 30, n), 1)]
@@ -335,7 +371,7 @@ class TestBatchMatchesReference:
             for t, *values in zip(times.tolist(), *columns):
                 assert reference.ingest("KEY", t, values) == ACCEPTED
 
-        total = n_int + n_float
+        total = n_first + n_second
         assert export_files(store, "ch", tmp_path / "chan.csv",
                             tmp_path / "chan.jsonl") == total
         reference.export_csv(tmp_path / "ref.csv")
@@ -347,7 +383,7 @@ class TestBatchMatchesReference:
             rows = list(csv.reader(fh))[1:]
         assert [row[1] for row in rows] == \
             [str(i) for i in range(1, total + 1)]
-        assert (rows[0][0], rows[-1][0]) == ("300", repr(total * 300.0 + 0.5))
+        assert (rows[0][0], rows[-1][0]) == ("300", str(total * 300 + 7))
         assert {row[2] for row in rows} == set(map(repr, special))
 
 
@@ -385,15 +421,16 @@ class TestRateLimitMatchesLoop:
     inputs where a shortcut would go wrong."""
 
     @pytest.mark.parametrize("limit", [0.0, 15.0, 599.9999999, 600.0])
-    @pytest.mark.parametrize("as_int", [True, False])
-    def test_long_batches(self, limit, as_int):
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_long_batches(self, limit, signed):
+        # an unsigned column in the int64 range is taken as int64
         steps = np.random.default_rng(3).choice(
             [0, 1, 14, 15, 150, 300, 599, 600, 601, 900], 6000)
-        times = np.cumsum(steps) if as_int else np.cumsum(steps) + 0.125
+        times = np.cumsum(steps).astype(np.int64 if signed else np.uint64)
         _offer(limit, [times[:4000], times[4000:]])
 
     def test_duplicate_times(self):
-        _offer(0.0, [[5, 5, 5, 7, 7], [7, 7, 8], [6.5, 8.0, 8.0, 8.0]])
+        _offer(0.0, [[5, 5, 5, 7, 7], [7, 7, 8], [6, 8, 8, 8]])
         _offer(15.0, [[0, 0, 15, 15, 15, 29, 30, 30], [30, 45, 45]])
 
     @pytest.mark.parametrize("limit", [0.1, 0.5, 299.5, 599.9999999])
@@ -405,38 +442,52 @@ class TestRateLimitMatchesLoop:
     @pytest.mark.parametrize("base", [2.0**53, 1e17, -1e17])
     @pytest.mark.parametrize("limit", [0.1, 15.0, 599.9999999, 600.0])
     def test_float_times_where_the_sum_rounds(self, base, limit):
-        # steps of 0, 1 or 2 units in the last place, so every difference
-        # near the limit occurs
-        ulp = np.spacing(abs(base))
-        times = base + ulp * np.cumsum(
+        # this far from 0 a float clock ticks in whole seconds; its times
+        # come as int64, 0, 1 or 2 units in the last place apart, so every
+        # difference near the limit occurs, and they are compared exactly
+        # where ``t + limit`` in float64 rounds
+        ulp = int(np.spacing(abs(base)))
+        times = int(base) + ulp * np.cumsum(
             np.random.default_rng(5).choice([0, 1, 2], 800))
         if 0 < limit % ulp <= ulp / 2:  # t + limit can round down
-            assert _sum_rule_differs(times, limit)
+            assert _sum_rule_differs(times.astype(np.float64), limit)
         _offer(limit, [times[:300], times[300:]])
 
     def test_int_and_float_batches_mixed(self):
-        # float(2**53 + 1) is 2**53, so Python finds 2.0 between the int
-        # 2**53 + 1 and the float 2**53 + 2, not 1
-        _offer(1.5, [np.array([2**53 + 1], np.int64),
-                     np.array([2.0**53 + 2, 2.0**53 + 4]),
-                     np.array([2**53 + 3, 2**53 + 5, 2**53 + 7], np.int64)])
-        # an int limit compares exactly with a float difference: 2.0**53 is
-        # less than 2**53 + 1
-        _offer(2**53 + 1, [np.array([0.0, 2.0**53, 2.0**53 + 2])])
+        # a float batch between int batches raises and moves nothing: the
+        # int batches agree with the reference as if it was never offered
+        channel = Channel("ch", "KEY", ("v",), min_update_interval_s=1.5)
+        store = ChannelStore()
+        store.create_channel(channel)
+        reference = ReferenceChannel(channel)
+        for times in ([2**53 + 1], [2.0**53 + 2, 2.0**53 + 4],
+                      [2**53 + 3, 2**53 + 5, 2**53 + 7]):
+            times = np.array(times)
+            columns = [np.zeros(len(times))]
+            if times.dtype.kind == "f":
+                with pytest.raises(InputError, match="whole seconds"):
+                    store.ingest_batch("ch", "KEY", times, columns)
+            else:
+                assert store.ingest_batch(
+                    "ch", "KEY", times, columns).tolist() == [
+                    reference.ingest("KEY", t, (0.0,)) == ACCEPTED
+                    for t in times.tolist()]
+            assert store.counters("ch") == reference.counters
+            assert store._state("ch").last_accepted_s == reference.last
+        # an int limit is exact, also where float64 has no odd integers
+        _offer(2**53 + 1, [np.array([0, 2**53, 2**53 + 1, 2**53 + 2])])
         # each batch starts before the carried last accepted time
-        _offer(1.0, [np.array([0.5, 1.25]), np.array([1, 2, 3]),
-                     np.array([2.5, 3.5, 4.0, 4.5]), np.array([3, 4, 5, 6])])
+        _offer(2.0, [np.array([0, 2]), np.array([1, 2, 3, 4]),
+                     np.array([3, 5, 6, 7]), np.array([4, 5, 8, 9])])
 
     def test_huge_limit_and_int64_edges(self):
         lo, hi = -2**63, 2**63 - 1
         edges = np.array([lo, lo, -1, 0, hi], np.int64)
         # 0 - lo and hi - lo wrap around in int64
-        for limit in (2.0**63, 2.0**64, 2.0**64 - 2048, 1e308):
+        for limit in (0, 2.0**63, 2.0**64 - 2048, 2**64 - 1, 2.0**64, 1e308):
             _offer(limit, [edges, np.array([hi], np.int64)])
-        _offer(2.0**63, [np.array([0, 2**63, 2**64 - 1], np.uint64)])
-        _offer(1e308, [np.array([-1.7e308, 0.0, 1.7e308]),
-                       np.array([-1.7e308, 1.7e308])])
-        _offer(1e308, [np.array([-1.7e308, 1.7e308])])
+        _offer(2**64 - 1, [np.array([lo, hi], np.int64)])
+        _offer(2.0**63, [np.array([hi], np.int64), np.array([lo, -1, 0, 1])])
 
 
 class TestPersistence:
@@ -451,14 +502,14 @@ class TestPersistence:
     def test_export_row_count(self, tmp_path):
         store = make_store(min_interval=0.0)
         for i in range(3):
-            store.ingest("ch-1", "KEY", float(i), (i, i, i))
+            store.ingest("ch-1", "KEY", i, (i, i, i))
         assert export_files(store, "ch-1", tmp_path / "chan.csv",
                             tmp_path / "chan.jsonl") == 3
 
     def test_round_trip_import_equals_store(self, tmp_path):
         store = make_store(min_interval=0.0)
         for i in range(20):
-            store.ingest("ch-1", "KEY", i * 300.0,
+            store.ingest("ch-1", "KEY", i * 300,
                          (40.0 + i * 0.1, 22.0, 45.5))
         path = tmp_path / "chan.csv"
         export_files(store, "ch-1", path, tmp_path / "chan.jsonl")
@@ -467,14 +518,14 @@ class TestPersistence:
         assert rows[0] == ["created_at", "entry_id", *FIELDS]
         times, values = store.entries("ch-1")
         assert [int(row[1]) for row in rows[1:]] == list(range(1, 21))
-        assert [float(row[0]) for row in rows[1:]] == times.tolist()
+        assert [int(row[0]) for row in rows[1:]] == times.tolist()
         assert [[float(v) for v in row[2:]] for row in rows[1:]] == \
             values.T.tolist()
 
     def test_snapshot_jsonl_one_line_per_entry(self, tmp_path):
         store = make_store(min_interval=0.0)
         for i in range(4):
-            store.ingest("ch-1", "KEY", float(i), (i, i, i))
+            store.ingest("ch-1", "KEY", i, (i, i, i))
         path = tmp_path / "chan.jsonl"
         assert export_files(store, "ch-1", tmp_path / "chan.csv", path) == 4
         assert len(path.read_text().splitlines()) == 4

@@ -11,12 +11,14 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from agrisim import decision, fieldsim, pipeline, transport
+from agrisim import alerting, decision, fieldsim, ingest, pipeline, transport
 from agrisim.cli import main
-from agrisim.scenario import default_scenario_path, load_scenario
+from agrisim.scenario import (default_scenario_path, load_scenario,
+                              parse_scenario)
 
 EXPECTED_ARTIFACTS = {
     "ground_truth_system.csv",
@@ -121,6 +123,42 @@ class TestRunSeason:
         text = (default_run.out_dir / "dispatch_log.csv").read_text()
         assert "SENT" in text
         assert "SUPPRESSED_DUPLICATE" in text
+
+    @pytest.mark.parametrize("variant", ["shipped", "wet-lossy-qos1"])
+    def test_store_and_dispatcher_get_int64_seconds(self, variant,
+                                                    monkeypatch):
+        # the channel and the dispatcher take only whole seconds, so a run
+        # must hand them int64 columns
+        with default_scenario_path() as path:
+            raw = yaml.safe_load(path.read_text())
+        if variant == "wet-lossy-qos1":
+            raw["season"].update(dry_season=False, rain_probability=0.3,
+                                 rain_mean_mm=8.0)
+            raw["link"].update(loss_prob=0.2, qos=1)
+            raw["channel"]["min_update_interval_s"] = 600.0
+        scenario = parse_scenario(raw)
+        seen = collections.defaultdict(list)
+
+        def spy(name, method, times_of):
+            def call(self, *args):
+                seen[name].append(times_of(*args))
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(ingest.ChannelStore, "ingest_batch", spy(
+            "ingest", ingest.ChannelStore.ingest_batch, lambda c, k, t, v: t))
+        monkeypatch.setattr(alerting.Dispatcher, "dispatch", spy(
+            "dispatch", alerting.Dispatcher.dispatch,
+            lambda alerts: alerts.timestamp_s))
+        out = pipeline.run_season(scenario)
+        assert sorted(seen) == ["dispatch", "ingest"]
+        for times in (*seen["ingest"], *seen["dispatch"]):
+            assert isinstance(times, np.ndarray)
+            assert times.dtype == np.int64 and len(times)
+        assert len(seen["ingest"]) == len(seen["dispatch"]) == 1
+        # the pub/sub deliveries, rate-limited on the 600 s variant
+        assert len(seen["ingest"][0]) == out.transport_stats[
+            transport.PUBSUB].delivered
 
 
 class TestManifest:

@@ -15,6 +15,7 @@ from agrisim.errors import ConfigurationError
 from agrisim.transport import PUBSUB, REQRESP
 from agrisim.scenario import (
     DEFAULT_SCENARIO,
+    AlertingParams,
     default_scenario_path,
     load_default_scenario,
     load_scenario,
@@ -213,6 +214,13 @@ class TestStrictValidation:
         raw["energy"] = energy
         with pytest.raises(ConfigurationError, match=match):
             parse_scenario(raw)
+
+    # the loader rejects non-finite floats; built in code, the params must
+    # reject NaN (which fails every comparison) and infinity themselves
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_dedup_window_positive_and_finite(self, window):
+        with pytest.raises(ConfigurationError, match="dedup_window_s"):
+            AlertingParams(dedup_window_s=window)
 
     def test_invalid_locale(self):
         raw = default_raw()

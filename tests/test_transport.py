@@ -376,12 +376,32 @@ class TestLinkModel:
                             np.random.default_rng(0))
         assert stats.delivered == stats.attempted == 100
 
+    # NaN fails every comparison, so each check must be one that NaN fails
+    @pytest.mark.parametrize("proto", [PUBSUB, REQRESP])
+    def test_nan_latency_rejected(self, proto):
+        latency = {PUBSUB: 3.0, REQRESP: 10.0, proto: math.nan}
+        with pytest.raises(ConfigurationError, match=f"latency for {proto}"):
+            LinkModel(latency_s=latency)
+
     def test_scenario_with_oversized_retry_budget_fails_at_load(self):
         with default_scenario_path() as path:
             raw = yaml.safe_load(path.read_text())
         raw["link"].update(qos=1, max_retries=10**20)
         with pytest.raises(ConfigurationError, match="max_retries"):
             parse_scenario(raw)
+
+
+class TestEnergyModel:
+    # NaN fails every comparison, so each check must be one that NaN fails
+    def test_nan_idle_draw_rejected(self):
+        with pytest.raises(ConfigurationError, match="idle_mwh_per_day"):
+            EnergyModel(idle_mwh_per_day=math.nan)
+
+    @pytest.mark.parametrize("proto", [PUBSUB, REQRESP])
+    def test_nan_per_message_energy_rejected(self, proto):
+        per_message = {PUBSUB: 0.05, REQRESP: 0.06, proto: math.nan}
+        with pytest.raises(ConfigurationError, match=f"energy for {proto}"):
+            EnergyModel(energy_per_message_mwh=per_message)
 
 
 class TestStatsMerge:
