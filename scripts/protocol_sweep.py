@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Sweep link loss probability and compare the two transport protocols.
 
-For each loss level the same season-length packet stream is pushed through
-PUBSUB and REQRESP at QoS 0 and QoS 1, printing delivery rate, energy, and
-mean latency. Useful for picking a QoS level for a given link quality.
+For each loss level the same season-length stream of constant readings
+(40 % moisture, 22 C, 45 % humidity every 300 s) is pushed through PUBSUB
+and REQRESP at QoS 0 and QoS 1, printing delivery rate, energy, and mean
+latency. Useful for picking a QoS level for a given link quality.
 """
 
 import argparse
 
 import numpy as np
 
-from agrisim import transport
+from agrisim import decision, transport
 
 
-def packets(n):
-    return [transport.TelemetryPacket(sequence_no=i + 1, timestamp_s=300.0 * i,
-                                      moisture_pct=40.0, temp_c=22.0,
-                                      humidity_pct=45.0)
-            for i in range(n)]
+def readings(n):
+    return decision.Samples(
+        timestamp_s=300 * np.arange(n, dtype=np.int64),
+        moisture_pct=np.full(n, 40.0), temp_c=np.full(n, 22.0),
+        humidity_pct=np.full(n, 45.0))
 
 
 def main() -> int:
@@ -28,7 +29,7 @@ def main() -> int:
                         default=[0.0, 0.01, 0.02, 0.05, 0.1, 0.2])
     args = parser.parse_args()
 
-    stream = packets(args.packets)
+    stream = readings(args.packets)
     energy = transport.EnergyModel()
     print(f"{'loss':>6} {'qos':>3} {'protocol':>8} {'rate':>8} "
           f"{'energy_mwh':>10} {'latency_s':>9} {'retx':>6}")

@@ -2,7 +2,6 @@
 
 Subcommands:
   run <scenario> [--out DIR] [--seed N]   full two-arm season + artifacts
-  bench-transport <scenario> [--out FILE] per-protocol transport stats of a run
   report <out-dir>                        re-render tables from stored totals
 
 ``run`` also writes ``timings.json`` beside the manifest: the wall seconds
@@ -19,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from agrisim import metrics, pipeline, transport
+from agrisim import metrics, pipeline
 from agrisim.errors import AgrisimError
 from agrisim.scenario import load_scenario
 
@@ -51,28 +50,13 @@ def cmd_run(args) -> int:
     print(f"yield:  baseline {t.baseline_yield_kg_per_acre:.0f} kg/acre, "
           f"system {t.system_yield_kg_per_acre:.0f} kg/acre "
           f"({output.observations['Crop Yield']:.1f}% increase)")
-    print(f"energy: pubsub {t.pubsub_energy_mwh:.1f} mWh, "
-          f"reqresp {t.reqresp_energy_mwh:.1f} mWh")
-    print(f"delivery rate: {t.delivery_rate:.4f}")
-    print(f"artifacts: {out_dir}/")
-    return 0
-
-
-def cmd_bench_transport(args) -> int:
-    scenario = _load(args.scenario, args.seed)
-    out_path = args.out
-    stats = pipeline.run_season(scenario).transport_stats
-    if out_path:
-        with Path(out_path).open("w", encoding="utf-8", newline="") as fh:
-            pipeline.write_transport_csv(fh, stats)
-    ps, rr = stats[transport.PUBSUB], stats[transport.REQRESP]
-    for name, s in ((transport.PUBSUB, ps), (transport.REQRESP, rr)):
-        print(f"{name:8s} attempted={s.attempted} delivered={s.delivered} "
+    for proto, s in output.transport_stats.items():
+        print(f"{proto:8s} attempted={s.attempted} delivered={s.delivered} "
               f"rate={s.delivery_rate:.4f} energy={s.energy_mwh:.2f} mWh "
               f"latency={s.mean_latency_s:.1f} s")
-    print(f"energy ratio (pubsub/reqresp): {ps.energy_mwh / rr.energy_mwh:.4f}")
-    if out_path:
-        print(f"stats written to {out_path}")
+    print("energy ratio (pubsub/reqresp): "
+          f"{t.pubsub_energy_mwh / t.reqresp_energy_mwh:.4f}")
+    print(f"artifacts: {out_dir}/")
     return 0
 
 
@@ -131,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.set_defaults(func=cmd_run)
-
-    p_bench = sub.add_parser("bench-transport",
-                             help="compare transport protocols")
-    p_bench.add_argument("scenario", help="scenario YAML path")
-    p_bench.add_argument("--out", help="CSV output path")
-    p_bench.add_argument("--seed", type=int, help="override the scenario seed")
-    p_bench.set_defaults(func=cmd_bench_transport)
 
     p_rep = sub.add_parser("report", help="re-render report from a run dir")
     p_rep.add_argument("out_dir", help="directory written by 'run'")

@@ -111,24 +111,21 @@ class ChannelStore:
 
         ``timestamps_s`` is an integer column of whole seconds in the int64
         range, and ``columns`` holds one value column per channel field,
-        each as long as it. A wrong write key rejects every row and returns
-        None; otherwise the result is the mask of accepted rows. A row is
-        rate-rejected when it comes less than ``min_update_interval_s``
-        after the last accepted row, in this batch or an earlier one.
-        Rejections are counted so attempts always reconcile:
-        accepted + rejected_auth + rejected_rate == rows offered. A time
-        column that is not whole seconds, a value column of the wrong count
-        or length, a non-finite value (JSON has no NaN or infinity), or a
-        time earlier than the row before it raises ``InputError`` and stores
-        and counts nothing. A batch may start before the last accepted row
-        of an earlier batch; its rows are tested against that row like any
-        other.
+        each as long as it. A time column that is not whole seconds, a
+        value column of the wrong count or length, a non-finite value (JSON
+        has no NaN or infinity), or a time earlier than the row before it
+        raises ``InputError`` and stores and counts nothing, whatever the
+        write key. A wrong write key on a well-formed batch rejects every
+        row and returns None; otherwise the result is the mask of accepted
+        rows. A row is rate-rejected when it comes less than
+        ``min_update_interval_s`` after the last accepted row, in this batch
+        or an earlier one. Rejections are counted so attempts always
+        reconcile: accepted + rejected_auth + rejected_rate == rows offered.
+        A batch may start before the last accepted row of an earlier batch;
+        its rows are tested against that row like any other.
         """
         st = self._state(channel_id)
         times = whole_seconds(timestamps_s)
-        if write_key != st.channel.write_key:
-            st.rejected_auth += len(times)
-            return None
         try:
             values = np.asarray(columns, dtype=np.float64)
         except ValueError as exc:
@@ -142,6 +139,9 @@ class ChannelStore:
             raise InputError("non-finite value")
         if np.any(times[1:] < times[:-1]):
             raise InputError("timestamps are not in time order")
+        if write_key != st.channel.write_key:
+            st.rejected_auth += len(times)
+            return None
 
         n = len(times)
         first, jump = due_rows(times, st.last_accepted_s,

@@ -42,34 +42,17 @@ class RunOutput:
     transport_stats: dict[str, transport.TransportStats]
     economics: dict[str, float]
     out_dir: Path | None = None
-    # wall seconds per stage (see Stages); not part of any artifact
+    # wall seconds per stage, in run order; not part of any artifact
     timings: dict[str, float] = field(default_factory=dict)
 
 
-class Stages:
-    """Wall seconds per stage of one run, by stage name, in ``seconds``.
-
-    ``with stages(name):`` records the block's ``perf_counter`` time as that
-    stage's. A stage timed inside another is taken out of the outer stage's
-    time, so no two stages overlap and their sum is at most the run's.
-    """
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self._inner: list[float] = []  # nested stages' time, per open stage
-
-    @contextlib.contextmanager
-    def __call__(self, name: str):
-        self._inner.append(0.0)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            inner = self._inner.pop()
-            if self._inner:
-                self._inner[-1] += elapsed
-            self.seconds[name] = elapsed - inner
+@contextlib.contextmanager
+def _stage(seconds: dict[str, float], name: str):
+    """Record the ``with`` block's ``perf_counter`` time as
+    ``seconds[name]``."""
+    start = time.perf_counter()
+    yield
+    seconds[name] = time.perf_counter() - start
 
 
 def packets_from_samples(samples: decision.Samples,
@@ -99,50 +82,50 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
 
     Both policy arms read one set of season inputs: the scenario's weather,
     one sensor-noise block and the air readings it drives. The wall time of
-    each stage goes to ``RunOutput.timings``: weather, drivers, each arm,
-    each session (without the pub/sub session's ingest), ingest, dispatch,
-    metrics and, with ``out_dir``, artifacts.
+    each stage goes to ``RunOutput.timings``, in run order: weather,
+    drivers, each arm, the pub/sub session, ingest of its deliveries, the
+    request/response session, dispatch, metrics and, with ``out_dir``,
+    artifacts.
     """
-    stages = Stages()
-    with stages("weather"):
+    timings: dict[str, float] = {}
+    with _stage(timings, "weather"):
         weather = generate_weather(scenario.season, scenario.seed)
     sensor_ss, pubsub_ss, reqresp_ss = np.random.SeedSequence(
         scenario.seed).spawn(3)
-    with stages("drivers"):
+    with _stage(timings, "drivers"):
         drivers = decision.season_drivers(scenario, weather,
                                           NoiseStream(sensor_ss))
-    with stages("sensor_arm"):
+    with _stage(timings, "sensor_arm"):
         system = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
                                           drivers)
-    with stages("baseline_arm"):
+    with _stage(timings, "baseline_arm"):
         baseline = decision.schedule_season(decision.CALENDAR_BASELINE,
                                             scenario, drivers)
     samples = system.samples
     days = scenario.season.days
 
-    store = ingest.ChannelStore()
-    store.create_channel(scenario.channel)
-
-    def deliver_to_channel(attempts, delivered):
-        with stages("ingest"):
-            store.ingest_batch(
-                scenario.channel.channel_id, scenario.channel.write_key,
-                samples.timestamp_s[delivered],
-                [column[delivered] for column in (samples.moisture_pct,
-                                                  samples.temp_c,
-                                                  samples.humidity_pct)])
-
-    with stages("pubsub_session"):
+    masks = []  # the pub/sub session's delivered mask
+    with _stage(timings, "pubsub_session"):
         stats_pubsub = transport.run_session(
             samples, transport.PUBSUB, scenario.qos, scenario.link,
             scenario.energy, np.random.default_rng(pubsub_ss), days=days,
-            on_result=deliver_to_channel)
-    with stages("reqresp_session"):
+            on_result=lambda attempts, delivered: masks.append(delivered))
+    with _stage(timings, "ingest"):
+        store = ingest.ChannelStore()
+        store.create_channel(scenario.channel)
+        delivered, = masks
+        store.ingest_batch(
+            scenario.channel.channel_id, scenario.channel.write_key,
+            samples.timestamp_s[delivered],
+            [column[delivered] for column in (samples.moisture_pct,
+                                              samples.temp_c,
+                                              samples.humidity_pct)])
+    with _stage(timings, "reqresp_session"):
         stats_reqresp = transport.run_session(
             samples, transport.REQRESP, scenario.qos, scenario.link,
             scenario.energy, np.random.default_rng(reqresp_ss), days=days)
 
-    with stages("dispatch"):
+    with _stage(timings, "dispatch"):
         catalog = alerting.MessageCatalog.default()
         dispatcher = alerting.Dispatcher(
             catalog, scenario.gateway, alerting.RecordingGatewayClient(),
@@ -151,13 +134,13 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
             field_id=scenario.field_id)
         dispatcher.dispatch(system.alerts)
 
-    with stages("metrics"):
+    with _stage(timings, "metrics"):
         output = _season_output(scenario, system, baseline, stats_pubsub,
                                 stats_reqresp)
-    output.timings = stages.seconds
+    output.timings = timings
     if out_dir is not None:
         output.out_dir = Path(out_dir)
-        with stages("artifacts"):
+        with _stage(timings, "artifacts"):
             _write_artifacts(output, scenario, weather, store, dispatcher)
     return output
 
@@ -256,7 +239,7 @@ def _write_irrigation_log(fh, system: decision.SeasonResult,
                              e.reason])
 
 
-def write_transport_csv(fh, stats_by_protocol: dict):
+def _write_transport_csv(fh, stats_by_protocol: dict):
     writer = csv.writer(fh)
     writer.writerow(["protocol", "attempted", "delivered",
                      "retransmissions", "bytes_sent", "energy_mwh",
@@ -306,7 +289,7 @@ def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                      artifact("channel_export.csv"),
                      artifact("channel_snapshot.jsonl"))
         dispatcher.export_csv(artifact("dispatch_log.csv"))
-        write_transport_csv(artifact("transport_stats.csv"),
+        _write_transport_csv(artifact("transport_stats.csv"),
                             output.transport_stats)
         artifact("report.txt").write(
             metrics.format_report_table(output.report))

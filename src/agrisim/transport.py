@@ -41,13 +41,6 @@ class TelemetryPacket:
     humidity_pct: float
     topic: str = "farm/field-1/telemetry"
 
-    @property
-    def payload(self) -> str:
-        """Wire payload: comma-separated field=value pairs, fixed order,
-        one decimal per value."""
-        values = (self.moisture_pct, self.temp_c, self.humidity_pct)
-        return ",".join(f"{name}={v:.1f}" for name, v in zip(PAYLOAD_FIELDS, values))
-
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -207,8 +200,9 @@ def _one_decimal_widths(column: np.ndarray) -> np.ndarray:
 
 
 def _payload_bytes(columns) -> np.ndarray:
-    """Per-reading length of the ``TelemetryPacket.payload`` text in bytes,
-    from the moisture, temp and humidity columns."""
+    """Per-reading length in bytes of the wire text
+    ``moisture=<m>,temp=<t>,humidity=<h>``, each value written as
+    ``f"{v:.1f}"``, from the moisture, temp and humidity columns."""
     names = len(",".join(f"{name}=" for name in PAYLOAD_FIELDS))
     return names + sum(_one_decimal_widths(column) for column in columns)
 

@@ -199,6 +199,22 @@ class TestIngest:
                                   [[1.0, 2.0]] * 3) is None
         assert store.counters("ch-1")["rejected_auth"] == 2
 
+    @pytest.mark.parametrize("times, columns", [
+        ([0, 300], [[1.0]]),                        # one column, one row
+        ([0, 300], [[1.0, 2.0]]),                   # one column of two
+        ([300, 0], [[1.0, 2.0], [3.0, 4.0]]),       # out of time order
+        ([0, 300], [[1.0, 2.0], [3.0, float("nan")]]),
+    ], ids=["short", "few", "order", "nan"])
+    @pytest.mark.parametrize("key", ["KEY", "BAD"])
+    def test_malformed_batch_raises_whatever_its_key(self, times, columns,
+                                                     key):
+        store = ChannelStore()
+        store.create_channel(Channel("c", "KEY", ("a", "b")))
+        with pytest.raises(InputError):
+            store.ingest_batch("c", key, times, columns)
+        assert store.counters("c") == {"accepted": 0, "rejected_auth": 0,
+                                       "rejected_rate": 0}
+
     @pytest.mark.parametrize("times", [
         np.array([0.0, 300.0]),                     # float, if whole
         [0, 300.5],

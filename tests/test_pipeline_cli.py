@@ -1,6 +1,7 @@
 """End-to-end pipeline: artifacts, determinism, paired arms, CLI."""
 
 import collections
+import csv
 import hashlib
 import json
 import os
@@ -8,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,10 @@ EXPECTED_ARTIFACTS = {
 }
 
 
-# the stages of an in-memory run, in the order they finish; a run with
-# artifacts adds "artifacts"
-STAGES = ["weather", "drivers", "sensor_arm", "baseline_arm", "ingest",
-          "pubsub_session", "reqresp_session", "dispatch", "metrics"]
+# the stages of an in-memory run, in run order; a run with artifacts adds
+# "artifacts"
+STAGES = ["weather", "drivers", "sensor_arm", "baseline_arm", "pubsub_session",
+          "ingest", "reqresp_session", "dispatch", "metrics"]
 
 
 def read_manifest(out_dir):
@@ -181,16 +181,6 @@ class TestManifest:
 
 
 class TestStages:
-    def test_nested_stage_is_taken_out_of_the_outer_one(self, monkeypatch):
-        clock = iter([0.0, 1.0, 3.0, 6.0])
-        monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(
-            perf_counter=lambda: next(clock)))
-        stages = pipeline.Stages()
-        with stages("pubsub_session"):
-            with stages("ingest"):
-                pass
-        assert stages.seconds == {"ingest": 2.0, "pubsub_session": 4.0}
-
     def test_every_stage_timed_within_the_run(self, default_scenario,
                                               default_run):
         start = time.perf_counter()
@@ -271,23 +261,25 @@ class TestCli:
         assert "stage times" in out
         assert all(f"  {name} " in out for name in stages)
 
-    def test_bench_command(self, tmp_path, capsys):
-        with default_scenario_path() as scenario_path:
-            code = main(["bench-transport", str(scenario_path),
-                         "--out", str(tmp_path / "bench.csv")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "energy ratio" in out
-
-    def test_bench_csv_matches_run_artifact(self, tmp_path):
-        # both subcommands report the transport of one and the same run
+    def test_run_prints_the_transport_stats_it_writes(self, tmp_path,
+                                                       capsys):
+        run_dir = tmp_path / "run"
         with default_scenario_path() as scenario_path:
             assert main(["run", str(scenario_path), "--seed", "3",
-                         "--out", str(tmp_path / "run")]) == 0
-            assert main(["bench-transport", str(scenario_path), "--seed", "3",
-                         "--out", str(tmp_path / "bench.csv")]) == 0
-        assert (tmp_path / "bench.csv").read_bytes() == \
-            (tmp_path / "run" / "transport_stats.csv").read_bytes()
+                         "--out", str(run_dir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        with (run_dir / "transport_stats.csv").open(newline="") as fh:
+            rows = {row["protocol"]: row for row in csv.DictReader(fh)}
+        assert list(rows) == list(transport.PROTOCOLS)
+        for proto, row in rows.items():
+            assert (f"{proto:8s} attempted={row['attempted']} "
+                    f"delivered={row['delivered']} "
+                    f"rate={float(row['delivery_rate']):.4f} "
+                    f"energy={float(row['energy_mwh']):.2f} mWh "
+                    f"latency={float(row['mean_latency_s']):.1f} s") in out
+        ratio = (float(rows[transport.PUBSUB]["energy_mwh"])
+                 / float(rows[transport.REQRESP]["energy_mwh"]))
+        assert f"energy ratio (pubsub/reqresp): {ratio:.4f}" in out
 
     def test_seed_override_changes_run(self, tmp_path, capsys):
         with default_scenario_path() as scenario_path:

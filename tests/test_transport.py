@@ -18,6 +18,7 @@ from agrisim.fieldsim import NoiseStream, generate_weather
 from agrisim.pipeline import packets_from_samples
 from agrisim.scenario import default_scenario_path, parse_scenario
 from agrisim.transport import (
+    PAYLOAD_FIELDS,
     PUBSUB,
     REQRESP,
     EnergyModel,
@@ -37,11 +38,20 @@ def _packets(n):
             for i in range(n)]
 
 
+def payload(packet) -> str:
+    """The wire text of one packet, the oracle for ``run_session``'s byte
+    count: comma-separated field=value pairs in ``PAYLOAD_FIELDS`` order,
+    one decimal per value."""
+    values = (packet.moisture_pct, packet.temp_c, packet.humidity_pct)
+    return ",".join(f"{name}={v:.1f}"
+                    for name, v in zip(PAYLOAD_FIELDS, values))
+
+
 class TestPacket:
     def test_wire_payload_golden(self):
         p = TelemetryPacket(sequence_no=1, timestamp_s=0.0, moisture_pct=40.25,
                             temp_c=22.04, humidity_pct=45.0)
-        assert p.payload == "moisture=40.2,temp=22.0,humidity=45.0"
+        assert payload(p) == "moisture=40.2,temp=22.0,humidity=45.0"
 
     def test_topic_convention(self):
         assert _packets(1)[0].topic == "farm/field-1/telemetry"
@@ -59,12 +69,12 @@ class TestPacket:
     def test_copies_compare_and_hash_equal(self, round_trip):
         p = _packets(1)[0]
         q = round_trip(p)
-        assert q == p and hash(q) == hash(p) and q.payload == p.payload
+        assert q == p and hash(q) == hash(p) and payload(q) == payload(p)
 
     def test_replace_and_asdict(self):
         p = _packets(1)[0]
         q = dataclasses.replace(p, moisture_pct=40.25)
-        assert q.payload == "moisture=40.2,temp=22.0,humidity=45.0"
+        assert payload(q) == "moisture=40.2,temp=22.0,humidity=45.0"
         assert dataclasses.asdict(q) == {
             "sequence_no": 1, "timestamp_s": 0.0, "moisture_pct": 40.25,
             "temp_c": 22.0, "humidity_pct": 45.0,
@@ -94,7 +104,7 @@ def reference_session(packets, protocol, qos, link, energy, rng, days):
             ok = rng.random() >= link.loss_prob
         stats.attempted += 1
         stats.retransmissions += tries - 1
-        stats.bytes_sent += len(packet.payload.encode("ascii")) * tries
+        stats.bytes_sent += len(payload(packet).encode("ascii")) * tries
         stats.energy_mwh += per_msg * tries
         if ok:
             stats.delivered += 1
