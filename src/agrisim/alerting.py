@@ -1,11 +1,10 @@
 """Farmer-facing alert rendering and dispatch.
 
 Decision outputs are rendered from a bilingual message catalog (English and
-Luganda; the Luganda entries are marked pending review) and handed to a
-pluggable gateway client: any object with a ``send(request_line)`` method
-that raises on failure. Only a recording mock client ships in-repo: the
-request line is built exactly as a free WhatsApp-gateway or SMS GET call
-would be, but nothing ever touches the network.
+Luganda; the Luganda entries are marked pending review) into the text a
+WhatsApp gateway or SMS would carry to the farmer. The dispatch log records
+each alert's text, its gateway kind and whether it was sent or suppressed;
+nothing ever touches the network.
 
 Identical messages for the same field are deduplicated within a configurable
 window so 5-minute sampling cannot spam a farmer. Alerts are timed in whole
@@ -15,9 +14,7 @@ seconds.
 from __future__ import annotations
 
 import functools
-import heapq
 import string
-import urllib.parse
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -33,7 +30,6 @@ SMS = "sms"
 
 SENT = "SENT"
 SUPPRESSED_DUPLICATE = "SUPPRESSED_DUPLICATE"
-FAILED = "FAILED"
 
 DEFAULT_DEDUP_WINDOW_S = 12 * 3600.0
 
@@ -161,39 +157,10 @@ class MessageCatalog:
 @dataclass(frozen=True)
 class GatewayConfig:
     kind: str = WHATSAPP_GATEWAY
-    endpoint: str = "https://gateway.example/whatsapp.php"
-    phone: str = "+256700000000"
-    api_key: str = "123456"
 
     def __post_init__(self):
         if self.kind not in (WHATSAPP_GATEWAY, SMS):
             raise ConfigurationError(f"unknown gateway kind: {self.kind}")
-        if not self.phone:
-            raise ConfigurationError("phone must be non-empty")
-        parsed = urllib.parse.urlparse(self.endpoint)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
-            raise ConfigurationError(f"malformed endpoint: {self.endpoint}")
-
-
-def build_gateway_request(config: GatewayConfig, text: str) -> str:
-    """GET-style request line with bit-exact URL encoding of the message
-    (space -> %20, '!' -> %21); the API key is encoded the same way."""
-    if not text:
-        raise InputError("empty message text")
-    phone = urllib.parse.quote(config.phone, safe="+")
-    encoded, api_key = (urllib.parse.quote(s, safe="")
-                        for s in (text, config.api_key))
-    return f"{config.endpoint}?phone={phone}&text={encoded}&apikey={api_key}"
-
-
-class RecordingGatewayClient:
-    """Mock client: records every request line, always succeeds."""
-
-    def __init__(self):
-        self.requests: list[str] = []
-
-    def send(self, request_line: str) -> None:
-        self.requests.append(request_line)
 
 
 @dataclass
@@ -205,7 +172,6 @@ class DispatchRecords:
     text: list[str] = field(default_factory=list)
     status: list[str] = field(default_factory=list)
     dedup_key: list[str] = field(default_factory=list)
-    detail: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.timestamp_s)
@@ -227,19 +193,17 @@ def _csv_column(column: list[str]) -> list[str]:
 
 
 class Dispatcher:
-    """Serialized dispatcher of one field's alerts, with duplicate
-    suppression: at most one SENT per (field, template) key within the dedup
-    window, timed by each alert's own timestamp in whole seconds. Alerts
-    render in the dispatcher's locale; client failures are recorded, never
-    raised."""
+    """Dispatcher of one field's alerts, with duplicate suppression: at
+    most one SENT per (field, template) key within the dedup window, timed
+    by each alert's own timestamp in whole seconds. Alerts render in the
+    dispatcher's locale and end in its log."""
 
     def __init__(self, catalog: MessageCatalog, gateway: GatewayConfig,
-                 client, locale: str = "en",
+                 locale: str = "en",
                  dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S,
                  field_id: str = "field-1"):
         self.catalog = catalog
         self.gateway = gateway
-        self.client = client
         self.locale = locale
         ingest.check_interval("dedup_window_s", dedup_window_s)
         self.dedup_window_s = dedup_window_s
@@ -250,13 +214,11 @@ class Dispatcher:
     def dispatch(self, alerts: decision.Alerts) -> None:
         """Dispatch alerts given as columns in time order; append their
         records. Each distinct (template, formatted parameters) renders
-        once. Each dedup key is a greedy scan along ``ingest.due_rows`` that
-        visits only the alerts it sends or fails to send: after a send it
-        goes to the next alert due, and after a failed send, which does not
-        move the window, to the key's next alert. Sends go out in alert
-        order. A kind outside ``ALERT_KINDS``, a time column that is not
-        whole seconds in the int64 range, or a time out of order raises
-        ``InputError`` before anything is sent."""
+        once. Each dedup key sends the alerts that ``ingest.due_mask``
+        keeps, the key's last send carried from earlier calls, and
+        suppresses the rest. A kind outside ``ALERT_KINDS``, a time column
+        that is not whole seconds in the int64 range, or a time out of
+        order raises ``InputError`` before anything is recorded."""
         kind, times = alerts.kind, ingest.whole_seconds(alerts.timestamp_s)
         if len(kind) and not 0 <= kind.min() <= kind.max() < len(
                 _ALERT_TEMPLATES):
@@ -266,38 +228,22 @@ class Dispatcher:
         template_id, key, text = (np.empty(len(kind), dtype=object)
                                   for _ in range(3))
         status = np.full(len(kind), SUPPRESSED_DUPLICATE, dtype=object)
-        detail = np.full(len(kind), "", dtype=object)
-        scans, due = {}, []  # due: a heap of (row, kind, index in its rows)
         for k in np.flatnonzero(np.bincount(kind)).tolist():
             rows = np.flatnonzero(kind == k)
             tid, reading = _ALERT_TEMPLATES[k]
-            template_id[rows], key[rows] = tid, f"{self.field_id}:{tid}"
+            dedup_key = f"{self.field_id}:{tid}"
+            template_id[rows], key[rows] = tid, dedup_key
             text[rows] = self._texts(tid, {
                 reading: alerts.observed[rows],
                 "threshold_c": alerts.threshold[rows]})
-            first, nxt = ingest.due_rows(
-                times[rows], self._last_sent.get(key[rows[0]]),
-                self.dedup_window_s)
-            scans[k] = rows, nxt
-            if first < len(rows):
-                heapq.heappush(due, (rows[first], k, first))
-        while due:
-            row, k, j = heapq.heappop(due)
-            rows, nxt = scans[k]
-            request_line = build_gateway_request(self.gateway, text[row])
-            try:
-                self.client.send(request_line)
-            except Exception as exc:
-                status[row], detail[row] = FAILED, str(exc)
-                j += 1  # the window did not move, so the next alert is due
-            else:
-                status[row] = SENT
-                self._last_sent[key[row]] = times[row].item()
-                j = nxt[j]
-            if j < len(rows):
-                heapq.heappush(due, (rows[j], k, j))
+            sent = rows[ingest.due_mask(times[rows],
+                                        self._last_sent.get(dedup_key),
+                                        self.dedup_window_s)]
+            status[sent] = SENT
+            if len(sent):
+                self._last_sent[dedup_key] = times[sent[-1]].item()
         for column, new in zip(vars(self.records).values(), (
-                times, template_id, text, status, key, detail)):
+                times, template_id, text, status, key)):
             column += new.tolist()
 
     def _texts(self, template_id: str, params: dict) -> np.ndarray:
@@ -332,12 +278,13 @@ class Dispatcher:
 
     def export_csv(self, fh) -> int:
         """Write the log to a text stream as ``csv.writer`` would, one
-        ``"".join`` per slice of rows."""
+        ``"".join`` per slice of rows. The last column, ``detail``, is an
+        empty field on every row."""
         r, n = self.records, len(self.records)
         columns = [list(map(str, r.timestamp_s)), *map(_csv_column, (
             [self.gateway.kind] * n, r.template_id, [self.locale] * n,
-            r.status, r.dedup_key, r.text, r.detail))]
-        seps = ["", *[","] * (len(columns) - 1), "\r\n"]
+            r.status, r.dedup_key, r.text))]
+        seps = ["", *[","] * (len(columns) - 1), ",\r\n"]
         fh.write("timestamp_s,gateway,template_id,locale,status,"
                  "dedup_key,text,detail\r\n")
         for start in range(0, n, ingest._SLICE_ROWS):

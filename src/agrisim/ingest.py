@@ -59,7 +59,7 @@ class Channel:
 
 def check_interval(name: str, seconds) -> None:
     """Raise ``ConfigurationError`` unless ``seconds`` is a finite,
-    non-negative number of seconds, as ``due_rows`` needs of its limit."""
+    non-negative number of seconds, as ``due_mask`` needs of its limit."""
     # the comparison is False for NaN and exact for an int too large for a
     # float
     if not 0 <= seconds <= sys.float_info.max:
@@ -143,26 +143,14 @@ class ChannelStore:
             st.rejected_auth += len(times)
             return None
 
-        n = len(times)
-        first, jump = due_rows(times, st.last_accepted_s,
-                               st.channel.min_update_interval_s)
-        accepted = np.zeros(n + 1, dtype=bool)
-        if first < n:
-            # row n stands for "no row": the end of every chain
-            jump = np.append(jump, n)
-            accepted[first] = True
-            # pointer doubling: after k rounds the first 2**k accepted rows
-            # are marked and ``jump`` skips 2**k accepted rows at once
-            while jump[first] != n:
-                accepted[jump[accepted]] = True
-                jump = jump[jump]
-        accepted = accepted[:n]
+        accepted = due_mask(times, st.last_accepted_s,
+                            st.channel.min_update_interval_s)
         count = int(np.count_nonzero(accepted))
         if count:
             st.batches.append((times[accepted], values[:, accepted]))
             st.last_accepted_s = times[np.flatnonzero(accepted)[-1]].item()
         st.accepted += count
-        st.rejected_rate += n - count
+        st.rejected_rate += len(times) - count
         return accepted
 
     def ingest(self, channel_id: str, write_key: str, timestamp_s: int,
@@ -239,32 +227,45 @@ def whole_seconds(times) -> np.ndarray:
     return times.astype(np.int64, copy=False)
 
 
-def due_rows(times: np.ndarray, last: int | None,
-             limit) -> tuple[int, np.ndarray]:
-    """The rows of an int64 column in time order that are due: those at
-    least ``limit`` seconds after a kept time. Returns the first row due
-    after ``last``, the time last kept (every row if None), and for each
-    row i the first row j > i due after row i; ``len(times)`` stands for
-    no row. This is the rate limit of a channel and the dedup window of a
-    dispatcher.
+def due_mask(times: np.ndarray, last: int | None, limit) -> np.ndarray:
+    """The rows of an int64 column in time order that are kept when a row is
+    kept once it comes at least ``limit`` seconds after the time last kept:
+    ``last`` before the column, or none if it is None. This is the rate
+    limit of a channel and the dedup window of a dispatcher.
 
     Whole seconds are ``limit`` apart when they are ``ceil(limit)`` apart.
     The differences are taken exactly, as uint64 offsets from the first
     row: every difference of a sorted int64 column fits. A time that would
-    fall past the uint64 range is later than any row.
+    fall past the uint64 range is later than any row. One ``searchsorted``
+    gives the first row due after ``last`` and, for each row, the first
+    later row due after it; pointer doubling then marks the chain of kept
+    rows from the first in about log2(kept) array passes.
     """
     n = len(times)
     bound = math.ceil(limit)
     if not n or bound > _U64_MAX:  # no two int64 times are that far apart
-        return (0 if last is None else n), np.full(n, n)
-    key = times.astype(np.uint64)
-    key -= key[0]
-    lead = 0 if last is None else max(last - times[0].item() + bound, 0)
-    goal = np.append(np.uint64(min(lead, _U64_MAX)), key + np.uint64(bound))
-    due = np.searchsorted(key, goal)
-    due[np.append(lead > _U64_MAX, goal[1:] < key)] = n  # past 2**64 - 1
-    # a zero bound finds the first row at row i's time, which may be i
-    return int(due[0]), np.maximum(due[1:], np.arange(1, n + 1))
+        first, jump = (0 if last is None else n), np.full(n + 1, n)
+    else:
+        key = times.astype(np.uint64)
+        key -= key[0]
+        lead = 0 if last is None else max(last - times[0].item() + bound, 0)
+        goal = np.append(np.uint64(min(lead, _U64_MAX)),
+                         key + np.uint64(bound))
+        due = np.searchsorted(key, goal)
+        due[np.append(lead > _U64_MAX, goal[1:] < key)] = n  # past 2**64 - 1
+        first = int(due[0])
+        # a zero bound finds the first row at row i's time, which may be i;
+        # row n stands for "no row": the end of every chain
+        jump = np.append(np.maximum(due[1:], np.arange(1, n + 1)), n)
+    kept = np.zeros(n + 1, dtype=bool)
+    if first < n:
+        kept[first] = True
+        # after k rounds the first 2**k kept rows are marked and ``jump``
+        # skips 2**k kept rows at once
+        while jump[first] != n:
+            kept[jump[kept]] = True
+            jump = jump[jump]
+    return kept[:n]
 
 
 def _reprs(column: np.ndarray) -> np.ndarray:

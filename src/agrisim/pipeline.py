@@ -128,8 +128,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     with _stage(timings, "dispatch"):
         catalog = alerting.MessageCatalog.default()
         dispatcher = alerting.Dispatcher(
-            catalog, scenario.gateway, alerting.RecordingGatewayClient(),
-            locale=scenario.alerting.locale,
+            catalog, scenario.gateway, locale=scenario.alerting.locale,
             dedup_window_s=scenario.alerting.dedup_window_s,
             field_id=scenario.field_id)
         dispatcher.dispatch(system.alerts)

@@ -211,15 +211,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     profile = _build(SoilProfile, raw, "soil_profile")
 
     _section(raw, "sensors", {"soil", "air"})
-    soil_sensor = _build(SensorSpec, raw, "sensors.soil", skip={"depth_cm"})
-    # the bucket has one root zone, so the probe depth changes no reading;
-    # the shipped scenario sets it, so it is accepted inside the root zone
-    root_cm = 100.0 * profile.root_depth_m
-    depth_cm = _typed(_at(raw, "sensors.soil").get("depth_cm", root_cm),
-                      float, "sensors.soil.depth_cm")
-    if not 0.0 < depth_cm <= root_cm:
-        raise ConfigurationError(f"sensors.soil.depth_cm {depth_cm!r} outside "
-                                 f"the root zone (0, {root_cm:g}] cm")
+    soil_sensor = _build(SensorSpec, raw, "sensors.soil")
     air = _section(raw, "sensors.air", {"noise_sigma", "sample_interval_s"})
     air_noise_sigma = _typed(air.get("noise_sigma", 0.0), float,
                              "sensors.air.noise_sigma")

@@ -100,6 +100,12 @@ class TestExtraterrestrialRadiation:
         for solstice in (172, 355):
             assert equinox >= extraterrestrial_radiation(lat, solstice)
 
+    def test_fao56_example_8(self):
+        """FAO-56 Example 8: Ra on 3 September (day 246) at 20 degrees S is
+        32.2 MJ m-2 day-1, given to one decimal."""
+        assert extraterrestrial_radiation(-20.0, 246) == pytest.approx(
+            32.2, abs=0.05)
+
     def test_polar_latitudes_rejected(self):
         with pytest.raises(InputError):
             extraterrestrial_radiation(70.0, 100)

@@ -23,6 +23,7 @@ from agrisim.fieldsim import (
     sample_soil_sensor,
     step_soil_water,
 )
+from agrisim.scenario import load_default_scenario
 
 PROFILE = SoilProfile()
 
@@ -146,6 +147,25 @@ class TestSoilStep:
         assert 0.0 <= ks <= 1.0
         if dep <= PROFILE.depletion_fraction_p * PROFILE.taw_mm:
             assert ks == 1.0
+
+
+class TestShippedProfileAgainstFao56:
+    """The shipped soil profile's bucket, worked by hand from FAO-56:
+    theta_FC 0.30, theta_WP 0.157, Zr 0.34 m, p 0.55."""
+
+    PROFILE = load_default_scenario().profile
+
+    def test_taw_fao56_eq_82(self):
+        # TAW = 1000 (theta_FC - theta_WP) Zr = 1000 * 0.143 * 0.34
+        assert self.PROFILE.taw_mm == pytest.approx(48.62, abs=1e-9)
+
+    def test_ks_fao56_eq_84_midway_between_raw_and_taw(self):
+        # RAW = p TAW = 26.741 mm (eq. 83); midway to TAW, Dr = 37.6805 mm,
+        # Ks = (TAW - Dr) / ((1 - p) TAW) = 10.9395 / 21.879 = 0.5
+        assert ks_stress(37.6805, self.PROFILE) == pytest.approx(0.5,
+                                                                  abs=1e-9)
+        assert ks_stress(26.741, self.PROFILE) == pytest.approx(1.0)
+        assert ks_stress(48.62, self.PROFILE) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDisplayScale:

@@ -187,12 +187,16 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="both 0"):
             parse_scenario(raw)
 
-    @pytest.mark.parametrize("depth_cm", [0, -5, 35, 999, "15"])
+    @pytest.mark.parametrize("depth_cm", [0, -5, 35, 999, 15])
     def test_probe_depth_outside_root_zone_rejected(self, depth_cm):
-        # the shipped root zone is 0.34 m deep
+        # the bucket has one root zone, so a probe depth could change no
+        # reading: depth_cm is an unknown key at any depth, outside the
+        # shipped 0.34 m root zone or inside it
         raw = default_raw()
         raw["sensors"]["soil"]["depth_cm"] = depth_cm
-        with pytest.raises(ConfigurationError, match="depth_cm"):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown keys in 'sensors\.soil': "
+                                 r"\['depth_cm'\]"):
             parse_scenario(raw)
 
     @pytest.mark.parametrize("sigma", [-0.1, "0.2"])
@@ -308,7 +312,7 @@ MALFORMED = [
     ("season.rh_envelope_pct", [30.0]),
     ("soil_profile.theta_sat", "0.474"),
     ("energy.per_message_mwh.pubsub", "x"),
-    ("gateway.endpoint", 5),
+    ("gateway.kind", 5),
     ("report_targets.Temperature", "hot"),
     ("irrigation.cap_mm", None),
     # loaded, then failed mid-run
@@ -408,17 +412,72 @@ def _nudged(value):
     return [_nudged(value[0]), *value[1:]]
 
 
-# accepted so that the hash-pinned shipped scenario loads, but the bucket
-# model has one root zone, so the probe depth cannot change a reading
-IGNORED_KEYS = {"sensors.soil.depth_cm"}
+# explicit edits for the leaves that a small nudge leaves without effect,
+# because they act only past a threshold or under another leaf's value, or
+# that it turns into a name the loader rejects; the mapping in a leaf's
+# CONTEXT is applied to both runs that are compared
+EDITS = {
+    "alerting.locale": "lg",
+    "gateway.kind": "sms",
+    "channel.min_update_interval_s": 600.0,  # past the 300 s sample interval
+    "link.max_retries": 1,
+    "thresholds.humidity_range_pct": [40.0, 50.0],
+    "thresholds.temp_alert_c": 30.0,  # 35 fires no heat alert
+}
+CONTEXT = {"link.max_retries": {"link.qos": 1}}  # only QoS 1 retries
+# keys that shipped scenarios carried until nothing read them: the gateway
+# request that wrapped each alert and the probe depth
+RETIRED_KEYS = {"gateway.api_key": "424242",
+                "gateway.endpoint": "https://gateway.example/whatsapp.php",
+                "gateway.phone": "+256700000001",
+                "sensors.soil.depth_cm": 15}
+# keys that no output reads yet, with why; each must leave the manifest as
+# it is, so a key that starts to reach an output fails until it leaves here
+UNREAD_KEYS = {
+    "channel.channel_id": "one channel per run: the id is only a dict key",
+    "channel.write_key": "the run hands the channel its own write key",
+    # a count past air_counts reads 0% whatever the ADC range, and the
+    # range must hold air_counts, so its clip changes no reading
+    "sensors.soil.adc_bits": "the ADC range only bounds air_counts",
+}
 
 
-@pytest.mark.parametrize("path", sorted(_leaves(SHIPPED)))
-def test_every_shipped_key_changes_the_scenario_or_is_rejected(path):
+def _manifest(raw, out_dir) -> bytes:
+    pipeline.run_season(parse_scenario(raw), out_dir=out_dir)
+    return (out_dir / pipeline.MANIFEST_NAME).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def context_manifests(tmp_path_factory):
+    """The manifest of the shipped mapping under each CONTEXT, by leaf."""
+    manifests = {}
+    for path, context in [(None, {}), *CONTEXT.items()]:
+        raw = copy.deepcopy(SHIPPED)
+        for key, value in context.items():
+            _set(raw, key, value)
+        manifests[path] = _manifest(raw, tmp_path_factory.mktemp("context"))
+    return manifests
+
+
+@pytest.mark.parametrize("path", sorted({*_leaves(SHIPPED), *RETIRED_KEYS}))
+def test_every_shipped_key_changes_the_scenario_or_is_rejected(
+        path, context_manifests, tmp_path):
+    """Editing one leaf of the shipped mapping changes the run's manifest,
+    or the mapping no longer loads; only an UNREAD_KEYS leaf keeps it."""
     raw = copy.deepcopy(SHIPPED)
-    _set(raw, path, _nudged(_get(raw, path)))
+    if path in RETIRED_KEYS:
+        _set(raw, path, RETIRED_KEYS[path])
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            parse_scenario(raw)
+        return
+    for key, value in CONTEXT.get(path, {}).items():
+        _set(raw, key, value)
+    _set(raw, path, EDITS.get(path, _nudged(_get(raw, path))))
     try:
-        changed = parse_scenario(raw) != parse_scenario(SHIPPED)
+        manifest = _manifest(raw, tmp_path)
     except ConfigurationError:
-        changed = True
-    assert changed != (path in IGNORED_KEYS)
+        assert path not in UNREAD_KEYS
+        return
+    changed = manifest != context_manifests[path if path in CONTEXT
+                                            else None]
+    assert changed != (path in UNREAD_KEYS), UNREAD_KEYS.get(path)
