@@ -162,7 +162,9 @@ class Thresholds:
         # 0 is allowed and disables the strict "below" rule entirely
         if not 0.0 <= self.soil_moisture_trigger_pct < 100.0:
             raise ConfigurationError("moisture trigger must be in [0, 100)")
-        if self.humidity_range_pct[0] >= self.humidity_range_pct[1]:
+        if math.isnan(self.temp_alert_c):  # it would fire no heat alert
+            raise ConfigurationError("temp_alert_c must not be NaN")
+        if not self.humidity_range_pct[0] < self.humidity_range_pct[1]:
             raise ConfigurationError(
                 f"humidity range reversed: {self.humidity_range_pct}")
 

@@ -63,7 +63,7 @@ class SeasonConfig:
     def __post_init__(self):
         if self.days < 1:
             raise ConfigurationError("season must be at least 1 day")
-        if self.temp_envelope_c[0] >= self.temp_envelope_c[1]:
+        if not self.temp_envelope_c[0] < self.temp_envelope_c[1]:
             raise ConfigurationError(  # no diurnal range would mean no ET0
                 f"temperature envelope not increasing: {self.temp_envelope_c}")
         if self.rh_envelope_pct[0] > self.rh_envelope_pct[1]:
@@ -115,7 +115,7 @@ class SoilProfile:
             )
         if not 0.0 < self.depletion_fraction_p < 1.0:
             raise ConfigurationError("depletion_fraction_p must be in (0, 1)")
-        if self.root_depth_m <= 0.0:
+        if not self.root_depth_m > 0.0:
             raise ConfigurationError("root_depth_m must be positive")
 
     @property
@@ -126,26 +126,24 @@ class SoilProfile:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """A buried capacitive soil-moisture probe behind an ADC."""
+    """A buried capacitive soil-moisture probe: two-point calibration anchors
+    in counts, count noise, and the sampling interval of both sensors."""
 
-    adc_bits: int = 12
     air_counts: float = 3500.0
     water_counts: float = 1200.0
     noise_sigma: float = 0.0
     sample_interval_s: int = 300
 
     def __post_init__(self):
-        # wetter soil reads lower, and both anchors are counts the ADC reads
-        if not (0 < self.adc_bits <= 32 and 0.0 <= self.water_counts
-                < self.air_counts <= 2 ** self.adc_bits - 1):
-            raise ConfigurationError("need 1 <= adc_bits <= 32 and 0 <= "
-                                     "water_counts < air_counts <= 2**adc_bits - 1")
+        # wetter soil reads lower, and no count is negative
+        if not 0.0 <= self.water_counts < self.air_counts:
+            raise ConfigurationError("need 0 <= water_counts < air_counts")
         # the season kernel samples on a grid that repeats every day
         if self.sample_interval_s <= 0 or SECONDS_PER_DAY % self.sample_interval_s:
             raise ConfigurationError(
                 f"sample_interval_s must be a whole number of seconds dividing "
                 f"{SECONDS_PER_DAY}: {self.sample_interval_s}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0.0:
             raise ConfigurationError("noise_sigma must be non-negative")
 
 
@@ -282,11 +280,10 @@ def soil_raw_counts(true_moisture_pct: float, spec: SensorSpec) -> float:
 def sample_soil_sensor(true_moisture_pct: np.ndarray, spec: SensorSpec,
                        noise_z: np.ndarray) -> np.ndarray:
     """Simulate soil-probe readings: raw counts plus Gaussian noise (one
-    standard normal per reading), clamped to the ADC range, then two-point
-    calibrated back to percent."""
-    raw = soil_raw_counts(true_moisture_pct, spec)
-    raw = raw + spec.noise_sigma * noise_z
-    raw = np.clip(raw, 0.0, 2 ** spec.adc_bits - 1)
+    standard normal per reading), two-point calibrated back to percent and
+    clipped to [0, 100]. The counts need no clip to an ADC range: a count
+    below 0 reads above 100%, and one above ``air_counts`` below 0%."""
+    raw = soil_raw_counts(true_moisture_pct, spec) + spec.noise_sigma * noise_z
     value = 100.0 * (spec.air_counts - raw) / (spec.air_counts - spec.water_counts)
     return np.clip(value, 0.0, 100.0)
 

@@ -57,7 +57,7 @@ class EconomicParams:
     def __post_init__(self):
         for v in (self.maize_price_ugx_per_kg, self.water_cost_ugx_per_l,
                   self.labor_cost_ugx_per_event):
-            if v < 0.0:
+            if not v >= 0.0:
                 raise ConfigurationError(
                     "economic parameters must be non-negative")
         if self.water_cost_ugx_per_l == self.labor_cost_ugx_per_event == 0.0:

@@ -37,7 +37,7 @@ class YieldModelParams:
     max_yield_kg_per_acre: float = 1250.0
 
     def __post_init__(self):
-        if self.ky <= 0.0 or self.max_yield_kg_per_acre <= 0.0:
+        if not (self.ky > 0.0 and self.max_yield_kg_per_acre > 0.0):
             raise ConfigurationError("yield model parameters must be positive")
 
 
@@ -47,7 +47,7 @@ class IrrigationPolicyParams:
     initial_depletion_mm: float = 0.0
 
     def __post_init__(self):
-        if self.cap_mm <= 0.0 or self.initial_depletion_mm < 0.0:
+        if not (self.cap_mm > 0.0 and self.initial_depletion_mm >= 0.0):
             raise ConfigurationError("invalid irrigation policy parameters")
 
 
@@ -57,7 +57,7 @@ class BaselinePolicyParams:
     depth_mm: float = 12.0
 
     def __post_init__(self):
-        if self.interval_days < 1 or self.depth_mm <= 0.0:
+        if self.interval_days < 1 or not self.depth_mm > 0.0:
             raise ConfigurationError("invalid baseline policy parameters")
 
 
@@ -102,6 +102,8 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ConfigurationError(f"seed must be non-negative: {self.seed}")
+        if not self.air_noise_sigma >= 0.0:
+            raise ConfigurationError("air_noise_sigma must be non-negative")
         taw = self.profile.taw_mm
         if self.irrigation.initial_depletion_mm > taw:
             raise ConfigurationError(
@@ -109,7 +111,7 @@ class Scenario:
                 f"{self.irrigation.initial_depletion_mm!r} exceeds the soil "
                 f"profile's TAW {taw:g} mm")
         for name, target in self.report_targets.items():
-            if target == 0.0:  # the radar rows divide by it
+            if not abs(target) > 0.0:  # the radar rows divide by it
                 raise ConfigurationError(f"report_targets.{name} must not be 0")
 
 
@@ -212,21 +214,10 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     _section(raw, "sensors", {"soil", "air"})
     soil_sensor = _build(SensorSpec, raw, "sensors.soil")
-    air = _section(raw, "sensors.air", {"noise_sigma", "sample_interval_s"})
+    # both sensors share the soil sensor's sampling interval
+    air = _section(raw, "sensors.air", {"noise_sigma"})
     air_noise_sigma = _typed(air.get("noise_sigma", 0.0), float,
                              "sensors.air.noise_sigma")
-    if air_noise_sigma < 0:
-        raise ConfigurationError(
-            f"sensors.air.noise_sigma must be non-negative: {air_noise_sigma}")
-    # the season kernel samples both sensors together on whole-day grids
-    air_interval = _typed(
-        air.get("sample_interval_s", SensorSpec.sample_interval_s), int,
-        "sensors.air.sample_interval_s")
-    if air_interval != soil_sensor.sample_interval_s:
-        raise ConfigurationError(
-            f"sensors.air.sample_interval_s {air_interval} != sensors.soil."
-            f"sample_interval_s {soil_sensor.sample_interval_s}: both sensors "
-            f"share one sampling schedule")
 
     cal = _section(raw, "crop_calendar",
                    {"stage_days", "kc_initial", "kc_mid", "kc_end"})

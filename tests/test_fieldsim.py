@@ -21,6 +21,7 @@ from agrisim.fieldsim import (
     moisture_pct_to_depletion,
     sample_air_sensor,
     sample_soil_sensor,
+    soil_raw_counts,
     step_soil_water,
 )
 from agrisim.scenario import load_default_scenario
@@ -231,12 +232,13 @@ class TestSoilSensor:
             SensorSpec(air_counts=1200, water_counts=1200)
 
     @pytest.mark.parametrize("kwargs", [
-        {"adc_bits": 8}, {"adc_bits": 0}, {"adc_bits": 33},
-        {"water_counts": -1.0}, {"air_counts": 4096.0}])
+        {"water_counts": -1.0}, {"water_counts": 3500.0},
+        {"water_counts": 4000.0}, {"air_counts": math.nan},
+        {"water_counts": math.nan}])
     def test_counts_outside_the_adc_range_rejected(self, kwargs):
-        # an 8-bit ADC clamps the default 3500-count dry anchor to 255, so
-        # every reading shows 100% and the sensor arm never irrigates
-        with pytest.raises(ConfigurationError):
+        # no count is negative, and wetter soil reads fewer counts than the
+        # 3500-count dry anchor
+        with pytest.raises(ConfigurationError, match="water_counts"):
             SensorSpec(**kwargs)
 
     def test_full_scale_dry_anchor_accepted(self):
@@ -248,6 +250,28 @@ class TestSoilSensor:
 
     def test_whole_day_interval_accepted(self):
         assert SensorSpec(sample_interval_s=86_400).sample_interval_s == 86_400
+
+    @settings(max_examples=300)
+    @given(true_pct=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20),
+           sigma=st.floats(0.0, 5000.0),
+           air_counts=st.integers(1, 2**32 - 1),
+           extra_bits=st.integers(0, 31), seed=st.integers(0, 2**32 - 1))
+    def test_no_adc_range_would_change_a_reading(self, true_pct, sigma,
+                                                  air_counts, extra_bits,
+                                                  seed):
+        # the reference clips the noisy counts to an ADC range that holds
+        # air_counts, [0, 2**adc_bits - 1]: no such range changes a reading
+        adc_bits = min(32, air_counts.bit_length() + extra_bits)
+        spec = SensorSpec(air_counts=float(air_counts), water_counts=0.0,
+                          noise_sigma=sigma)
+        true_pct = np.array(true_pct)
+        z = NoiseStream(seed).draw(true_pct.size)
+        raw = np.clip(soil_raw_counts(true_pct, spec) + sigma * z,
+                      0.0, 2 ** adc_bits - 1)
+        clipped = np.clip(100.0 * (spec.air_counts - raw)
+                          / (spec.air_counts - spec.water_counts), 0.0, 100.0)
+        assert sample_soil_sensor(true_pct, spec, z).tobytes() == \
+            clipped.tobytes()
 
     def test_noise_is_unbiased(self):
         # Monte-Carlo: symmetric noise without clamping keeps the mean

@@ -1,6 +1,7 @@
 """Scenario loading: strict validation, defaults, round trips."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -152,15 +153,26 @@ class TestStrictValidation:
     def test_interval_must_divide_a_day(self):
         raw = default_raw()
         raw["sensors"]["soil"]["sample_interval_s"] = 7
-        raw["sensors"]["air"]["sample_interval_s"] = 7
         with pytest.raises(ConfigurationError, match="dividing 86400"):
             parse_scenario(raw)
 
-    def test_air_interval_must_match_soil(self):
+    def test_air_interval_is_an_unknown_key(self):
+        # both sensors sample on the soil sensor's interval
         raw = default_raw()
-        raw["sensors"]["air"]["sample_interval_s"] = 3600
-        with pytest.raises(ConfigurationError, match="air.sample_interval_s"):
+        raw["sensors"]["air"]["sample_interval_s"] = 300
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown keys in 'sensors\.air': "
+                                 r"\['sample_interval_s'\]"):
             parse_scenario(raw)
+
+    def test_soil_interval_sets_both_sensors(self):
+        raw = default_raw()
+        raw["sensors"]["soil"]["sample_interval_s"] = 600
+        output = pipeline.run_season(parse_scenario(raw))
+        samples = output.system_arm.samples
+        assert len(samples) == 60 * 144
+        assert np.all(np.diff(samples.timestamp_s) == 600)
+        assert output.transport_stats[PUBSUB].attempted == 60 * 144
 
     def test_polar_latitude_rejected(self):
         raw = default_raw()
@@ -225,6 +237,34 @@ class TestStrictValidation:
     def test_dedup_window_positive_and_finite(self, window):
         with pytest.raises(ConfigurationError, match="dedup_window_s"):
             AlertingParams(dedup_window_s=window)
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("soil_sensor", "noise_sigma", math.nan),
+        ("profile", "root_depth_m", math.nan),
+        ("irrigation", "cap_mm", math.nan),
+        ("irrigation", "initial_depletion_mm", math.nan),
+        ("baseline", "depth_mm", math.nan),
+        ("yield_model", "ky", math.nan),
+        ("yield_model", "max_yield_kg_per_acre", math.nan),
+        ("economics", "maize_price_ugx_per_kg", math.nan),
+        ("economics", "water_cost_ugx_per_l", math.nan),
+        ("economics", "labor_cost_ugx_per_event", math.nan),
+        ("thresholds", "humidity_range_pct", (math.nan, 60.0)),
+        ("thresholds", "humidity_range_pct", (30.0, math.nan)),
+        ("thresholds", "temp_alert_c", math.nan),
+        ("season", "temp_envelope_c", (math.nan, 30.0)),
+        ("season", "temp_envelope_c", (15.0, math.nan)),
+        (None, "air_noise_sigma", math.nan),
+        (None, "air_noise_sigma", -0.5),
+        (None, "report_targets", {"Temperature": math.nan}),
+    ])
+    def test_config_built_in_code_rejects_nan(self, default_scenario, part,
+                                              key, value):
+        # the air noise's sign rule belongs to Scenario, not to the loader
+        config = default_scenario if part is None else getattr(
+            default_scenario, part)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(config, **{key: value})
 
     def test_invalid_locale(self):
         raw = default_raw()
@@ -315,9 +355,9 @@ MALFORMED = [
     ("gateway.kind", 5),
     ("report_targets.Temperature", "hot"),
     ("irrigation.cap_mm", None),
+    ("sensors.soil.sample_interval_s", "300"),
     # loaded, then failed mid-run
     ("season.days", 8.5),
-    ("sensors.soil.adc_bits", "12"),
     ("season.temp_envelope_c", [15.0, 30.0, 45.0]),
     ("channel.min_update_interval_s", "15"),
     # loaded and ran with another meaning
@@ -351,8 +391,7 @@ def test_malformed_value_names_its_key(path, value):
 @pytest.mark.parametrize("path, value, match", [
     ("season.rain_probability", -0.5, "rain_probability"),
     ("season.rain_mean_mm", -1.0, "rain_mean_mm"),
-    ("sensors.soil.adc_bits", 8, "2\\*\\*adc_bits"),
-    ("sensors.soil.adc_bits", 0, "adc_bits"),
+    ("sensors.soil.water_counts", 3500.0, "water_counts < air_counts"),
     ("economics.maize_price_ugx_per_kg", -1.0, "economic parameters"),
     ("irrigation.initial_depletion_mm", 500.0,
      r"irrigation\.initial_depletion_mm .*TAW 48\.6"),
@@ -426,19 +465,20 @@ EDITS = {
 }
 CONTEXT = {"link.max_retries": {"link.qos": 1}}  # only QoS 1 retries
 # keys that shipped scenarios carried until nothing read them: the gateway
-# request that wrapped each alert and the probe depth
+# request that wrapped each alert, the probe depth, the ADC range (a count
+# past air_counts reads 0% at any range) and the air sensor's interval (it
+# could only equal the soil sensor's)
 RETIRED_KEYS = {"gateway.api_key": "424242",
                 "gateway.endpoint": "https://gateway.example/whatsapp.php",
                 "gateway.phone": "+256700000001",
+                "sensors.air.sample_interval_s": 300,
+                "sensors.soil.adc_bits": 12,
                 "sensors.soil.depth_cm": 15}
 # keys that no output reads yet, with why; each must leave the manifest as
 # it is, so a key that starts to reach an output fails until it leaves here
 UNREAD_KEYS = {
     "channel.channel_id": "one channel per run: the id is only a dict key",
     "channel.write_key": "the run hands the channel its own write key",
-    # a count past air_counts reads 0% whatever the ADC range, and the
-    # range must hold air_counts, so its clip changes no reading
-    "sensors.soil.adc_bits": "the ADC range only bounds air_counts",
 }
 
 
