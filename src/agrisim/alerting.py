@@ -1,7 +1,7 @@
 """Farmer-facing alert rendering and dispatch.
 
 Decision outputs are rendered from a bilingual message catalog (English and
-Luganda; the Luganda entries are marked pending review) into the text a
+Luganda; the Luganda entries are drafts pending review) into the text a
 WhatsApp gateway or SMS would carry to the farmer. The dispatch log records
 each alert's text, its gateway kind and whether it was sent or suppressed;
 nothing ever touches the network.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import string
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,8 +32,6 @@ SMS = "sms"
 SENT = "SENT"
 SUPPRESSED_DUPLICATE = "SUPPRESSED_DUPLICATE"
 
-DEFAULT_DEDUP_WINDOW_S = 12 * 3600.0
-
 
 class RenderError(AgrisimError):
     pass
@@ -47,7 +46,6 @@ class MessageTemplate:
     template_id: str
     locale: str
     text: str
-    status: str = "final"
     # the text's placeholder names in order of first use, read once here
     params: tuple[str, ...] = field(init=False)
 
@@ -116,10 +114,9 @@ class MessageCatalog:
             entry = _keys(where, entry, {"locales"}, {"locales"})
             locales = _keys(f"{where}: locales", entry["locales"])
             for locale, spec in locales.items():
-                spec = _keys(f"{where}/{locale}", spec, {"text"},
-                             {"text", "status"})
-                templates[(tid, locale)] = MessageTemplate(
-                    tid, locale, spec["text"], spec.get("status", "final"))
+                spec = _keys(f"{where}/{locale}", spec, {"text"}, {"text"})
+                templates[(tid, locale)] = MessageTemplate(tid, locale,
+                                                           spec["text"])
             if len({frozenset(templates[(tid, loc)].params)
                     for loc in locales}) > 1:
                 raise ConfigurationError(
@@ -163,6 +160,23 @@ class GatewayConfig:
             raise ConfigurationError(f"unknown gateway kind: {self.kind}")
 
 
+@dataclass(frozen=True)
+class AlertingParams:
+    """A scenario's ``alerting`` section: alert locale and dedup window."""
+
+    locale: str = "en"
+    dedup_window_s: float = 12 * 3600.0
+
+    def __post_init__(self):
+        if self.locale not in ("en", "lg"):
+            raise ConfigurationError(f"unsupported locale: {self.locale}")
+        # False for NaN, and exact for an int too large for a float
+        if not 0.0 < self.dedup_window_s <= sys.float_info.max:
+            raise ConfigurationError(
+                f"dedup_window_s must be positive and finite: "
+                f"{self.dedup_window_s!r}")
+
+
 @dataclass
 class DispatchRecords:
     """Dispatch outcomes as columns, one row per alert in dispatch order."""
@@ -194,19 +208,15 @@ def _csv_column(column: list[str]) -> list[str]:
 
 class Dispatcher:
     """Dispatcher of one field's alerts, with duplicate suppression: at
-    most one SENT per (field, template) key within the dedup window, timed
-    by each alert's own timestamp in whole seconds. Alerts render in the
-    dispatcher's locale and end in its log."""
+    most one SENT per (field, template) key within ``alerting``'s dedup
+    window, timed by each alert's own timestamp in whole seconds. Alerts
+    render in ``alerting``'s locale and end in the log."""
 
     def __init__(self, catalog: MessageCatalog, gateway: GatewayConfig,
-                 locale: str = "en",
-                 dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S,
-                 field_id: str = "field-1"):
+                 alerting: AlertingParams, field_id: str):
         self.catalog = catalog
         self.gateway = gateway
-        self.locale = locale
-        ingest.check_interval("dedup_window_s", dedup_window_s)
-        self.dedup_window_s = dedup_window_s
+        self.alerting = alerting
         self.field_id = field_id
         self.records = DispatchRecords()
         self._last_sent: dict[str, int] = {}
@@ -238,7 +248,7 @@ class Dispatcher:
                 "threshold_c": alerts.threshold[rows]})
             sent = rows[ingest.due_mask(times[rows],
                                         self._last_sent.get(dedup_key),
-                                        self.dedup_window_s)]
+                                        self.alerting.dedup_window_s)]
             status[sent] = SENT
             if len(sent):
                 self._last_sent[dedup_key] = times[sent[-1]].item()
@@ -252,7 +262,8 @@ class Dispatcher:
         percent prints as an integer, so it is rounded first (``rint``
         rounds half to even, as the format does)."""
         group = np.zeros(len(params["threshold_c"]), dtype=np.int64)
-        for name in self.catalog.template(template_id, self.locale).params:
+        locale = self.alerting.locale
+        for name in self.catalog.template(template_id, locale).params:
             if name in params:  # else render names the missing one
                 values = params[name]
                 if name.endswith("_pct"):
@@ -266,7 +277,7 @@ class Dispatcher:
         _, first, inverse = np.unique(group, return_index=True,
                                       return_inverse=True)
         return np.array([self.catalog.render(
-            template_id, self.locale, {n: c[r] for n, c in params.items()})
+            template_id, locale, {n: c[r] for n, c in params.items()})
             for r in first.tolist()], dtype=object)[inverse]
 
     def dispatch_alert(self, kind: int, observed: float, threshold: float,
@@ -282,7 +293,7 @@ class Dispatcher:
         empty field on every row."""
         r, n = self.records, len(self.records)
         columns = [list(map(str, r.timestamp_s)), *map(_csv_column, (
-            [self.gateway.kind] * n, r.template_id, [self.locale] * n,
+            [self.gateway.kind] * n, r.template_id, [self.alerting.locale] * n,
             r.status, r.dedup_key, r.text))]
         seps = ["", *[","] * (len(columns) - 1), ",\r\n"]
         fh.write("timestamp_s,gateway,template_id,locale,status,"

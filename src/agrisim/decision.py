@@ -109,17 +109,16 @@ class CropCalendar:
                 + self.late_days)
 
     @classmethod
-    def maize(cls, season_days: int, kc_initial: float = 0.30,
-              kc_mid: float = 1.20, kc_end: float = 0.35) -> "CropCalendar":
+    def maize(cls, season_days: int, **kc: float) -> "CropCalendar":
         """Standard maize stage proportions (20/35/40/25 of a 120-day crop)
-        scaled to the scenario season length."""
+        scaled to the season length; ``kc`` sets the ``kc_*`` fields."""
         base = (20, 35, 40, 25)
         total = sum(base)
         lengths = [max(1, round(b * season_days / total)) for b in base]
         lengths[-1] += season_days - sum(lengths)
         if lengths[-1] < 1:
             raise ConfigurationError(f"season too short: {season_days} days")
-        return cls(*lengths, kc_initial=kc_initial, kc_mid=kc_mid, kc_end=kc_end)
+        return cls(*lengths, **kc)
 
     def kc_for_day(self, day_index: int) -> float:
         """Kc for a 0-based day within the season."""

@@ -54,17 +54,12 @@ class Channel:
             raise ConfigurationError(f"1..{MAX_FIELDS} fields required")
         if len(set(self.field_names)) != len(self.field_names):
             raise ConfigurationError("field names must be unique")
-        check_interval("min_update_interval_s", self.min_update_interval_s)
-
-
-def check_interval(name: str, seconds) -> None:
-    """Raise ``ConfigurationError`` unless ``seconds`` is a finite,
-    non-negative number of seconds, as ``due_mask`` needs of its limit."""
-    # the comparison is False for NaN and exact for an int too large for a
-    # float
-    if not 0 <= seconds <= sys.float_info.max:
-        raise ConfigurationError(
-            f"{name} must be finite and non-negative: {seconds!r}")
+        # due_mask's limit: the comparison is False for NaN and exact for an
+        # int too large for a float
+        if not 0 <= self.min_update_interval_s <= sys.float_info.max:
+            raise ConfigurationError(
+                f"min_update_interval_s must be finite and non-negative: "
+                f"{self.min_update_interval_s!r}")
 
 
 @dataclass(frozen=True)

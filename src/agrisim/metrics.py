@@ -106,7 +106,6 @@ class MetricRow:
     recorded: float
     threshold: float
     unit: str
-    kind: str
     status: str
 
 
@@ -128,15 +127,16 @@ def row_status(recorded: float, threshold: float, kind: str) -> str:
     raise InputError(f"unknown row kind: {kind}")
 
 
-# (parameter, unit, kind) for the standard seven-row validation table
+# (parameter, unit, kind, default target) for the standard seven-row
+# validation table
 REPORT_LAYOUT = (
-    ("Temperature", "°C", ROW_ALERT_ABOVE),
-    ("Humidity", "%", ROW_WITHIN),
-    ("Soil Moisture", "%", ROW_ABOVE_THRESHOLD),
-    ("Data Transmission", "%", ROW_PERFORMANCE),
-    ("Water Usage", "% reduction", ROW_PERFORMANCE),
-    ("Crop Yield", "% increase", ROW_PERFORMANCE),
-    ("Energy Efficiency", "%", ROW_PERFORMANCE),
+    ("Temperature", "°C", ROW_ALERT_ABOVE, 35.0),
+    ("Humidity", "%", ROW_WITHIN, 70.0),
+    ("Soil Moisture", "%", ROW_ABOVE_THRESHOLD, 30.0),
+    ("Data Transmission", "%", ROW_PERFORMANCE, 95.0),
+    ("Water Usage", "% reduction", ROW_PERFORMANCE, 25.0),
+    ("Crop Yield", "% increase", ROW_PERFORMANCE, 20.0),
+    ("Energy Efficiency", "%", ROW_PERFORMANCE, 90.0),
 )
 
 
@@ -148,12 +148,12 @@ def build_report(observations: dict[str, float],
     recorded values and targets; every layout row must be present.
     """
     rows = []
-    for parameter, unit, kind in REPORT_LAYOUT:
+    for parameter, unit, kind, _ in REPORT_LAYOUT:
         if parameter not in observations or parameter not in thresholds:
             raise InputError(f"report value missing for: {parameter}")
         recorded = observations[parameter]
         threshold = thresholds[parameter]
-        rows.append(MetricRow(parameter, recorded, threshold, unit, kind,
+        rows.append(MetricRow(parameter, recorded, threshold, unit,
                               row_status(recorded, threshold, kind)))
     return MetricReport(tuple(rows))
 

@@ -127,10 +127,8 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
 
     with _stage(timings, "dispatch"):
         catalog = alerting.MessageCatalog.default()
-        dispatcher = alerting.Dispatcher(
-            catalog, scenario.gateway, locale=scenario.alerting.locale,
-            dedup_window_s=scenario.alerting.dedup_window_s,
-            field_id=scenario.field_id)
+        dispatcher = alerting.Dispatcher(catalog, scenario.gateway,
+                                         scenario.alerting, scenario.field_id)
         dispatcher.dispatch(system.alerts)
 
     with _stage(timings, "metrics"):

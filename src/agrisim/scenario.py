@@ -5,13 +5,15 @@ irrigation policy, economics, and report targets.
 Loading is strict: unknown keys anywhere in the file are rejected, so a typo
 in a threshold cannot silently change an experiment, and a value of the wrong
 type fails at load time. A section that maps onto a config dataclass takes its
-keys and types from the fields; range rules live in the dataclasses.
+keys and types from the fields; range rules live in the dataclasses, and rules
+across sections in ``Scenario``, so that a scenario built in code keeps them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import sys
 import typing
 from dataclasses import MISSING, dataclass
@@ -25,8 +27,8 @@ from agrisim.decision import CropCalendar, Thresholds
 from agrisim.errors import ConfigurationError
 from agrisim.fieldsim import SeasonConfig, SensorSpec, SoilProfile
 from agrisim.ingest import Channel
-from agrisim.alerting import DEFAULT_DEDUP_WINDOW_S, GatewayConfig
-from agrisim.metrics import EconomicParams
+from agrisim.alerting import AlertingParams, GatewayConfig
+from agrisim.metrics import REPORT_LAYOUT, EconomicParams
 
 DEFAULT_SCENARIO = "mubende_dry"
 
@@ -62,21 +64,6 @@ class BaselinePolicyParams:
 
 
 @dataclass(frozen=True)
-class AlertingParams:
-    locale: str = "en"
-    dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S
-
-    def __post_init__(self):
-        if self.locale not in ("en", "lg"):
-            raise ConfigurationError(f"unsupported locale: {self.locale}")
-        # the dispatcher takes no infinite window either
-        if not 0.0 < self.dedup_window_s <= sys.float_info.max:
-            raise ConfigurationError(
-                f"dedup_window_s must be positive and finite: "
-                f"{self.dedup_window_s!r}")
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     seed: int
@@ -104,15 +91,29 @@ class Scenario:
             raise ConfigurationError(f"seed must be non-negative: {self.seed}")
         if not self.air_noise_sigma >= 0.0:
             raise ConfigurationError("air_noise_sigma must be non-negative")
+        if self.qos not in (0, 1):
+            raise ConfigurationError(f"link.qos must be 0 or 1: {self.qos!r}")
+        if self.calendar.season_total_days != self.season.days:
+            raise ConfigurationError(
+                f"crop_calendar.stage_days sum "
+                f"{self.calendar.season_total_days} != season days "
+                f"{self.season.days}")
         taw = self.profile.taw_mm
         if self.irrigation.initial_depletion_mm > taw:
             raise ConfigurationError(
                 f"irrigation.initial_depletion_mm "
                 f"{self.irrigation.initial_depletion_mm!r} exceeds the soil "
                 f"profile's TAW {taw:g} mm")
+        if self.report_targets.keys() != _REPORT_TARGETS.keys():
+            raise ConfigurationError(
+                f"report_targets must name the rows {list(_REPORT_TARGETS)}")
         for name, target in self.report_targets.items():
             if not abs(target) > 0.0:  # the radar rows divide by it
                 raise ConfigurationError(f"report_targets.{name} must not be 0")
+        try:  # the loader's finite rule, also for a scenario built in code
+            json.dumps(dataclasses.asdict(self), allow_nan=False)
+        except ValueError:
+            raise ConfigurationError("scenario numbers must be finite") from None
 
 
 def _at(raw: dict, where: str) -> dict:
@@ -191,12 +192,7 @@ _TOP_KEYS = {"name", "seed", "field_id", "season", "soil_profile", "sensors",
              "thresholds", "crop_calendar", "link", "energy", "irrigation",
              "baseline", "economics", "yield_model", "channel", "gateway",
              "alerting", "report_targets"}
-
-_REPORT_TARGETS = {
-    "Temperature": 35.0, "Humidity": 70.0, "Soil Moisture": 30.0,
-    "Data Transmission": 95.0, "Water Usage": 25.0, "Crop Yield": 20.0,
-    "Energy Efficiency": 90.0,
-}
+_REPORT_TARGETS = {name: target for name, _, _, target in REPORT_LAYOUT}
 
 
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
@@ -228,9 +224,6 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
                         "crop_calendar.stage_days")
         if len(stages) != 4:
             raise ConfigurationError("stage_days must list four stage lengths")
-        if sum(stages) != season.days:
-            raise ConfigurationError(
-                f"stage_days sum {sum(stages)} != season days {season.days}")
         calendar = CropCalendar(*stages, **kc)
     else:
         calendar = CropCalendar.maize(season.days, **kc)
@@ -239,9 +232,6 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     if "latency_s" in _at(raw, "link"):
         link = dataclasses.replace(link, latency_s=_per_protocol(
             raw, "link.latency_s", link.latency_s))
-    qos = _typed(_at(raw, "link").get("qos", 0), int, "link.qos")
-    if qos not in (0, 1):
-        raise ConfigurationError(f"link.qos must be 0 or 1: {qos}")
 
     energy = _section(raw, "energy", {"per_message_mwh", "idle_mwh_per_day"})
     energy_kwargs = {"idle_mwh_per_day": _typed(
@@ -258,7 +248,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         season=season, profile=profile,
         soil_sensor=soil_sensor, air_noise_sigma=air_noise_sigma,
         thresholds=_build(Thresholds, raw, "thresholds"),
-        calendar=calendar, link=link, qos=qos,
+        calendar=calendar, link=link,
+        qos=_typed(_at(raw, "link").get("qos", 0), int, "link.qos"),
         energy=transport.EnergyModel(**energy_kwargs),
         irrigation=_build(IrrigationPolicyParams, raw, "irrigation"),
         baseline=_build(BaselinePolicyParams, raw, "baseline"),

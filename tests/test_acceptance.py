@@ -13,6 +13,7 @@ import pytest
 
 from agrisim import decision, metrics, pipeline, transport
 from agrisim.alerting import (
+    AlertingParams,
     Dispatcher,
     GatewayConfig,
     MessageCatalog,
@@ -159,7 +160,7 @@ def test_08_alert_golden_and_encoding(announce):
         assert text == ("Soil moisture is 22%! You are advised to irrigate "
                         "today to prevent yield loss.")
         # the alert ends in the dispatch log as that text, unquoted
-        d = Dispatcher(catalog, GatewayConfig())
+        d = Dispatcher(catalog, GatewayConfig(), AlertingParams(), "field-1")
         d.dispatch_alert(decision.ALERT_KINDS.index(decision.MOISTURE_LOW),
                          22.0, 25.0)
         log = io.StringIO(newline="")
@@ -211,7 +212,7 @@ def test_09_property_suites(announce, default_scenario, tmp_path):
             window = float(rng.uniform(60, 86_400))
             clocks = np.sort(rng.integers(0, 5 * 86_400, 12))
             d = Dispatcher(MessageCatalog.default(), GatewayConfig(),
-                           dedup_window_s=window)
+                           AlertingParams(dedup_window_s=window), "field-1")
             low = decision.ALERT_KINDS.index(decision.MOISTURE_LOW)
             d.dispatch(decision.Alerts(np.full(12, low), np.full(12, 22.0),
                                        np.full(12, 25.0), clocks))

@@ -15,6 +15,7 @@ from agrisim import decision
 from agrisim.alerting import (
     SENT,
     SUPPRESSED_DUPLICATE,
+    AlertingParams,
     Dispatcher,
     GatewayConfig,
     MessageCatalog,
@@ -30,8 +31,8 @@ GOLDEN_EN = ("Soil moisture is 22%! You are advised to irrigate today "
 
 
 def make_dispatcher(locale="en", window=43_200.0, field_id="field-1"):
-    return Dispatcher(CATALOG, GatewayConfig(), locale=locale,
-                      dedup_window_s=window, field_id=field_id)
+    return Dispatcher(CATALOG, GatewayConfig(), AlertingParams(locale, window),
+                      field_id)
 
 
 KIND = {name: k for k, name in enumerate(decision.ALERT_KINDS)}
@@ -74,11 +75,6 @@ class TestCatalog:
                             {"moisture_pct": 22.0})
         assert "22%" in lg
         assert lg != GOLDEN_EN
-
-    def test_luganda_marked_pending_review(self):
-        tpl = CATALOG.template("irrigate_low_moisture", "lg")
-        assert tpl.status != "final"
-        assert CATALOG.template("irrigate_low_moisture", "en").status == "final"
 
     def test_missing_param_raises(self):
         with pytest.raises(RenderError):
@@ -323,11 +319,6 @@ class TestDispatcher:
         with pytest.raises(ConfigurationError, match="dedup_window_s"):
             make_dispatcher(window=window)
 
-    def test_zero_window_sends_every_alert(self):
-        d = make_dispatcher(window=0)
-        d.dispatch(alert_columns([(LOW, 22.0, 25.0, t) for t in (0, 0, 1)]))
-        assert d.records.status == [SENT] * 3
-
     def test_season_alerts_are_in_time_order(self, default_run):
         # the kernel's alert columns pass the column call's order check
         alerts = default_run.system_arm.alerts
@@ -444,11 +435,12 @@ def alert_rows(draw):
                for t in (-2**63, -1, 0, 2**63 - 1)],
          window=2.0**63, locale="en", split=2)
 @example(rows=[(decision.HEAT, 36.0, 35.0, t) for t in (5, 5, 6)],
-         window=0.0, locale="en", split=1)
+         window=1.0, locale="en", split=1)
 def test_column_dispatch_matches_per_alert_oracle(rows, window, locale,
                                                   split):
     # the int64-range example's differences wrap around in int64, and the
-    # zero window sends every alert, two of them at one time
+    # one-second window suppresses the second of two alerts at one time and
+    # sends an alert one window after the first
     assert_matches_oracle(rows, window, locale, split)
 
 
@@ -474,8 +466,8 @@ class TestLogBytes:
         for row in zip(r.timestamp_s, r.template_id, r.text, r.status,
                        r.dedup_key):
             t, tid, text, status, key = row
-            writer.writerow([t, d.gateway.kind, tid, d.locale, status, key,
-                             text, ""])
+            writer.writerow([t, d.gateway.kind, tid, d.alerting.locale,
+                             status, key, text, ""])
         return buf.getvalue().encode()
 
     @pytest.mark.parametrize("text", [
@@ -485,7 +477,8 @@ class TestLogBytes:
         tpl = MessageTemplate("irrigate_low_moisture", "en",
                               text + " {moisture_pct}")
         catalog = MessageCatalog({(tpl.template_id, tpl.locale): tpl})
-        d = Dispatcher(catalog, GatewayConfig(), dedup_window_s=100.0)
+        d = Dispatcher(catalog, GatewayConfig(),
+                       AlertingParams(dedup_window_s=100.0), "field-1")
         d.dispatch(alert_columns([(LOW, 20.0, 25.0, t)
                                   for t in (0, 10, 200, 400)]))
         d.dispatch(alert_columns([(LOW, 21.0, 25.0, 1000)]))

@@ -11,17 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrisim import pipeline
+from agrisim.alerting import AlertingParams
 from agrisim.decision import ALERT_KINDS, HEAT
 from agrisim.errors import ConfigurationError
+from agrisim.metrics import REPORT_LAYOUT
 from agrisim.transport import PUBSUB, REQRESP
 from agrisim.scenario import (
     DEFAULT_SCENARIO,
-    AlertingParams,
     default_scenario_path,
     load_default_scenario,
     load_scenario,
     parse_scenario,
 )
+
+_TARGETS = {name: target for name, _, _, target in REPORT_LAYOUT}
 
 
 def default_raw():
@@ -265,6 +268,38 @@ class TestStrictValidation:
             default_scenario, part)
         with pytest.raises(ConfigurationError):
             dataclasses.replace(config, **{key: value})
+
+    # rules the loader once held alone, and infinity, which passes the range
+    # rules that NaN fails: each part builds, and the scenario does not
+    @pytest.mark.parametrize("part, key, value", [
+        (None, "qos", 2),
+        ("season", "days", 90),  # the 60-day calendar falls short
+        ("season", "days", 30),  # half the calendar would go unread
+        (None, "report_targets", {k: v for k, v in _TARGETS.items()
+                                  if k != "Crop Yield"}),
+        (None, "report_targets", {**_TARGETS, "Rainfall": 1.0}),
+        (None, "report_targets", {**_TARGETS, "Temperature": math.inf}),
+        (None, "air_noise_sigma", math.inf),
+        ("baseline", "depth_mm", math.inf),
+        ("irrigation", "cap_mm", math.inf),
+        ("yield_model", "ky", math.inf),
+        ("yield_model", "max_yield_kg_per_acre", math.inf),
+        ("economics", "water_cost_ugx_per_l", math.inf),
+        ("energy", "idle_mwh_per_day", math.inf),
+        ("energy", "energy_per_message_mwh", {PUBSUB: math.inf,
+                                              REQRESP: 0.2}),
+        ("link", "latency_s", {PUBSUB: 3.0, REQRESP: math.inf}),
+        ("soil_sensor", "noise_sigma", math.inf),
+        ("profile", "root_depth_m", math.inf),
+        ("thresholds", "temp_alert_c", -math.inf),
+        ("season", "temp_envelope_c", (-math.inf, 30.0)),
+    ])
+    def test_scenario_built_in_code_checked_at_construction(
+            self, default_scenario, part, key, value):
+        changes = {key: value} if part is None else {part: dataclasses.replace(
+            getattr(default_scenario, part), **{key: value})}
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(default_scenario, **changes)
 
     def test_invalid_locale(self):
         raw = default_raw()
