@@ -160,8 +160,7 @@ def main() -> int:
     accepted = {}
     for i in range(REPEATS + 1):
         for limit in INGEST_LIMITS_S:
-            store = ingest.ChannelStore()
-            store.create_channel(dataclasses.replace(
+            store = ingest.ChannelStore(dataclasses.replace(
                 scenario.channel, min_update_interval_s=limit))
             t0 = time.perf_counter()
             mask = store.ingest_batch(*rows)

@@ -105,6 +105,8 @@ class MessageCatalog:
         try:
             with Path(path).open("rb") as fh:
                 loaded = yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
         raw = _keys(f"catalog {path}", loaded)

@@ -1,6 +1,6 @@
-"""Local cloud-channel emulation: write-key auth, rate-limited ingestion into
-an append-only in-memory time series, per-channel counters, CSV export, and
-JSON-lines snapshots.
+"""Local cloud-channel emulation of one channel: write-key auth,
+rate-limited ingestion into an append-only in-memory time series, the
+channel's counters, CSV export, and JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row in whole seconds and one value column per channel field
@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,38 +67,26 @@ class IngestResult:
     status: str
 
 
-@dataclass
-class _ChannelState:
-    channel: Channel
-    # accepted rows, one (int64 timestamps, fields x rows values) pair per
-    # batch
-    batches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    last_accepted_s: int | None = None
-    accepted: int = 0
-    rejected_auth: int = 0
-    rejected_rate: int = 0
-
-
 class ChannelStore:
-    """Append-only store for one or more telemetry channels.
+    """Append-only store of one telemetry channel.
 
-    Single writer per channel; existing entries are never mutated or deleted.
-    Entry ids run 1, 2, ... in acceptance order.
+    Single writer; existing entries are never mutated or deleted. Entry ids
+    run 1, 2, ... in acceptance order. Each request names the channel by its
+    id, and any other id raises ``ChannelNotFound``.
     """
 
-    def __init__(self):
-        self._channels: dict[str, _ChannelState] = {}
+    def __init__(self, channel: Channel):
+        self.channel = channel
+        # accepted rows, one (int64 timestamps, fields x rows values) pair per
+        # batch
+        self._batches: list[tuple[np.ndarray, np.ndarray]] = []
+        self.last_accepted_s: int | None = None
+        self._counters = {"accepted": 0, "rejected_auth": 0,
+                          "rejected_rate": 0}
 
-    def create_channel(self, channel: Channel) -> None:
-        if channel.channel_id in self._channels:
-            raise ConfigurationError(f"channel exists: {channel.channel_id}")
-        self._channels[channel.channel_id] = _ChannelState(channel)
-
-    def _state(self, channel_id: str) -> _ChannelState:
-        try:
-            return self._channels[channel_id]
-        except KeyError:
-            raise ChannelNotFound(f"unknown channel: {channel_id}") from None
+    def _address(self, channel_id: str) -> None:
+        if channel_id != self.channel.channel_id:
+            raise ChannelNotFound(f"unknown channel: {channel_id}")
 
     def ingest_batch(self, channel_id: str, write_key: str, timestamps_s,
                      columns) -> np.ndarray | None:
@@ -119,14 +107,14 @@ class ChannelStore:
         A batch may start before the last accepted row of an earlier batch;
         its rows are tested against that row like any other.
         """
-        st = self._state(channel_id)
+        self._address(channel_id)
         times = whole_seconds(timestamps_s)
         try:
             values = np.asarray(columns, dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"value columns are not numeric columns of one "
                              f"length: {exc}") from None
-        width = len(st.channel.field_names)
+        width = len(self.channel.field_names)
         if values.shape != (width, len(times)):
             raise InputError(f"expected {width} value columns of "
                              f"{len(times)} rows, got shape {values.shape}")
@@ -134,18 +122,18 @@ class ChannelStore:
             raise InputError("non-finite value")
         if np.any(times[1:] < times[:-1]):
             raise InputError("timestamps are not in time order")
-        if write_key != st.channel.write_key:
-            st.rejected_auth += len(times)
+        if write_key != self.channel.write_key:
+            self._counters["rejected_auth"] += len(times)
             return None
 
-        accepted = due_mask(times, st.last_accepted_s,
-                            st.channel.min_update_interval_s)
+        accepted = due_mask(times, self.last_accepted_s,
+                            self.channel.min_update_interval_s)
         count = int(np.count_nonzero(accepted))
         if count:
-            st.batches.append((times[accepted], values[:, accepted]))
-            st.last_accepted_s = times[np.flatnonzero(accepted)[-1]].item()
-        st.accepted += count
-        st.rejected_rate += len(times) - count
+            self._batches.append((times[accepted], values[:, accepted]))
+            self.last_accepted_s = times[np.flatnonzero(accepted)[-1]].item()
+        self._counters["accepted"] += count
+        self._counters["rejected_rate"] += len(times) - count
         return accepted
 
     def ingest(self, channel_id: str, write_key: str, timestamp_s: int,
@@ -157,19 +145,9 @@ class ChannelStore:
             return IngestResult(REJECTED_AUTH)
         return IngestResult(ACCEPTED if accepted[0] else REJECTED_RATE)
 
-    def entries(self, channel_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the accepted entries as columns: the creation times
-        (entry id k + 1 at index k) and a fields x entries value array."""
-        st = self._state(channel_id)
-        times = [t for t, _ in st.batches] or [np.empty(0, np.int64)]
-        values = [v for _, v in st.batches] or [
-            np.empty((len(st.channel.field_names), 0))]
-        return np.concatenate(times), np.concatenate(values, axis=1)
-
     def counters(self, channel_id: str) -> dict:
-        st = self._state(channel_id)
-        return {"accepted": st.accepted, "rejected_auth": st.rejected_auth,
-                "rejected_rate": st.rejected_rate}
+        self._address(channel_id)
+        return dict(self._counters)
 
     def export(self, channel_id: str, csv_fh, jsonl_fh) -> int:
         """Write the channel to two text streams, as CSV (created_at,
@@ -182,8 +160,8 @@ class ChannelStore:
         those strings, one ``"".join`` per file for each slice of rows, with
         the file's fixed separators between the columns.
         """
-        st = self._state(channel_id)
-        names = st.channel.field_names
+        self._address(channel_id)
+        names = self.channel.field_names
         order = sorted(range(len(names)), key=names.__getitem__)
         # a repr never holds a comma, quote or line break, so no CSV field
         # needs the quoting csv.writer would add
@@ -193,7 +171,7 @@ class ChannelStore:
             for k, j in enumerate(order)), "}}\n"]
         csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
         entry_id = 1
-        for times, values in st.batches:
+        for times, values in self._batches:
             columns = [_reprs(times), *map(_reprs, values)]
             for start in range(0, len(times), _SLICE_ROWS):
                 rows = slice(start, start + _SLICE_ROWS)

@@ -111,8 +111,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
             scenario.energy, np.random.default_rng(pubsub_ss), days=days,
             on_result=lambda attempts, delivered: masks.append(delivered))
     with _stage(timings, "ingest"):
-        store = ingest.ChannelStore()
-        store.create_channel(scenario.channel)
+        store = ingest.ChannelStore(scenario.channel)
         delivered, = masks
         store.ingest_batch(
             scenario.channel.channel_id, scenario.channel.write_key,

@@ -127,6 +127,13 @@ t:
         with pytest.raises(ConfigurationError, match="cannot parse"):
             MessageCatalog.from_file(path)
 
+    @pytest.mark.parametrize("name", ["missing.yaml", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, name):
+        # as load_scenario does: an OSError is a ConfigurationError
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            MessageCatalog.from_file(tmp_path / name)
+
     def test_file_that_is_not_a_mapping_rejected(self, tmp_path):
         path = write_catalog(tmp_path, "- heat_alert\n- humidity_low\n")
         with pytest.raises(ConfigurationError, match="must be a mapping"):

@@ -2,6 +2,7 @@
 the batch path against a per-record reference store."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -24,10 +25,20 @@ FIELDS = ("moisture", "temp", "humidity")
 
 
 def make_store(min_interval=15.0):
-    store = ChannelStore()
-    store.create_channel(Channel("ch-1", "KEY", FIELDS,
-                                 min_update_interval_s=min_interval))
-    return store
+    return ChannelStore(Channel("ch-1", "KEY", FIELDS,
+                                min_update_interval_s=min_interval))
+
+
+def stored(store):
+    """The accepted entries as the CSV export carries them: the creation
+    times (entry id k + 1 at index k) and a fields x entries value array."""
+    csv_fh = io.StringIO()
+    n = store.export(store.channel.channel_id, csv_fh, io.StringIO())
+    header, *rows = csv.reader(io.StringIO(csv_fh.getvalue(), newline=""))
+    assert [row[1] for row in rows] == [str(i) for i in range(1, n + 1)]
+    times = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    values = np.array([[float(v) for v in row[2:]] for row in rows])
+    return times, values.reshape(n, len(header) - 2).T
 
 
 def export_files(store, channel_id, csv_path, jsonl_path):
@@ -95,7 +106,7 @@ class TestIngest:
         store.ingest("ch-1", "KEY", 0, (40.0, 22.0, 45.0))
         result = store.ingest("ch-1", "KEY", 5, (41.0, 22.0, 45.0))
         assert result.status == REJECTED_RATE
-        times, values = store.entries("ch-1")
+        times, values = stored(store)
         assert times.tolist() == [0]
         assert values.tolist() == [[40.0], [22.0], [45.0]]
 
@@ -103,13 +114,27 @@ class TestIngest:
         store = make_store()
         result = store.ingest("ch-1", "WRONG", 0, (40.0, 22.0, 45.0))
         assert result.status == REJECTED_AUTH
-        times, values = store.entries("ch-1")
+        times, values = stored(store)
         assert len(times) == 0 and values.shape == (len(FIELDS), 0)
 
-    def test_unknown_channel(self):
+    @pytest.mark.parametrize("method", ["ingest_batch", "ingest", "counters",
+                                        "export"])
+    def test_unknown_channel(self, method):
+        csv_fh, jsonl_fh = io.StringIO(), io.StringIO()
+        args = {"ingest_batch": ("KEY", [300], [[1.0], [2.0], [3.0]]),
+                "ingest": ("KEY", 300, (1.0, 2.0, 3.0)),
+                "counters": (),
+                "export": (csv_fh, jsonl_fh)}[method]
         store = make_store()
-        with pytest.raises(ChannelNotFound):
-            store.ingest("nope", "KEY", 0, (1.0, 2.0, 3.0))
+        store.ingest("ch-1", "KEY", 0, (40.0, 22.0, 45.0))
+        with pytest.raises(ChannelNotFound, match="nope"):
+            getattr(store, method)("nope", *args)
+        # the refused request stores, counts and writes nothing
+        assert store.counters("ch-1") == {"accepted": 1, "rejected_auth": 0,
+                                          "rejected_rate": 0}
+        assert store.last_accepted_s == 0
+        assert stored(store)[0].tolist() == [0]
+        assert csv_fh.getvalue() == jsonl_fh.getvalue() == ""
 
     def test_counters_reconcile(self):
         store = make_store()
@@ -146,7 +171,7 @@ class TestIngest:
                                [[3.0, 4.0, 5.0]] * 3)
         assert store.counters("ch-1") == {"accepted": 2, "rejected_auth": 0,
                                           "rejected_rate": 0}
-        assert store.entries("ch-1")[0].tolist() == [0, 300]
+        assert stored(store)[0].tolist() == [0, 300]
         # the carried last accepted time did not move either
         assert store.ingest_batch("ch-1", "KEY", [305, 315],
                                   [[3.0, 4.0]] * 3).tolist() == [False, True]
@@ -166,7 +191,7 @@ class TestIngest:
                                [[40.0, 41.0], [22.0, 22.0], [45.0, bad]])
         assert store.counters("ch-1") == {"accepted": 0, "rejected_auth": 0,
                                           "rejected_rate": 0}
-        assert len(store.entries("ch-1")[0]) == 0
+        assert len(stored(store)[0]) == 0
 
     @pytest.mark.parametrize("columns", [
         [[40.0], [22.0]],                  # too few fields
@@ -189,7 +214,7 @@ class TestIngest:
                                     [[2.0] * 3] * 3)
         assert first.tolist() == [True, False, True]
         assert second.tolist() == [False, True, False]
-        assert store.entries("ch-1")[0].tolist() == [300, 900, 1500]
+        assert stored(store)[0].tolist() == [300, 900, 1500]
         assert store.counters("ch-1") == {"accepted": 3, "rejected_auth": 0,
                                           "rejected_rate": 3}
 
@@ -208,8 +233,7 @@ class TestIngest:
     @pytest.mark.parametrize("key", ["KEY", "BAD"])
     def test_malformed_batch_raises_whatever_its_key(self, times, columns,
                                                      key):
-        store = ChannelStore()
-        store.create_channel(Channel("c", "KEY", ("a", "b")))
+        store = ChannelStore(Channel("c", "KEY", ("a", "b")))
         with pytest.raises(InputError):
             store.ingest_batch("c", key, times, columns)
         assert store.counters("c") == {"accepted": 0, "rejected_auth": 0,
@@ -232,8 +256,8 @@ class TestIngest:
             store.ingest("ch-1", "KEY", times[-1], (2.0, 3.0, 4.0))
         assert store.counters("ch-1") == {"accepted": 1, "rejected_auth": 0,
                                           "rejected_rate": 0}
-        assert store.entries("ch-1")[0].tolist() == [0]
-        assert store._state("ch-1").last_accepted_s == 0
+        assert stored(store)[0].tolist() == [0]
+        assert store.last_accepted_s == 0
 
     def test_empty_batch_of_any_dtype_accepted(self):
         store = make_store()
@@ -241,7 +265,7 @@ class TestIngest:
             assert store.ingest_batch("ch-1", "KEY", times,
                                       [[]] * 3).tolist() == []
         assert sum(store.counters("ch-1").values()) == 0
-        assert store.entries("ch-1")[0].dtype == np.int64
+        assert len(stored(store)[0]) == 0 and store.last_accepted_s is None
 
     def test_unsigned_times_in_int64_range_accepted(self):
         store = make_store()
@@ -249,20 +273,20 @@ class TestIngest:
                                   np.array([0, 10, 2**63 - 1], np.uint64),
                                   [[1.0] * 3] * 3).tolist() == [
             True, False, True]
-        times = store.entries("ch-1")[0]
-        assert times.dtype == np.int64 and times.tolist() == [0, 2**63 - 1]
+        assert stored(store)[0].tolist() == [0, 2**63 - 1]
+        assert type(store.last_accepted_s) is int
 
 
 class TestQuery:
     def test_empty_store_empty_result(self):
-        times, values = make_store().entries("ch-1")
+        times, values = stored(make_store())
         assert len(times) == 0 and values.shape == (len(FIELDS), 0)
 
     def test_full_range_returns_everything(self):
         store = make_store(min_interval=0.0)
         for i in range(5):
             store.ingest("ch-1", "KEY", i * 100, (i, i, i))
-        times, values = store.entries("ch-1")
+        times, values = stored(store)
         assert times.tolist() == [0, 100, 200, 300, 400]
         assert values.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]] * 3
 
@@ -280,22 +304,21 @@ class TestQuery:
             if good_key and (last is None or clock - last >= 10.0):
                 flat_log.append(clock)
                 last = clock
-        times, values = store.entries("ch-1")
+        times, values = stored(store)
         assert times.tolist() == flat_log
         assert values.shape == (len(FIELDS), len(flat_log))
 
-    def test_repeated_queries_stable(self):
+    def test_repeated_queries_stable(self, tmp_path):
         store = make_store(min_interval=0.0)
         for i in range(10):
             store.ingest("ch-1", "KEY", i, (i, i, i))
-        times, values = store.entries("ch-1")
-        again = store.entries("ch-1")
-        assert again[0].tolist() == times.tolist()
-        assert again[1].tolist() == values.tolist()
-        times[:] = -1  # a caller's copy, not the store's own columns
-        values[:] = -1.0
-        assert store.entries("ch-1")[0].tolist() == again[0].tolist()
-        assert store.entries("ch-1")[1].tolist() == again[1].tolist()
+        for run in ("first", "again"):
+            assert export_files(store, "ch-1", tmp_path / f"{run}.csv",
+                                tmp_path / f"{run}.jsonl") == 10
+        for suffix in ("csv", "jsonl"):
+            assert (tmp_path / f"first.{suffix}").read_bytes() == \
+                (tmp_path / f"again.{suffix}").read_bytes()
+        assert stored(store)[0].tolist() == list(range(10))
 
 
 def _batches(width):
@@ -322,9 +345,7 @@ class TestBatchMatchesReference:
                                                names, limit):
         channel = Channel("ch", "KEY", tuple(names),
                           min_update_interval_s=limit)
-        batch_store, row_store = ChannelStore(), ChannelStore()
-        batch_store.create_channel(channel)
-        row_store.create_channel(channel)
+        batch_store, row_store = ChannelStore(channel), ChannelStore(channel)
         reference = ReferenceChannel(channel)
 
         clock = 0
@@ -355,7 +376,7 @@ class TestBatchMatchesReference:
         reference.snapshot_jsonl(out / "ref.jsonl")
         for store in (batch_store, row_store):
             assert store.counters("ch") == reference.counters
-            times, values = store.entries("ch")
+            times, values = stored(store)
             assert times.tolist() == ref_times
             assert values.shape == ref_values.shape
             assert values.tobytes() == np.ascontiguousarray(
@@ -372,8 +393,7 @@ class TestBatchMatchesReference:
         # the batches drawn above never fill one export slice; these cross
         # three slice boundaries, and a second batch follows
         channel = Channel("ch", "KEY", FIELDS, min_update_interval_s=0.0)
-        store = ChannelStore()
-        store.create_channel(channel)
+        store = ChannelStore(channel)
         reference = ReferenceChannel(channel)
         special = [0.0, -0.0, 0.0, 1e16, 1e-7, 5e-324, -0.0, 22.5, 22.5]
         rng = np.random.default_rng(7)
@@ -408,8 +428,7 @@ def _offer(limit, batches):
     accepted masks and the carried last accepted time, type included, agree
     after every batch."""
     channel = Channel("ch", "KEY", ("v",), min_update_interval_s=limit)
-    store = ChannelStore()
-    store.create_channel(channel)
+    store = ChannelStore(channel)
     reference = ReferenceChannel(channel)
     for times in batches:
         times = np.asarray(times)
@@ -418,7 +437,7 @@ def _offer(limit, batches):
         accepted = store.ingest_batch("ch", "KEY", times,
                                       [np.zeros(len(times))])
         assert accepted.tolist() == expected
-        last = store._state("ch").last_accepted_s
+        last = store.last_accepted_s
         assert (type(last), last) == (type(reference.last), reference.last)
     assert store.counters("ch") == reference.counters
 
@@ -473,8 +492,7 @@ class TestRateLimitMatchesLoop:
         # a float batch between int batches raises and moves nothing: the
         # int batches agree with the reference as if it was never offered
         channel = Channel("ch", "KEY", ("v",), min_update_interval_s=1.5)
-        store = ChannelStore()
-        store.create_channel(channel)
+        store = ChannelStore(channel)
         reference = ReferenceChannel(channel)
         for times in ([2**53 + 1], [2.0**53 + 2, 2.0**53 + 4],
                       [2**53 + 3, 2**53 + 5, 2**53 + 7]):
@@ -489,7 +507,7 @@ class TestRateLimitMatchesLoop:
                     reference.ingest("KEY", t, (0.0,)) == ACCEPTED
                     for t in times.tolist()]
             assert store.counters("ch") == reference.counters
-            assert store._state("ch").last_accepted_s == reference.last
+            assert store.last_accepted_s == reference.last
         # an int limit is exact, also where float64 has no odd integers
         _offer(2**53 + 1, [np.array([0, 2**53, 2**53 + 1, 2**53 + 2])])
         # each batch starts before the carried last accepted time
@@ -532,7 +550,7 @@ class TestPersistence:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["created_at", "entry_id", *FIELDS]
-        times, values = store.entries("ch-1")
+        times, values = stored(store)
         assert [int(row[1]) for row in rows[1:]] == list(range(1, 21))
         assert [int(row[0]) for row in rows[1:]] == times.tolist()
         assert [[float(v) for v in row[2:]] for row in rows[1:]] == \
