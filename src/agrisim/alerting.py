@@ -17,17 +17,17 @@ import functools
 import string
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
-import yaml
 
-from agrisim import decision, ingest
+from agrisim import decision, ingest, yamlfile
 from agrisim.errors import AgrisimError, ConfigurationError, InputError
 
 WHATSAPP_GATEWAY = "whatsapp_gateway"
 SMS = "sms"
+
+# the locales a scenario may alert in, and so the only ones a catalog holds
+LOCALES = ("en", "lg")
 
 SENT = "SENT"
 SUPPRESSED_DUPLICATE = "SUPPRESSED_DUPLICATE"
@@ -71,19 +71,6 @@ class MessageTemplate:
 _FORMATTER = string.Formatter()
 
 
-def _keys(where: str, value, required=frozenset(), allowed=None) -> dict:
-    """``value`` as a mapping with every ``required`` key, and only
-    ``allowed`` ones unless that is None."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{where} must be a mapping")
-    allowed = value.keys() if allowed is None else allowed
-    if not required <= value.keys() <= allowed:
-        raise ConfigurationError(
-            f"{where}: missing {sorted(required - value.keys())}, unknown "
-            f"{sorted(map(str, value.keys() - allowed))}")
-    return value
-
-
 def _format_param(name: str, value) -> str:
     """Fixed numeric formatting: integer percents, one-decimal temperatures."""
     if name.endswith("_pct"):
@@ -101,26 +88,14 @@ class MessageCatalog:
 
     @classmethod
     def from_file(cls, path) -> "MessageCatalog":
-        """Load a catalog; a template's locales must share placeholders."""
-        try:
-            with Path(path).open("rb") as fh:
-                loaded = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-        raw = _keys(f"catalog {path}", loaded)
+        """Load a catalog of ``template_id: {locale: text}``; a template's
+        locales must share placeholders."""
         templates = {}
-        for tid, entry in raw.items():
-            where = f"template {tid}"
-            entry = _keys(where, entry, {"locales"}, {"locales"})
-            locales = _keys(f"{where}: locales", entry["locales"])
-            for locale, spec in locales.items():
-                spec = _keys(f"{where}/{locale}", spec, {"text"}, {"text"})
-                templates[(tid, locale)] = MessageTemplate(tid, locale,
-                                                           spec["text"])
+        for tid, texts in yamlfile.mapping(yamlfile.read(path), path).items():
+            for locale, text in yamlfile.mapping(texts, tid, LOCALES).items():
+                templates[(tid, locale)] = MessageTemplate(tid, locale, text)
             if len({frozenset(templates[(tid, loc)].params)
-                    for loc in locales}) > 1:
+                    for loc in texts}) > 1:
                 raise ConfigurationError(
                     f"template {tid}: locales use different placeholders")
         return cls(templates)
@@ -130,8 +105,7 @@ class MessageCatalog:
     def default(cls) -> "MessageCatalog":
         """The packaged catalog, parsed once per process and then shared:
         a catalog has no mutators."""
-        ref = resources.files("agrisim").joinpath("data/messages.yaml")
-        with resources.as_file(ref) as path:
+        with yamlfile.packaged("messages.yaml") as path:
             return cls.from_file(path)
 
     def template(self, template_id: str, locale: str) -> MessageTemplate:
@@ -170,7 +144,7 @@ class AlertingParams:
     dedup_window_s: float = 12 * 3600.0
 
     def __post_init__(self):
-        if self.locale not in ("en", "lg"):
+        if self.locale not in LOCALES:
             raise ConfigurationError(f"unsupported locale: {self.locale}")
         # False for NaN, and exact for an int too large for a float
         if not 0.0 < self.dedup_window_s <= sys.float_info.max:
@@ -231,12 +205,10 @@ class Dispatcher:
         suppresses the rest. A kind outside ``ALERT_KINDS``, a time column
         that is not whole seconds in the int64 range, or a time out of
         order raises ``InputError`` before anything is recorded."""
-        kind, times = alerts.kind, ingest.whole_seconds(alerts.timestamp_s)
+        kind, times = alerts.kind, ingest.time_column(alerts.timestamp_s)
         if len(kind) and not 0 <= kind.min() <= kind.max() < len(
                 _ALERT_TEMPLATES):
             raise InputError("alert kinds must index ALERT_KINDS")
-        if np.any(times[1:] < times[:-1]):
-            raise InputError("alerts are not in time order")
         template_id, key, text = (np.empty(len(kind), dtype=object)
                                   for _ in range(3))
         status = np.full(len(kind), SUPPRESSED_DUPLICATE, dtype=object)

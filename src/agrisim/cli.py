@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AgrisimError as exc:
+    except (AgrisimError, OSError) as exc:  # e.g. --out names a file
         print(f"error [{exc.__class__.__name__}]: {exc}", file=sys.stderr)
         return 1
 

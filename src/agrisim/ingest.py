@@ -108,7 +108,7 @@ class ChannelStore:
         its rows are tested against that row like any other.
         """
         self._address(channel_id)
-        times = whole_seconds(timestamps_s)
+        times = time_column(timestamps_s)
         try:
             values = np.asarray(columns, dtype=np.float64)
         except ValueError as exc:
@@ -120,8 +120,6 @@ class ChannelStore:
                              f"{len(times)} rows, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise InputError("non-finite value")
-        if np.any(times[1:] < times[:-1]):
-            raise InputError("timestamps are not in time order")
         if write_key != self.channel.write_key:
             self._counters["rejected_auth"] += len(times)
             return None
@@ -185,9 +183,9 @@ class ChannelStore:
         return entry_id - 1
 
 
-def whole_seconds(times) -> np.ndarray:
-    """``times`` as an int64 column. ``InputError`` unless it is a column of
-    integers in the int64 range; an empty column may have any dtype."""
+def time_column(times) -> np.ndarray:
+    """``times``, a column of integers in the int64 range in time order, as
+    an int64 column, else ``InputError``; an empty one may have any dtype."""
     times = np.asarray(times)
     if times.ndim != 1:
         raise InputError(f"expected a column of timestamps, got shape "
@@ -197,7 +195,10 @@ def whole_seconds(times) -> np.ndarray:
                          f"column, got {times.dtype}")
     if times.dtype.kind == "u" and np.any(times > _I64_MAX):
         raise InputError("timestamps past the int64 range")
-    return times.astype(np.int64, copy=False)
+    times = times.astype(np.int64, copy=False)
+    if np.any(times[1:] < times[:-1]):
+        raise InputError("timestamps are not in time order")
+    return times
 
 
 def due_mask(times: np.ndarray, last: int | None, limit) -> np.ndarray:

@@ -2,7 +2,7 @@
 soil, sensors, thresholds, crop calendar, link/energy models, the baseline
 irrigation policy, economics, and report targets.
 
-Loading is strict: unknown keys anywhere in the file are rejected, so a typo
+Loading is strict: an unknown key or a key written twice is rejected, so a typo
 in a threshold cannot silently change an experiment, and a value of the wrong
 type fails at load time. A section that maps onto a config dataclass takes its
 keys and types from the fields; range rules live in the dataclasses, and rules
@@ -17,12 +17,9 @@ import json
 import sys
 import typing
 from dataclasses import MISSING, dataclass
-from importlib import resources
 from pathlib import Path
 
-import yaml
-
-from agrisim import transport
+from agrisim import transport, yamlfile
 from agrisim.decision import CropCalendar, Thresholds
 from agrisim.errors import ConfigurationError
 from agrisim.fieldsim import SeasonConfig, SensorSpec, SoilProfile
@@ -104,9 +101,8 @@ class Scenario:
                 f"irrigation.initial_depletion_mm "
                 f"{self.irrigation.initial_depletion_mm!r} exceeds the soil "
                 f"profile's TAW {taw:g} mm")
-        if self.report_targets.keys() != _REPORT_TARGETS.keys():
-            raise ConfigurationError(
-                f"report_targets must name the rows {list(_REPORT_TARGETS)}")
+        yamlfile.mapping(self.report_targets, "report_targets",
+                         _REPORT_TARGETS, _REPORT_TARGETS)
         for name, target in self.report_targets.items():
             if not abs(target) > 0.0:  # the radar rows divide by it
                 raise ConfigurationError(f"report_targets.{name} must not be 0")
@@ -116,25 +112,12 @@ class Scenario:
             raise ConfigurationError("scenario numbers must be finite") from None
 
 
-def _at(raw: dict, where: str) -> dict:
-    """The mapping at dotted path ``where`` in ``raw``, empty when absent."""
+def _section(raw: dict, where: str, allowed=None, required=()) -> dict:
+    """The mapping at dotted path ``where`` in ``raw``, empty when absent:
+    only ``allowed`` keys (any when None), all ``required`` ones."""
     for key in where.split("."):
-        raw = {} if raw.get(key) is None else raw[key]
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"'{where}' must be a mapping")
-    return raw
-
-
-def _section(raw: dict, where: str, allowed, required=()) -> dict:
-    """The mapping at ``where``: only ``allowed`` keys, all ``required`` ones."""
-    sec = _at(raw, where)
-    unknown = set(sec) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown keys in '{where}': {sorted(unknown)}")
-    missing = set(required) - set(sec)
-    if missing:
-        raise ConfigurationError(f"missing keys in '{where}': {sorted(missing)}")
-    return sec
+        raw = yamlfile.mapping({} if raw.get(key) is None else raw[key], where)
+    return yamlfile.mapping(raw, where, allowed, required)
 
 
 def _typed(value, hint, where: str):
@@ -197,13 +180,8 @@ _REPORT_TARGETS = {name: target for name, _, _, target in REPORT_LAYOUT}
 
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a parsed YAML mapping into a Scenario, leaving it unchanged."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("scenario file must contain a mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-    if "seed" not in raw:
-        raise ConfigurationError("scenario must pin a seed (no wall-clock entropy)")
+    # a scenario pins its seed: a run draws no wall-clock entropy
+    yamlfile.mapping(raw, "scenario", _TOP_KEYS, {"seed"})
 
     season = _build(SeasonConfig, raw, "season")
     profile = _build(SoilProfile, raw, "soil_profile")
@@ -229,9 +207,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         calendar = CropCalendar.maize(season.days, **kc)
 
     link = _build(transport.LinkModel, raw, "link", skip={"qos", "latency_s"})
-    if "latency_s" in _at(raw, "link"):
-        link = dataclasses.replace(link, latency_s=_per_protocol(
-            raw, "link.latency_s", link.latency_s))
+    link = dataclasses.replace(link, latency_s=_per_protocol(
+        raw, "link.latency_s", link.latency_s))
 
     energy = _section(raw, "energy", {"per_message_mwh", "idle_mwh_per_day"})
     energy_kwargs = {"idle_mwh_per_day": _typed(
@@ -249,7 +226,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         soil_sensor=soil_sensor, air_noise_sigma=air_noise_sigma,
         thresholds=_build(Thresholds, raw, "thresholds"),
         calendar=calendar, link=link,
-        qos=_typed(_at(raw, "link").get("qos", 0), int, "link.qos"),
+        qos=_typed(_section(raw, "link").get("qos", 0), int, "link.qos"),
         energy=transport.EnergyModel(**energy_kwargs),
         irrigation=_build(IrrigationPolicyParams, raw, "irrigation"),
         baseline=_build(BaselinePolicyParams, raw, "baseline"),
@@ -267,21 +244,12 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
-    path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    return parse_scenario(raw, name_hint=path.stem)
+    return parse_scenario(yamlfile.read(path), name_hint=Path(path).stem)
 
 
 def default_scenario_path():
     """Path to the shipped default scenario (context-managed resource)."""
-    return resources.as_file(
-        resources.files("agrisim").joinpath(f"data/{DEFAULT_SCENARIO}.yaml"))
+    return yamlfile.packaged(f"{DEFAULT_SCENARIO}.yaml")
 
 
 def load_default_scenario() -> Scenario:

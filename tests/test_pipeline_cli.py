@@ -308,6 +308,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and "absent.yaml" in err
 
+    def test_out_path_that_is_a_file_is_reported_not_raised(self, tmp_path,
+                                                            capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with default_scenario_path() as scenario_path:
+            code = main(["run", str(scenario_path), "--out", str(taken)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [FileExistsError]: ") and "taken" in err
+
     def test_run_under_the_c_locale_matches_the_default_run(self, tmp_path):
         # the C locale's ASCII default encoding must reach no file: the
         # scenario is read as bytes and every artifact is written as UTF-8

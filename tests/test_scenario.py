@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agrisim import pipeline
@@ -88,7 +88,8 @@ class TestStrictValidation:
     def test_unknown_top_level_key(self):
         raw = default_raw()
         raw["surprise"] = 1
-        with pytest.raises(ConfigurationError, match="unknown top-level"):
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown keys in 'scenario': \['surprise'"):
             parse_scenario(raw)
 
     def test_unknown_nested_key(self):
@@ -313,6 +314,19 @@ class TestStrictValidation:
         with pytest.raises(ConfigurationError, match="mapping"):
             load_scenario(path)
 
+    def test_key_written_twice_rejected(self, tmp_path):
+        # the YAML parser keeps a repeated key's last value, so the season
+        # below would silently run 60 days
+        with default_scenario_path() as path:
+            text = path.read_text(encoding="utf-8")
+        assert text.count("\n  days: 60\n") == 1
+        path = tmp_path / "twice.yaml"
+        path.write_text(text.replace("\n  days: 60\n",
+                                     "\n  days: 5\n  days: 60\n"))
+        with pytest.raises(ConfigurationError, match=r"(?s)twice\.yaml.*"
+                           r"duplicate key 'days'.* line 15"):
+            load_scenario(path)
+
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("a: [unclosed\n")
@@ -445,18 +459,21 @@ SHIPPED = default_raw()
 _BAD_VALUES = [None, math.nan, math.inf, -math.inf, True, False, 0, -1, -0.5,
                1.5, 10**6, "x", "12", [], [1.0], [1.0, 2.0, 3.0],
                [1, "a"], {}, {"pubsub": 1.0}]
+# non-string keys too: beside a section's string keys they used to escape
+# as a TypeError from sorting the unknown keys
 _ADDED_KEYS = ["surprise", "rain_probability", "rain_mean_mm", "stage_days",
-               "qos", "depth_cm"]
+               "qos", "depth_cm", 1, None, True]
 
 
 @settings(deadline=None, max_examples=1000)
 @given(op=st.sampled_from(["replace", "delete", "add"]),
        path=st.sampled_from(sorted({*_leaves(SHIPPED), *_nodes(SHIPPED)} - {""})),
        node=st.sampled_from(sorted(_nodes(SHIPPED))),
-       key=st.sampled_from(_ADDED_KEYS),
+       keys=st.lists(st.sampled_from(_ADDED_KEYS), min_size=1, max_size=2),
        value=st.sampled_from(_BAD_VALUES))
+@example(op="add", path="seed", node="season", keys=[1, "bogus"], value=3)
 def test_mutated_mapping_loads_or_raises_configuration_error(
-        op, path, node, key, value):
+        op, path, node, keys, value):
     raw = copy.deepcopy(SHIPPED)
     if op == "replace":
         _set(raw, path, value)
@@ -464,7 +481,8 @@ def test_mutated_mapping_loads_or_raises_configuration_error(
         parent, _, last = path.rpartition(".")
         del _get(raw, parent)[last]
     else:
-        _set(raw, f"{node}.{key}".lstrip("."), value)
+        for key in keys:
+            _get(raw, node)[key] = value
     before = copy.deepcopy(raw)
     try:
         parse_scenario(raw)
