@@ -16,9 +16,12 @@ For each end-to-end metric it prints and writes to
 ``.perfbench/ab-<workload>-seed<n>.json``: the parent's median and
 interquartile range, the change's median and its delta in percent, the
 number of pairs the change wins (by the metric's direction in
-``BENCHMARK.json``), and the null variant's median. A run in which any side
-fails an op, or exits with an error, is void: the script stops, writes no
-figures and exits 1. ``REV`` brings its own ``perfbench/``, so when that
+``BENCHMARK.json``), and whether it meets the claim rule: better in at
+least nine tenths of the pairs, and better in the median by more than the
+parent's IQR. With ``--null`` it adds the null variant's median and whether
+the change meets the same rule against the null variant. A run in which any
+side fails an op, or exits with an error, is void: the script stops, writes
+no figures and exits 1. ``REV`` brings its own ``perfbench/``, so when that
 directory differs from the working tree's the two sides run two benchmarks,
 and the output says so. The worktrees are removed at the end.
 """
@@ -64,9 +67,28 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
+def _won(reference: list[float], change: list[float], lower: bool) -> int:
+    """The pairs in which the change is better than the reference."""
+    return sum((c < r) if lower else (c > r)
+               for r, c in zip(reference, change))
+
+
+def _claim_met(reference: list[float], change: list[float],
+               lower: bool) -> bool:
+    """The claim rule: the change is better than the reference in at least
+    nine tenths of the pairs, and its median is better than the
+    reference's by more than the reference's IQR."""
+    ref = _spread(reference)
+    gain = statistics.median(change) - ref["median"]
+    return (10 * _won(reference, change, lower) >= 9 * len(change)
+            and (-gain if lower else gain) > ref["iqr"])
+
+
 def compare(runs: dict[str, list[dict]]) -> dict:
     """Per metric: the parent's median and IQR, the change's median, its
-    delta in percent and the pairs it wins, and the null variant's median."""
+    delta in percent, the pairs it wins and whether it meets the claim rule
+    against the parent, and with a null variant, its median and whether the
+    change meets the claim rule against it too."""
     better = {m["name"]: m["better"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     figures = {}
@@ -81,14 +103,17 @@ def compare(runs: dict[str, list[dict]]) -> dict:
             "parent_median": parent["median"], "parent_iqr": parent["iqr"],
             "change_median": change["median"],
             "delta_pct": 100.0 * (change["median"] / parent["median"] - 1.0),
-            "pairs_won": sum((c < p) if lower else (c > p) for p, c in zip(
-                values["parent"], values["change"])),
+            "pairs_won": _won(values["parent"], values["change"], lower),
             "pairs": len(values["change"]),
+            "claim_met": _claim_met(values["parent"], values["change"],
+                                    lower),
             "values": values,
         }
         if "null" in values:
             figures[metric]["null_median"] = statistics.median(
                 values["null"])
+            figures[metric]["beats_null"] = _claim_met(
+                values["null"], values["change"], lower)
     return figures
 
 
@@ -159,12 +184,13 @@ def main() -> int:
     print(f"parent {rev[:12]} vs working tree, {args.workload}, seed "
           f"{args.seed}, {args.pairs} pairs")
     for metric, f in figures.items():
-        null = (f"  null {f['null_median']:.6g}" if "null_median" in f
+        null = (f"  null {f['null_median']:.6g} "
+                f"(beaten: {f['beats_null']})" if "null_median" in f
                 else "")
         print(f"{metric:34s} parent {f['parent_median']:.6g} "
               f"(IQR {f['parent_iqr']:.3g})  change {f['change_median']:.6g} "
-              f"({f['delta_pct']:+.1f}%)  won {f['pairs_won']}/{f['pairs']}"
-              f"{null}")
+              f"({f['delta_pct']:+.1f}%)  won {f['pairs_won']}/{f['pairs']} "
+              f"(claim rule met: {f['claim_met']}){null}")
     print(f"written to {out_file.relative_to(ROOT)}")
     return 0
 

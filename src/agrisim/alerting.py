@@ -22,6 +22,7 @@ import numpy as np
 
 from agrisim import decision, ingest, yamlfile
 from agrisim.errors import AgrisimError, ConfigurationError, InputError
+from agrisim.rows import quoted, write_csv
 
 WHATSAPP_GATEWAY = "whatsapp_gateway"
 SMS = "sms"
@@ -174,14 +175,6 @@ _ALERT_TEMPLATES = (("heat_alert", "temp_c"), ("humidity_low", "humidity_pct"),
                     ("irrigate_low_moisture", "moisture_pct"))
 
 
-def _csv_column(column: list[str]) -> list[str]:
-    """Each field as ``csv.writer`` writes it, quoting each distinct value
-    once: quoted, quotes doubled, when it holds a comma, quote or newline."""
-    quoted = {t: '"' + t.replace('"', '""') + '"'
-              if any(c in t for c in ',"\r\n') else t for t in set(column)}
-    return list(map(quoted.__getitem__, column))
-
-
 class Dispatcher:
     """Dispatcher of one field's alerts, with duplicate suppression: at
     most one SENT per (field, template) key within ``alerting``'s dedup
@@ -262,17 +255,13 @@ class Dispatcher:
             np.array([threshold], dtype=np.float64), np.array([timestamp_s])))
 
     def export_csv(self, fh) -> int:
-        """Write the log to a text stream as ``csv.writer`` would, one
-        ``"".join`` per slice of rows. The last column, ``detail``, is an
-        empty field on every row."""
+        """Write the log to a text stream as the ``csv`` module would. The
+        last column, ``detail``, is an empty field on every row."""
         r, n = self.records, len(self.records)
-        columns = [list(map(str, r.timestamp_s)), *map(_csv_column, (
-            [self.gateway.kind] * n, r.template_id, [self.alerting.locale] * n,
-            r.status, r.dedup_key, r.text))]
-        seps = ["", *[","] * (len(columns) - 1), ",\r\n"]
-        fh.write("timestamp_s,gateway,template_id,locale,status,"
-                 "dedup_key,text,detail\r\n")
-        for start in range(0, n, ingest._SLICE_ROWS):
-            fh.write(ingest._join_rows(seps, [
-                c[start:start + ingest._SLICE_ROWS] for c in columns]))
+        write_csv(fh, ["timestamp_s", "gateway", "template_id", "locale",
+                       "status", "dedup_key", "text", "detail"],
+                  [list(map(str, r.timestamp_s)), *map(quoted, (
+                      [self.gateway.kind] * n, r.template_id,
+                      [self.alerting.locale] * n, r.status, r.dedup_key,
+                      r.text)), [""] * n])
         return n

@@ -6,13 +6,11 @@ An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row in whole seconds and one value column per channel field
 (at most eight). Accepted rows are kept as columns. One export pass `repr`s
 each distinct value of a column once and writes both the CSV file and the
-JSON-lines snapshot from that text, one joined string per file for each
-slice of rows.
+JSON-lines snapshot from that text through the writer of ``agrisim.rows``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -21,16 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
+from agrisim.rows import write_csv, write_rows
 
 MAX_FIELDS = 8
 
 ACCEPTED = "ACCEPTED"
 REJECTED_AUTH = "REJECTED_AUTH"
 REJECTED_RATE = "REJECTED_RATE"
-
-# rows per joined string in an export: a whole file's text at once would
-# raise the peak memory of a run, and one string per row costs a join each
-_SLICE_ROWS = 2048
 
 _I64_MAX = 2**63 - 1
 _U64_MAX = 2**64 - 1
@@ -153,34 +148,31 @@ class ChannelStore:
         object per line as ``json.dumps(entry, sort_keys=True)`` writes it;
         returns the number of entries.
 
-        Each column calls ``repr`` (which is how ``json.dumps`` writes a
-        finite float) once per distinct value. Both files are written from
-        those strings, one ``"".join`` per file for each slice of rows, with
-        the file's fixed separators between the columns.
+        Each column is formatted once over all batches: the times by
+        ``repr``, each value column by one ``repr`` (which is how
+        ``json.dumps`` writes a finite float) per distinct value. Both files
+        are written from those strings by the one row writer.
         """
         self._address(channel_id)
         names = self.channel.field_names
         order = sorted(range(len(names)), key=names.__getitem__)
-        # a repr never holds a comma, quote or line break, so no CSV field
-        # needs the quoting csv.writer would add
-        csv_seps = ["", ",", *[","] * len(names), "\r\n"]
         jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
             (", " if k else ', "values": {') + json.dumps(names[j]) + ": "
             for k, j in enumerate(order)), "}}\n"]
-        csv.writer(csv_fh).writerow(["created_at", "entry_id", *names])
-        entry_id = 1
-        for times, values in self._batches:
-            columns = [_reprs(times), *map(_reprs, values)]
-            for start in range(0, len(times), _SLICE_ROWS):
-                rows = slice(start, start + _SLICE_ROWS)
-                created_at, *fields = [c[rows].tolist() for c in columns]
-                ids = list(map(str, range(entry_id,
-                                          entry_id + len(created_at))))
-                csv_fh.write(_join_rows(csv_seps, [created_at, ids, *fields]))
-                jsonl_fh.write(_join_rows(jsonl_seps, [
-                    created_at, ids, *(fields[j] for j in order)]))
-                entry_id += len(created_at)
-        return entry_id - 1
+        batches = self._batches or [(np.zeros(0, np.int64),
+                                     np.zeros((len(names), 0)))]
+        # the value text first, while no other column's text is held
+        fields = list(map(_reprs, np.concatenate([v for _, v in batches],
+                                                 axis=1)))
+        times = np.concatenate([t for t, _ in batches])
+        created_at = list(map(repr, times.tolist()))
+        ids = list(map(str, range(1, len(times) + 1)))
+        # no repr holds a comma, quote or line break, so none is quoted
+        write_csv(csv_fh, ["created_at", "entry_id", *names],
+                  [created_at, ids, *fields])
+        write_rows(jsonl_fh, jsonl_seps,
+                   [created_at, ids, *(fields[j] for j in order)])
+        return len(times)
 
 
 def time_column(times) -> np.ndarray:
@@ -242,22 +234,10 @@ def due_mask(times: np.ndarray, last: int | None, limit) -> np.ndarray:
     return kept[:n]
 
 
-def _reprs(column: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each value of ``column`` as an object array, with one
-    ``repr`` call per distinct value. Floats are told apart by their bits,
-    since comparing them as floats would merge -0.0 with 0.0."""
-    key = column.view(np.int64) if column.dtype.kind == "f" else column
-    distinct, inverse = np.unique(key, return_inverse=True)
-    text = list(map(repr, distinct.view(column.dtype).tolist()))
-    return np.array(text, dtype=object)[inverse]
-
-
-def _join_rows(separators: list[str], columns: list[list[str]]) -> str:
-    """Rows of text as one string: ``separators[k]`` comes before column k
-    in each row and ``separators[-1]`` ends it."""
-    row = [part for sep in separators[:-1] for part in (sep, None)]
-    row.append(separators[-1])
-    parts = row * len(columns[0])
-    for k, column in enumerate(columns):
-        parts[2 * k + 1::len(row)] = column
-    return "".join(parts)
+def _reprs(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each value of a float column, with one ``repr`` call
+    per distinct value. Values are told apart by their bits, since
+    comparing them as floats would merge -0.0 with 0.0."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(repr, distinct.view(np.float64).tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()

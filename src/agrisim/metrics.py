@@ -7,10 +7,10 @@ Ya = Ym * (1 - Ky * (1 - ETa/ETm)), with Ky defaulting to 1.25 for maize.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from agrisim.errors import ConfigurationError, InputError
+from agrisim.rows import quoted, write_csv
 
 # report row kinds; each has its own status rule
 ROW_ALERT_ABOVE = "alert_above"      # environmental: above threshold is bad
@@ -185,15 +185,14 @@ def format_report_table(report: MetricReport) -> str:
 
 
 def export_report_csv(report: MetricReport, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["parameter", "recorded", "threshold", "unit", "status"])
-    for r in report.rows:
-        writer.writerow([r.parameter, repr(r.recorded), repr(r.threshold),
-                         r.unit, r.status])
+    rows = report.rows
+    write_csv(fh, ["parameter", "recorded", "threshold", "unit", "status"], [
+        quoted([r.parameter for r in rows]), [repr(r.recorded) for r in rows],
+        [repr(r.threshold) for r in rows], quoted([r.unit for r in rows]),
+        quoted([r.status for r in rows])])
 
 
 def export_radar_csv(report: MetricReport, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["metric", "recorded", "target", "ratio"])
-    for name, recorded, target, ratio in radar_data(report):
-        writer.writerow([name, repr(recorded), repr(target), repr(ratio)])
+    names, *values = zip(*radar_data(report))
+    write_csv(fh, ["metric", "recorded", "target", "ratio"],
+              [quoted(names), *(list(map(repr, v)) for v in values)])

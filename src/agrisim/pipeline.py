@@ -14,7 +14,6 @@ arms were paired.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import json
@@ -27,6 +26,7 @@ import numpy as np
 from agrisim import alerting, decision, ingest, metrics, transport
 from agrisim.fieldsim import (NoiseStream, depletion_to_moisture_pct,
                               generate_weather)
+from agrisim.rows import quoted, write_csv
 from agrisim.scenario import Scenario
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -87,6 +87,9 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     request/response session, dispatch, metrics and, with ``out_dir``,
     artifacts.
     """
+    if out_dir is not None:  # fail before the season, not after it
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     with _stage(timings, "weather"):
         weather = generate_weather(scenario.season, scenario.seed)
@@ -135,7 +138,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
                                 stats_reqresp)
     output.timings = timings
     if out_dir is not None:
-        output.out_dir = Path(out_dir)
+        output.out_dir = out_dir
         with _stage(timings, "artifacts"):
             _write_artifacts(output, scenario, weather, store, dispatcher)
     return output
@@ -215,37 +218,28 @@ def _write_ground_truth_csv(fh, weather, arm: decision.SeasonResult,
                             profile):
     depletion = [d.depletion_end_mm for d in arm.daily]
     moisture = depletion_to_moisture_pct(np.array(depletion), profile)
-    writer = csv.writer(fh)
-    writer.writerow(["day_index", "day_of_year", "t_min_c", "t_max_c",
-                     "rh_mean_pct", "rain_mm", "depletion_mm",
-                     "moisture_pct"])
-    for w, dep, m in zip(weather, depletion, moisture.tolist()):
-        writer.writerow([w.day_index, w.day_of_year, repr(w.t_min_c),
-                         repr(w.t_max_c), repr(w.rh_mean_pct),
-                         repr(w.rain_mm), repr(dep), repr(m)])
+    names = ["day_index", "day_of_year", "t_min_c", "t_max_c", "rh_mean_pct",
+             "rain_mm"]
+    write_csv(fh, [*names, "depletion_mm", "moisture_pct"], [
+        *([repr(getattr(w, name)) for w in weather] for name in names),
+        list(map(repr, depletion)), list(map(repr, moisture.tolist()))])
 
 
 def _write_irrigation_log(fh, system: decision.SeasonResult,
                           baseline: decision.SeasonResult):
-    writer = csv.writer(fh)
-    writer.writerow(["day", "policy", "depth_mm", "trigger_reason"])
-    for arm in (system, baseline):
-        for e in arm.events:
-            writer.writerow([e.day_index, arm.policy, repr(e.depth_mm),
-                             e.reason])
+    rows = [(repr(e.day_index), arm.policy, repr(e.depth_mm), e.reason)
+            for arm in (system, baseline) for e in arm.events]
+    write_csv(fh, ["day", "policy", "depth_mm", "trigger_reason"],
+              [quoted([row[k] for row in rows]) for k in range(4)])
 
 
 def _write_transport_csv(fh, stats_by_protocol: dict):
-    writer = csv.writer(fh)
-    writer.writerow(["protocol", "attempted", "delivered",
-                     "retransmissions", "bytes_sent", "energy_mwh",
-                     "mean_latency_s", "delivery_rate"])
-    for proto in (transport.PUBSUB, transport.REQRESP):
-        s = stats_by_protocol[proto]
-        writer.writerow([proto, s.attempted, s.delivered,
-                         s.retransmissions, s.bytes_sent,
-                         repr(s.energy_mwh), repr(s.mean_latency_s),
-                         repr(s.delivery_rate)])
+    protocols = [transport.PUBSUB, transport.REQRESP]
+    names = ["attempted", "delivered", "retransmissions", "bytes_sent",
+             "energy_mwh", "mean_latency_s", "delivery_rate"]
+    write_csv(fh, ["protocol", *names], [quoted(protocols), *(
+        [repr(getattr(stats_by_protocol[proto], name)) for proto in protocols]
+        for name in names)])
 
 
 class _Artifact:
@@ -266,7 +260,6 @@ class _Artifact:
 def _write_artifacts(output: RunOutput, scenario: Scenario, weather, store,
                      dispatcher):
     out = output.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     # the manifest lists these files, not whatever else is there
     written: dict[str, _Artifact] = {}
     with contextlib.ExitStack() as files:  # closes every file on exit

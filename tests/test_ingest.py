@@ -18,8 +18,8 @@ from agrisim.ingest import (
     Channel,
     ChannelNotFound,
     ChannelStore,
-    _SLICE_ROWS,
 )
+from agrisim.rows import SLICE_ROWS as _SLICE_ROWS
 
 FIELDS = ("moisture", "temp", "humidity")
 

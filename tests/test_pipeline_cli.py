@@ -318,6 +318,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error [FileExistsError]: ") and "taken" in err
 
+    def test_out_path_that_is_a_file_fails_before_the_season(
+            self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def weather(*args):
+            raise AssertionError("the season ran before the run directory "
+                                 "was made")
+
+        monkeypatch.setattr(pipeline, "generate_weather", weather)
+        with default_scenario_path() as scenario_path:
+            code = main(["run", str(scenario_path), "--out", str(taken)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [FileExistsError]: ")
+        assert taken.read_text() == ""
+
     def test_run_under_the_c_locale_matches_the_default_run(self, tmp_path):
         # the C locale's ASCII default encoding must reach no file: the
         # scenario is read as bytes and every artifact is written as UTF-8
