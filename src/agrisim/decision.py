@@ -292,7 +292,7 @@ def season_drivers(scenario: Scenario, weather: list[WeatherDay],
     timestamps = interval * np.arange(1, days * samples_per_day + 1,
                                       dtype=np.int64)
     soil_z, temp, rh = z[:, :, 0], temp.ravel(), rh.ravel()
-    for column in (soil_z, timestamps, temp, rh):  # in both arms' Samples
+    for column in (soil_z, timestamps, temp, rh):  # the sensor arm's Samples
         column.flags.writeable = False
     latitude = scenario.season.latitude_deg
     etcs = [crop_et(et0_hargreaves(w.t_min_c, w.t_max_c, latitude,
@@ -325,36 +325,29 @@ def schedule_season(policy: str, scenario: Scenario,
     after; a window without a trigger is final as a whole. The first window
     is the rest of the season, then the length of the dry-down that just
     ended, doubling after each window without a trigger. Each batch makes at
-    least one day final. The baseline reads its soil as one batch after
-    its loop, and the alert mask is one ``evaluate`` call.
+    least one day final. The baseline has no sensor: it steps the bucket
+    once a day with that day's calendar depth, and its readings and alerts
+    have no rows. Each arm's alert mask is one ``evaluate`` call.
     """
     if policy not in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         raise InputError(f"unknown policy: {policy}")
 
     weather, etcs, z = drivers.weather, drivers.etc_mm, drivers.soil_z
     days, samples_per_day = z.shape
-    timestamps = drivers.timestamp_s
+    timestamps, temp, rh = (drivers.timestamp_s, drivers.temp_c,
+                            drivers.humidity_pct)
     profile = scenario.profile
     taw = profile.taw_mm
     thr = scenario.thresholds
     cap = scenario.irrigation.cap_mm
     baseline = scenario.baseline
-    sensor_driven = policy == SENSOR_DRIVEN
     frac = np.arange(1, samples_per_day + 1) / samples_per_day
-
-    def soil_readings(dep_start, dep_projected, z_soil):
-        """Readings of the ground truth interpolated from the start-of-day
-        depletion towards the day's no-irrigation projection."""
-        true_dep = dep_start + frac * (dep_projected - dep_start)
-        true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
-                                               profile)
-        return sample_soil_sensor(true_moist, scenario.soil_sensor, z_soil)
 
     events: list[IrrigationEvent] = []
     daily: list[DailyRecord] = []
     dep0 = scenario.irrigation.initial_depletion_mm
 
-    if sensor_driven:
+    if policy == SENSOR_DRIVEN:
         moisture = np.empty((days, samples_per_day))
         day = since = 0  # the first day of the stretch and of the dry-down
         window = days
@@ -366,9 +359,14 @@ def schedule_season(policy: str, scenario: Scenario,
                 flows.append(step_soil_water(dep0, weather[d], 0.0, etcs[d],
                                              profile))
                 dep0 = flows[-1][0]
-            readings = soil_readings(
-                np.array(starts)[:, None],
-                np.array([f[0] for f in flows])[:, None], z[day:stop])
+            # the ground truth runs from each start-of-day depletion towards
+            # the day's no-irrigation projection
+            start = np.array(starts)[:, None]
+            true_dep = start + frac * (np.array([f[0] for f in flows])[:, None]
+                                       - start)
+            readings = sample_soil_sensor(
+                depletion_to_moisture_pct(np.minimum(true_dep, taw), profile),
+                scenario.soil_sensor, z[day:stop])
             sensed = np.clip(moisture_pct_to_depletion(readings, profile),
                              0.0, taw)
             depth = _refill_depth(readings, sensed, thr, cap)
@@ -395,23 +393,21 @@ def schedule_season(policy: str, scenario: Scenario,
             else:
                 window *= 2
             day += final
+        moisture = moisture.ravel()
     else:
-        projected = []  # each day's no-irrigation end depletion
         for w, etc in zip(weather, etcs):
-            flow = step_soil_water(dep0, w, 0.0, etc, profile)
-            projected.append(flow[0])
             irrigation = 0.0
             if w.day_index % baseline.interval_days == 0:
                 irrigation = baseline.depth_mm
                 events.append(IrrigationEvent(
                     w.day_index, w.day_index * SECONDS_PER_DAY, irrigation,
                     float("nan"), "calendar interval"))
-                flow = step_soil_water(dep0, w, irrigation, etc, profile)
-            daily.append(DailyRecord(w.day_index, dep0, *flow, irrigation))
-            dep0 = flow[0]
-        starts = np.array([d.depletion_start_mm for d in daily])
-        moisture = soil_readings(starts[:, None],
-                                 np.array(projected)[:, None], z)
+            daily.append(DailyRecord(w.day_index, dep0, *step_soil_water(
+                dep0, w, irrigation, etc, profile), irrigation))
+            dep0 = daily[-1].depletion_end_mm
+        # no sensor: no readings, in the readings' dtypes
+        timestamps, moisture, temp, rh = (
+            column[:0] for column in (timestamps, temp, temp, rh))
 
     # each total starts at 0.0 and adds the day's value in day order
     eta_total = irrigation_total = etm_total = 0.0
@@ -419,11 +415,7 @@ def schedule_season(policy: str, scenario: Scenario,
         eta_total += record.eta_mm
         irrigation_total += record.irrigation_mm
         etm_total += etc
-    moisture, temp, rh = moisture.ravel(), drivers.temp_c, drivers.humidity_pct
-    if sensor_driven:
-        fired = evaluate(moisture, temp, rh, thr)
-    else:
-        fired = np.zeros((moisture.size, len(ALERT_KINDS)), dtype=bool)
+    fired = evaluate(moisture, temp, rh, thr)
     # row-major: readings in time order, each in ALERT_KINDS order
     rows, kinds = np.nonzero(fired)
     limits = np.array((thr.temp_alert_c, *thr.humidity_range_pct,

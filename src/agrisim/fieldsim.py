@@ -150,9 +150,9 @@ class SensorSpec:
 class NoiseStream:
     """Seeded standard-normal stream that hashes every draw it hands out.
 
-    The hash lets an output manifest prove that two simulation arms consumed
-    identical noise. A block of n draws yields the same values and the same
-    hash as n draws of one.
+    The hash goes into the output manifest, so a change in the noise a run
+    drew shows there. A block of n draws yields the same values and the
+    same hash as n draws of one.
     """
 
     def __init__(self, seed: int):

@@ -1,14 +1,16 @@
 """End-to-end orchestration of the two-arm season experiment.
 
 Runs the sensor-driven and calendar-baseline irrigation arms over identical
-weather and identical sensor-noise streams (paired comparison), pushes the
-sensor-driven arm's consolidated telemetry through the lossy transport into
-the channel store, dispatches alerts, and derives the season totals, the
-threshold-validation report, and all exported artifact files.
+weather and crop water use (paired comparison), of which only the sensor
+arm reads the sensor noise; pushes the sensor-driven arm's consolidated
+telemetry through the lossy transport into the channel store, dispatches
+alerts, and derives the season totals, the threshold-validation report, and
+all exported artifact files.
 
 Every output byte is determined by (scenario, seed); a JSON-lines manifest
-lists file hashes plus the weather/noise stream hashes that prove the two
-arms were paired.
+lists file hashes plus the weather and sensor-noise stream hashes. Both
+arms carry the one noise digest of the run's season inputs, so the two
+noise lines are one value written twice and do not show the pairing.
 """
 
 from __future__ import annotations
@@ -70,18 +72,18 @@ def packets_from_samples(samples: decision.Samples,
 
 
 def _weather_digest(weather) -> str:
-    h = hashlib.sha256()
-    for w in weather:
-        h.update(np.array([w.t_min_c, w.t_max_c, w.rh_mean_pct, w.rain_mm],
-                          dtype=np.float64).tobytes())
-    return h.hexdigest()
+    # sha256 streams: one update of the (days, 4) rows hashes as one per day
+    return hashlib.sha256(np.array(
+        [(w.t_min_c, w.t_max_c, w.rh_mean_pct, w.rain_mm) for w in weather],
+        dtype=np.float64).tobytes()).hexdigest()
 
 
 def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     """Execute the full pipeline; write artifact files when out_dir is given.
 
     Both policy arms read one set of season inputs: the scenario's weather,
-    one sensor-noise block and the air readings it drives. The wall time of
+    one sensor-noise block and the air readings it drives, of which the
+    calendar arm reads only the weather and crop ET. The wall time of
     each stage goes to ``RunOutput.timings``, in run order: weather,
     drivers, each arm, the pub/sub session, ingest of its deliveries, the
     request/response session, dispatch, metrics and, with ``out_dir``,

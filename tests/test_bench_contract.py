@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from agrisim import decision, transport
+from agrisim import decision, pipeline, transport
 from agrisim.decision import CropCalendar
 from agrisim.fieldsim import NoiseStream, generate_weather
 
@@ -36,6 +36,25 @@ def test_every_traced_attribute_exists():
                for owner, attr, *_ in load_perfbench("layers").TARGETS
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_season_wraps_every_target_and_counts_both_arms(
+        default_scenario):
+    # the traced mode's own calls: every wrap is installed, and each counts
+    # callable reads the real results of one in-memory season
+    tracer = load_perfbench("tracer").Tracer()
+    load_perfbench("layers").install(tracer)
+    try:
+        with tracer.op(0):
+            output = pipeline.run_season(default_scenario)
+    finally:
+        tracer.unwrap_all()
+    assert tracer.missing == []
+    summary = tracer.summaries()[0]
+    arms = (output.system_arm, output.baseline_arm)
+    for key in ("samples", "alerts", "events"):
+        assert summary.count("decision.schedule_season", key) == \
+            sum(len(getattr(arm, key)) for arm in arms)
 
 
 def test_transport_stats_fields_are_the_pinned_ones():

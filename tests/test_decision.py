@@ -327,8 +327,9 @@ class TestScheduleSeason:
             assert 0.0 <= result.eta_total_mm <= result.etm_total_mm + 1e-9
 
     def test_sample_count(self):
-        result = _arm(CALENDAR_BASELINE, _setup(), 0)
-        assert len(result.samples) == 60 * 288
+        # the calendar farmer has no sensor
+        assert len(_arm(CALENDAR_BASELINE, _setup(), 0).samples) == 0
+        assert len(_arm(SENSOR_DRIVEN, _setup(), 0).samples) == 60 * 288
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(InputError):
@@ -389,8 +390,13 @@ class TestScheduleSeason:
 def _per_day_schedule_season(policy, scenario, noise):
     """Reference season kernel: one day at a time, each day's noise, sensor
     readings and threshold rules computed as that day's own arrays. The
-    batched ``schedule_season`` must match it bit for bit."""
-    events, daily, columns, fired_days = [], [], [], []
+    calendar arm draws each day's noise but reads no sensor, so it has no
+    readings and no alerts. The batched ``schedule_season`` must match it
+    bit for bit."""
+    events, daily = [], []
+    # zero-row seeds: an arm without readings keeps the kernel's dtypes
+    columns = [(np.empty(0, np.int64), *np.empty((3, 0)))]
+    fired_days = [np.zeros((0, len(ALERT_KINDS)), dtype=bool)]
     eta_total = irrigation_total = etm_total = 0.0
     dep0 = scenario.irrigation.initial_depletion_mm
     interval = scenario.soil_sensor.sample_interval_s
@@ -408,7 +414,6 @@ def _per_day_schedule_season(policy, scenario, noise):
     for w in generate_weather(scenario.season, scenario.seed):
         et0 = et0_hargreaves(w.t_min_c, w.t_max_c, latitude, w.day_of_year)
         etc = crop_et(et0, w.day_index, scenario.calendar)
-        dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
 
         irrigation_today = 0.0
         if policy == CALENDAR_BASELINE and \
@@ -419,20 +424,20 @@ def _per_day_schedule_season(policy, scenario, noise):
                 baseline.depth_mm, float("nan"), "calendar interval"))
 
         z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
-        true_dep = dep0 + frac * (dep1 - dep0)
-        true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
-                                               profile)
-        moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
-                                      z[:, 0])
-        half_range = (w.t_max_c - w.t_min_c) / 2.0
-        t_mean = (w.t_min_c + w.t_max_c) / 2.0
-        temp, rh = sample_air_sensor(t_mean + half_range * cosines,
-                                     w.rh_mean_pct, scenario.air_noise_sigma,
-                                     z[:, 1], z[:, 2])
-        timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
-        columns.append((timestamps, moisture, temp, rh))
-
         if policy == SENSOR_DRIVEN:
+            dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
+            true_dep = dep0 + frac * (dep1 - dep0)
+            true_moist = depletion_to_moisture_pct(np.minimum(true_dep, taw),
+                                                   profile)
+            moisture = sample_soil_sensor(true_moist, scenario.soil_sensor,
+                                          z[:, 0])
+            half_range = (w.t_max_c - w.t_min_c) / 2.0
+            t_mean = (w.t_min_c + w.t_max_c) / 2.0
+            temp, rh = sample_air_sensor(
+                t_mean + half_range * cosines, w.rh_mean_pct,
+                scenario.air_noise_sigma, z[:, 1], z[:, 2])
+            timestamps = w.day_index * SECONDS_PER_DAY + slot_offsets
+            columns.append((timestamps, moisture, temp, rh))
             sensed_dep = np.clip(moisture_pct_to_depletion(moisture, profile),
                                  0.0, taw)
             fired = evaluate(moisture, temp, rh, thr)
@@ -462,9 +467,7 @@ def _per_day_schedule_season(policy, scenario, noise):
 
     timestamps, moisture, temp, rh = (np.concatenate(c)
                                       for c in zip(*columns))
-    fired = (np.concatenate(fired_days) if fired_days
-             else np.zeros((len(timestamps), len(ALERT_KINDS)), dtype=bool))
-    rows, kinds = np.nonzero(fired)
+    rows, kinds = np.nonzero(np.concatenate(fired_days))
     limits = np.array((thr.temp_alert_c, *thr.humidity_range_pct,
                        thr.soil_moisture_trigger_pct))
     alerts = Alerts(kind=kinds,
@@ -549,6 +552,30 @@ def sensor_arm_batches(monkeypatch, scenario):
         patch.setattr(decision, "sample_soil_sensor", counted)
         result = _arm(SENSOR_DRIVEN, scenario, scenario.seed)
     return result, readings
+
+
+def test_calendar_arm_reads_no_sensor(monkeypatch):
+    # the calendar farmer has no sensor: no soil reading, no moisture map,
+    # so no readings and no alerts
+    calls = {}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    drivers = _drivers(SHIPPED, 42)
+    for name in ("sample_soil_sensor", "depletion_to_moisture_pct"):
+        monkeypatch.setattr(decision, name,
+                            counted(name, getattr(decision, name)))
+    result = schedule_season(CALENDAR_BASELINE, SHIPPED, drivers)
+    assert calls == {}
+    assert len(result.samples) == len(result.alerts) == 0
+    assert result.event_count > 0 and len(result.daily) == SHIPPED.season.days
+    # the counters see the sensor arm's reads
+    schedule_season(SENSOR_DRIVEN, SHIPPED, drivers)
+    assert set(calls) == {"sample_soil_sensor", "depletion_to_moisture_pct"}
 
 
 def _frequent(scenario):

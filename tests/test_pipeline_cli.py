@@ -61,7 +61,8 @@ class TestRunSeason:
                            "sensor_noise_baseline"}
 
     def test_paired_arms_share_noise_stream(self, default_run):
-        # identical stream hashes prove the two arms consumed the same noise
+        # both arms carry the one digest of the run's season inputs, so the
+        # two lines are equal by construction; they do not show the pairing
         entries = {e["stream"]: e["sha256"]
                    for e in read_manifest(default_run.out_dir) if "stream" in e}
         assert entries["sensor_noise_system"] == entries["sensor_noise_baseline"]
@@ -69,13 +70,15 @@ class TestRunSeason:
             default_run.baseline_arm.noise_digest
 
     def test_arms_share_read_only_season_inputs(self, default_run):
+        # the sensor arm reads the drivers' read-only columns; the calendar
+        # arm reads no sensor
         system = default_run.system_arm.samples
         baseline = default_run.baseline_arm.samples
         for column in ("timestamp_s", "temp_c", "humidity_pct"):
             shared = getattr(system, column)
-            assert shared is getattr(baseline, column)
             with pytest.raises(ValueError):
                 shared[0] = shared[1]
+            assert len(getattr(baseline, column)) == 0
 
     def test_one_weather_noise_draw_and_air_call_per_run(
             self, default_scenario, monkeypatch):
