@@ -122,7 +122,7 @@ def main() -> int:
     import yaml
 
     from agrisim import decision, ingest, pipeline
-    from agrisim.fieldsim import NoiseStream, generate_weather
+    from agrisim.fieldsim import generate_weather
     from agrisim.scenario import load_default_scenario
 
     calibrate = _calibrate()
@@ -149,7 +149,7 @@ def main() -> int:
             t0 = time.perf_counter()
             drivers = decision.season_drivers(
                 season, generate_weather(season.season, season.seed),
-                NoiseStream(season.seed))
+                season.seed)
             arm = decision.schedule_season(decision.SENSOR_DRIVEN, season,
                                            drivers)
             if i:

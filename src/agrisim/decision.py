@@ -14,6 +14,7 @@ extremes and latitude.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -23,7 +24,6 @@ import numpy as np
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
     SECONDS_PER_DAY,
-    NoiseStream,
     WeatherDay,
     depletion_to_moisture_pct,
     moisture_pct_to_depletion,
@@ -189,9 +189,7 @@ def _refill_depth(moisture: np.ndarray, sensed_depletion_mm: np.ndarray,
 @dataclass(frozen=True)
 class IrrigationEvent:
     day_index: int
-    timestamp_s: int
     depth_mm: float
-    observed_moisture_pct: float
     reason: str
 
 
@@ -275,13 +273,16 @@ class SeasonDrivers:
 
 
 def season_drivers(scenario: Scenario, weather: list[WeatherDay],
-                   noise: NoiseStream) -> SeasonDrivers:
-    """One noise block, one standard normal per reading in (soil, temp,
-    rh) order per slot; air readings of a diurnal sinusoid; crop ET."""
+                   noise_seed) -> SeasonDrivers:
+    """One noise block of ``noise_seed``, one standard normal per reading in
+    (soil, temp, rh) order per slot, whose sha256 goes into the manifest so
+    that a change in the noise a run drew shows there; air readings of a
+    diurnal sinusoid; crop ET."""
     days, interval = len(weather), scenario.soil_sensor.sample_interval_s
     samples_per_day = SECONDS_PER_DAY // interval
-    z = noise.draw(3 * samples_per_day * days).reshape(
-        days, samples_per_day, 3)
+    z = np.random.default_rng(noise_seed).standard_normal(
+        (days, samples_per_day, 3))
+    digest = hashlib.sha256(z).hexdigest()  # z.tobytes(), without the copy
     t_min, t_max, rh_mean = np.array(
         [(w.t_min_c, w.t_max_c, w.rh_mean_pct) for w in weather]).T[:, :, None]
     t_true = (t_min + t_max) / 2.0 + (t_max - t_min) / 2.0 * \
@@ -298,8 +299,7 @@ def season_drivers(scenario: Scenario, weather: list[WeatherDay],
     etcs = [crop_et(et0_hargreaves(w.t_min_c, w.t_max_c, latitude,
                                    w.day_of_year), w.day_index,
                     scenario.calendar) for w in weather]
-    return SeasonDrivers(weather, soil_z, noise.digest(), timestamps, temp,
-                         rh, etcs)
+    return SeasonDrivers(weather, soil_z, digest, timestamps, temp, rh, etcs)
 
 
 def schedule_season(policy: str, scenario: Scenario,
@@ -380,11 +380,10 @@ def schedule_season(policy: str, scenario: Scenario,
                          for j in range(final))
             if wet.size:
                 t = day + r
-                irrigation, m = depth[r, k].item(), readings[r, k].item()
+                irrigation = depth[r, k].item()
                 events.append(IrrigationEvent(
-                    t, timestamps[t * samples_per_day + k].item(), irrigation,
-                    m, f"soil moisture {m:.1f}% below trigger "
-                    f"{thr.soil_moisture_trigger_pct:.0f}%"))
+                    t, irrigation, f"soil moisture {readings[r, k]:.1f}% "
+                    f"below trigger {thr.soil_moisture_trigger_pct:.0f}%"))
                 daily[-1] = DailyRecord(t, starts[r], *step_soil_water(
                     starts[r], weather[t], irrigation, etcs[t], profile),
                     irrigation)
@@ -399,9 +398,8 @@ def schedule_season(policy: str, scenario: Scenario,
             irrigation = 0.0
             if w.day_index % baseline.interval_days == 0:
                 irrigation = baseline.depth_mm
-                events.append(IrrigationEvent(
-                    w.day_index, w.day_index * SECONDS_PER_DAY, irrigation,
-                    float("nan"), "calendar interval"))
+                events.append(IrrigationEvent(w.day_index, irrigation,
+                                              "calendar interval"))
             daily.append(DailyRecord(w.day_index, dep0, *step_soil_water(
                 dep0, w, irrigation, etc, profile), irrigation))
             dep0 = daily[-1].depletion_end_mm

@@ -13,7 +13,6 @@ Soil moisture is reported on a normalized display scale: 0% at air-dry,
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -145,27 +144,6 @@ class SensorSpec:
                 f"{SECONDS_PER_DAY}: {self.sample_interval_s}")
         if not self.noise_sigma >= 0.0:
             raise ConfigurationError("noise_sigma must be non-negative")
-
-
-class NoiseStream:
-    """Seeded standard-normal stream that hashes every draw it hands out.
-
-    The hash goes into the output manifest, so a change in the noise a run
-    drew shows there. A block of n draws yields the same values and the
-    same hash as n draws of one.
-    """
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self._hasher = hashlib.sha256()
-
-    def draw(self, n: int) -> np.ndarray:
-        z = self._rng.standard_normal(n)
-        self._hasher.update(z.tobytes())
-        return z
-
-    def digest(self) -> str:
-        return self._hasher.hexdigest()
 
 
 def generate_weather(season: SeasonConfig, seed: int) -> list[WeatherDay]:

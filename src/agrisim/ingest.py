@@ -4,9 +4,10 @@ channel's counters, CSV export, and JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row in whole seconds and one value column per channel field
-(at most eight). Accepted rows are kept as columns. One export pass `repr`s
-each distinct value of a column once and writes both the CSV file and the
-JSON-lines snapshot from that text through the writer of ``agrisim.rows``.
+(at most eight). Accepted rows are kept as columns. The export goes slice
+by slice: per slice it `repr`s each distinct value of a column once and
+writes both the CSV file and the JSON-lines snapshot from that text through
+the writer of ``agrisim.rows``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
-from agrisim.rows import write_csv, write_rows
+from agrisim.rows import SLICE_ROWS, write_csv, write_rows
 
 MAX_FIELDS = 8
 
@@ -148,10 +149,11 @@ class ChannelStore:
         object per line as ``json.dumps(entry, sort_keys=True)`` writes it;
         returns the number of entries.
 
-        Each column is formatted once over all batches: the times by
-        ``repr``, each value column by one ``repr`` (which is how
-        ``json.dumps`` writes a finite float) per distinct value. Both files
-        are written from those strings by the one row writer.
+        The rows go out in slices of ``SLICE_ROWS``, and only one slice's
+        text is held at a time: its times by ``repr``, its ids, and each
+        value column by one ``repr`` (which is how ``json.dumps`` writes a
+        finite float) per distinct value. Both files are written from those
+        strings by the one row writer.
         """
         self._address(channel_id)
         names = self.channel.field_names
@@ -159,19 +161,22 @@ class ChannelStore:
         jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
             (", " if k else ', "values": {') + json.dumps(names[j]) + ": "
             for k, j in enumerate(order)), "}}\n"]
+        csv_seps = ["", *[","] * (len(names) + 1), "\r\n"]
+        write_csv(csv_fh, ["created_at", "entry_id", *names],
+                  [[]] * (len(names) + 2))  # the header row alone
         batches = self._batches or [(np.zeros(0, np.int64),
                                      np.zeros((len(names), 0)))]
-        # the value text first, while no other column's text is held
-        fields = list(map(_reprs, np.concatenate([v for _, v in batches],
-                                                 axis=1)))
         times = np.concatenate([t for t, _ in batches])
-        created_at = list(map(repr, times.tolist()))
-        ids = list(map(str, range(1, len(times) + 1)))
-        # no repr holds a comma, quote or line break, so none is quoted
-        write_csv(csv_fh, ["created_at", "entry_id", *names],
-                  [created_at, ids, *fields])
-        write_rows(jsonl_fh, jsonl_seps,
-                   [created_at, ids, *(fields[j] for j in order)])
+        values = np.concatenate([v for _, v in batches], axis=1)
+        for lo in range(0, len(times), SLICE_ROWS):
+            hi = min(lo + SLICE_ROWS, len(times))
+            fields = list(map(_reprs, values[:, lo:hi]))
+            created_at = list(map(repr, times[lo:hi].tolist()))
+            ids = list(map(str, range(lo + 1, hi + 1)))
+            # no repr holds a comma, quote or line break, so none is quoted
+            write_rows(csv_fh, csv_seps, [created_at, ids, *fields])
+            write_rows(jsonl_fh, jsonl_seps,
+                       [created_at, ids, *(fields[j] for j in order)])
         return len(times)
 
 
@@ -235,9 +240,9 @@ def due_mask(times: np.ndarray, last: int | None, limit) -> np.ndarray:
 
 
 def _reprs(column: np.ndarray) -> list[str]:
-    """The ``repr`` of each value of a float column, with one ``repr`` call
-    per distinct value. Values are told apart by their bits, since
-    comparing them as floats would merge -0.0 with 0.0."""
+    """The ``repr`` of each value of a float column, per export slice, with
+    one ``repr`` call per distinct value. Values are told apart by their
+    bits, since comparing them as floats would merge -0.0 with 0.0."""
     distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
     text = list(map(repr, distinct.view(np.float64).tolist()))
     return np.array(text, dtype=object)[inverse].tolist()

@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from agrisim import alerting, decision, ingest, metrics, transport
-from agrisim.fieldsim import (NoiseStream, depletion_to_moisture_pct,
-                              generate_weather)
+from agrisim.fieldsim import depletion_to_moisture_pct, generate_weather
 from agrisim.rows import quoted, write_csv
 from agrisim.scenario import Scenario
 
@@ -98,8 +97,7 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
     sensor_ss, pubsub_ss, reqresp_ss = np.random.SeedSequence(
         scenario.seed).spawn(3)
     with _stage(timings, "drivers"):
-        drivers = decision.season_drivers(scenario, weather,
-                                          NoiseStream(sensor_ss))
+        drivers = decision.season_drivers(scenario, weather, sensor_ss)
     with _stage(timings, "sensor_arm"):
         system = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
                                           drivers)

@@ -18,7 +18,7 @@ import pytest
 
 from agrisim import decision, pipeline, transport
 from agrisim.decision import CropCalendar
-from agrisim.fieldsim import NoiseStream, generate_weather
+from agrisim.fieldsim import generate_weather
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -101,8 +101,7 @@ def test_schedule_season_takes_policy_scenario_noise_positionally(
         season=dataclasses.replace(default_scenario.season, days=days),
         calendar=CropCalendar.maize(days))
     drivers = decision.season_drivers(
-        scenario, generate_weather(scenario.season, scenario.seed),
-        NoiseStream(0))
+        scenario, generate_weather(scenario.season, scenario.seed), 0)
     result = decision.schedule_season(decision.SENSOR_DRIVEN, scenario,
                                       drivers)
     assert len(result.samples) == days * 288

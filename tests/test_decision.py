@@ -2,6 +2,7 @@
 and season scheduling."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -37,7 +38,6 @@ from agrisim.decision import (
 from agrisim.errors import InputError
 from agrisim.fieldsim import (
     SECONDS_PER_DAY,
-    NoiseStream,
     SeasonConfig,
     SensorSpec,
     SoilProfile,
@@ -285,10 +285,10 @@ def _setup(**overrides):
 
 
 def _drivers(scenario, noise_seed):
-    """The scenario's shared season inputs on a fresh noise stream."""
+    """The scenario's shared season inputs on the noise of ``noise_seed``."""
     return season_drivers(scenario,
                           generate_weather(scenario.season, scenario.seed),
-                          NoiseStream(noise_seed))
+                          noise_seed)
 
 
 def _arm(policy, scenario, noise_seed):
@@ -309,12 +309,17 @@ class TestScheduleSeason:
         assert result.irrigation_total_mm == 0.0
 
     def test_sensor_events_audit_against_readings(self):
-        # the decision instant's sensed moisture must be below the trigger
+        # each event's reason prints the day's first reading below the
+        # trigger: the reading the irrigation was decided on
         result = _arm(SENSOR_DRIVEN, _setup(), 0)
         trigger = Thresholds().soil_moisture_trigger_pct
+        by_day = result.samples.moisture_pct.reshape(len(result.daily), -1)
         assert result.event_count > 0
         for event in result.events:
-            assert event.observed_moisture_pct < trigger
+            readings = by_day[event.day_index]
+            m = readings[readings < trigger][0]
+            assert event.reason == \
+                f"soil moisture {m:.1f}% below trigger {trigger:.0f}%"
 
     def test_at_most_one_event_per_day(self):
         result = _arm(SENSOR_DRIVEN, _setup(), 0)
@@ -371,7 +376,7 @@ class TestScheduleSeason:
                       PROFILE.taw_mm)
             if m < trigger and min(dep, cap) > 0.0:
                 events.setdefault((ts - 1) // 86_400, (
-                    ts, min(dep, cap), m,
+                    min(dep, cap),
                     f"soil moisture {m:.1f}% below trigger {trigger:.0f}%"))
         assert {kind for kind, *_ in alerts} == set(ALERT_KINDS)
         got = result.alerts
@@ -380,19 +385,19 @@ class TestScheduleSeason:
                         got.timestamp_s.tolist())) == alerts
         assert got.observed.dtype == got.threshold.dtype == np.float64
         assert got.timestamp_s.dtype == np.int64
-        assert {e.day_index: (e.timestamp_s, e.depth_mm,
-                              e.observed_moisture_pct, e.reason)
+        assert {e.day_index: (e.depth_mm, e.reason)
                 for e in result.events} == events
         for e in result.events:
-            assert type(e.timestamp_s) is int and type(e.depth_mm) is float
+            assert type(e.depth_mm) is float
 
 
-def _per_day_schedule_season(policy, scenario, noise):
+def _per_day_schedule_season(policy, scenario, noise_seed):
     """Reference season kernel: one day at a time, each day's noise, sensor
-    readings and threshold rules computed as that day's own arrays. The
-    calendar arm draws each day's noise but reads no sensor, so it has no
-    readings and no alerts. The batched ``schedule_season`` must match it
-    bit for bit."""
+    readings and threshold rules computed as that day's own arrays, and the
+    noise digest hashed a day at a time. The calendar arm draws each day's
+    noise but reads no sensor, so it has no readings and no alerts. The
+    batched ``schedule_season`` must match it bit for bit."""
+    rng, noise = np.random.default_rng(noise_seed), hashlib.sha256()
     events, daily = [], []
     # zero-row seeds: an arm without readings keeps the kernel's dtypes
     columns = [(np.empty(0, np.int64), *np.empty((3, 0)))]
@@ -419,11 +424,12 @@ def _per_day_schedule_season(policy, scenario, noise):
         if policy == CALENDAR_BASELINE and \
                 w.day_index % baseline.interval_days == 0:
             irrigation_today = baseline.depth_mm
-            events.append(IrrigationEvent(
-                w.day_index, w.day_index * SECONDS_PER_DAY,
-                baseline.depth_mm, float("nan"), "calendar interval"))
+            events.append(IrrigationEvent(w.day_index, baseline.depth_mm,
+                                          "calendar interval"))
 
-        z = noise.draw(3 * samples_per_day).reshape(samples_per_day, 3)
+        z = rng.standard_normal(3 * samples_per_day)
+        noise.update(z.tobytes())
+        z = z.reshape(samples_per_day, 3)
         if policy == SENSOR_DRIVEN:
             dep1, _, _ = step_soil_water(dep0, w, 0.0, etc, profile)
             true_dep = dep0 + frac * (dep1 - dep0)
@@ -450,7 +456,7 @@ def _per_day_schedule_season(policy, scenario, noise):
                 irrigation_today = depth[k].item()
                 m = moisture[k].item()
                 events.append(IrrigationEvent(
-                    w.day_index, timestamps[k].item(), irrigation_today, m,
+                    w.day_index, irrigation_today,
                     f"soil moisture {m:.1f}% below trigger "
                     f"{thr.soil_moisture_trigger_pct:.0f}%"))
 
@@ -479,7 +485,7 @@ def _per_day_schedule_season(policy, scenario, noise):
                         temp_c=temp, humidity_pct=rh),
         alerts=alerts, irrigation_total_mm=irrigation_total,
         eta_total_mm=eta_total, etm_total_mm=etm_total,
-        noise_digest=noise.digest())
+        noise_digest=noise.hexdigest())
 
 
 ORACLE_SEASONS = {
@@ -509,7 +515,7 @@ def test_batched_kernel_matches_per_day_reference(season, seed, interval_s,
     for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         assert_same_season(
             schedule_season(policy, setup, drivers),
-            _per_day_schedule_season(policy, setup, NoiseStream(seed)))
+            _per_day_schedule_season(policy, setup, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 42])
@@ -522,7 +528,7 @@ def test_shared_drivers_match_per_day_reference_in_either_order(seed):
         for policy in order:
             assert_same_season(
                 schedule_season(policy, scenario, drivers),
-                _per_day_schedule_season(policy, scenario, NoiseStream(seed)))
+                _per_day_schedule_season(policy, scenario, seed))
 
 
 def assert_same_season(got, want):
@@ -621,8 +627,7 @@ def test_stretch_loop_matches_per_day_reference(case, monkeypatch):
     for policy in (SENSOR_DRIVEN, CALENDAR_BASELINE):
         assert_same_season(
             schedule_season(policy, scenario, drivers),
-            _per_day_schedule_season(policy, scenario,
-                                     NoiseStream(scenario.seed)))
+            _per_day_schedule_season(policy, scenario, scenario.seed))
 
 
 # the shipped scenario, the wet variant of the benchmark and a season that

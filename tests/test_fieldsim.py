@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import (
-    NoiseStream,
     SeasonConfig,
     SensorSpec,
     SoilProfile,
@@ -206,8 +205,8 @@ def _soil(true_pct, spec, noise_z):
     return sample_soil_sensor(np.array([true_pct]), spec, noise_z)[0]
 
 
-def _air(t_true, rh_true, sigma, noise):
-    z = noise.draw(2)
+def _air(t_true, rh_true, sigma, rng):
+    z = rng.standard_normal(2)
     t, rh = sample_air_sensor(np.array([t_true]), rh_true, sigma, z[:1], z[1:])
     return t[0], rh[0]
 
@@ -215,17 +214,20 @@ def _air(t_true, rh_true, sigma, noise):
 class TestSoilSensor:
     def test_noiseless_round_trip(self):
         spec = SensorSpec(noise_sigma=0.0)
-        assert _soil(50.0, spec, NoiseStream(0).draw(1)) == pytest.approx(50.0)
+        z = np.random.default_rng(0).standard_normal(1)
+        assert _soil(50.0, spec, z) == pytest.approx(50.0)
 
     @given(st.floats(0.0, 100.0))
     def test_noiseless_round_trip_any_moisture(self, true_pct):
         spec = SensorSpec(noise_sigma=0.0)
-        assert _soil(true_pct, spec, NoiseStream(0).draw(1)) == pytest.approx(
+        z = np.random.default_rng(0).standard_normal(1)
+        assert _soil(true_pct, spec, z) == pytest.approx(
             true_pct, abs=1e-9)
 
     def test_air_counts_anchor(self):
         spec = SensorSpec(noise_sigma=0.0)
-        assert _soil(0.0, spec, NoiseStream(0).draw(1)) == 0.0
+        z = np.random.default_rng(0).standard_normal(1)
+        assert _soil(0.0, spec, z) == 0.0
 
     def test_degenerate_calibration_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -265,7 +267,7 @@ class TestSoilSensor:
         spec = SensorSpec(air_counts=float(air_counts), water_counts=0.0,
                           noise_sigma=sigma)
         true_pct = np.array(true_pct)
-        z = NoiseStream(seed).draw(true_pct.size)
+        z = np.random.default_rng(seed).standard_normal(true_pct.size)
         raw = np.clip(soil_raw_counts(true_pct, spec) + sigma * z,
                       0.0, 2 ** adc_bits - 1)
         clipped = np.clip(100.0 * (spec.air_counts - raw)
@@ -276,29 +278,29 @@ class TestSoilSensor:
     def test_noise_is_unbiased(self):
         # Monte-Carlo: symmetric noise without clamping keeps the mean
         spec = SensorSpec(noise_sigma=40.0)
-        values = sample_soil_sensor(np.full(10_000, 40.0), spec,
-                                    NoiseStream(11).draw(10_000))
+        z = np.random.default_rng(11).standard_normal(10_000)
+        values = sample_soil_sensor(np.full(10_000, 40.0), spec, z)
         assert abs(np.mean(values) - 40.0) < 0.5
 
     def test_identical_seed_identical_stream(self):
         spec = SensorSpec(noise_sigma=25.0)
-        a = [_soil(40.0, spec, NoiseStream(5).draw(1))]
-        b = [_soil(40.0, spec, NoiseStream(5).draw(1))]
+        a = [_soil(40.0, spec, np.random.default_rng(5).standard_normal(1))]
+        b = [_soil(40.0, spec, np.random.default_rng(5).standard_normal(1))]
         assert a == b
 
 
 class TestAirSensor:
     def test_values_pass_through_noiselessly(self):
-        assert _air(32.6, 38.0, 0.0, NoiseStream(0)) == (32.6, 38.0)
+        assert _air(32.6, 38.0, 0.0, np.random.default_rng(0)) == (32.6, 38.0)
 
     def test_humidity_clamped_at_100(self):
-        noise = NoiseStream(1)
+        rng = np.random.default_rng(1)
         for _ in range(200):
-            _, rh = _air(25.0, 100.0, 5.0, noise)
+            _, rh = _air(25.0, 100.0, 5.0, rng)
             assert rh <= 100.0
 
     def test_quantization_to_tenths(self):
-        t, _ = _air(20.24, 50.0, 0.0, NoiseStream(0))
+        t, _ = _air(20.24, 50.0, 0.0, np.random.default_rng(0))
         assert t == 20.2
 
 
@@ -348,20 +350,3 @@ class TestRoundTenths:
         assert _round_tenths(np.array(values)).tobytes() == \
             _python_round_bytes(values)
 
-
-class TestNoiseStream:
-    def test_digest_tracks_consumption(self):
-        a, b = NoiseStream(9), NoiseStream(9)
-        for _ in range(50):
-            a.draw(1)
-            b.draw(1)
-        assert a.digest() == b.digest()
-        a.draw(1)
-        assert a.digest() != b.digest()
-
-    def test_block_draw_matches_single_draws(self):
-        block, single = NoiseStream(13), NoiseStream(13)
-        values = block.draw(864)
-        singles = [single.draw(1)[0] for _ in range(864)]
-        assert values.tolist() == singles
-        assert block.digest() == single.digest()

@@ -4,6 +4,7 @@ the batch path against a per-record reference store."""
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,28 @@ class TestPersistence:
         assert path.read_text().splitlines() == [
             "created_at,entry_id,moisture,temp,humidity"]
         assert (tmp_path / "chan.jsonl").read_text() == ""
+
+    def test_export_holds_one_slice_of_text(self):
+        # a season's channel: 16,941 rows of distinct moisture values and
+        # air readings in tenths; all of its text at once takes over 4 MB
+        n = 16_941
+        rng = np.random.default_rng(42)
+        store = make_store(min_interval=0.0)
+        store.ingest_batch("ch-1", "KEY", 300 * np.arange(1, n + 1), [
+            rng.uniform(0.0, 100.0, n), np.round(rng.uniform(15, 35, n), 1),
+            np.round(rng.uniform(30, 60, n), 1)])
+
+        class Null:
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            assert store.export("ch-1", Null(), Null()) == n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_export_row_count(self, tmp_path):
         store = make_store(min_interval=0.0)

@@ -96,8 +96,9 @@ class TestRunSeason:
         # an arm that generated its own weather would do it through here
         monkeypatch.setattr(decision, "generate_weather",
                             counted("weather", weather), raising=False)
-        monkeypatch.setattr(fieldsim.NoiseStream, "draw",
-                            counted("draw", fieldsim.NoiseStream.draw))
+        # each call draws the one noise block of a run
+        monkeypatch.setattr(decision, "season_drivers",
+                            counted("draw", decision.season_drivers))
         monkeypatch.setattr(decision, "sample_air_sensor",
                             counted("air", decision.sample_air_sensor))
         pipeline.run_season(default_scenario)

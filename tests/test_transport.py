@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from agrisim import decision, transport
 from agrisim.errors import ConfigurationError, InputError
-from agrisim.fieldsim import NoiseStream, generate_weather
+from agrisim.fieldsim import generate_weather
 from agrisim.pipeline import packets_from_samples
 from agrisim.scenario import default_scenario_path, parse_scenario
 from agrisim.transport import (
@@ -429,8 +429,7 @@ class TestPacketCount:
         assert default_scenario.soil_sensor.sample_interval_s == 300
         weather = generate_weather(default_scenario.season,
                                    default_scenario.seed)
-        drivers = decision.season_drivers(default_scenario, weather,
-                                          NoiseStream(0))
+        drivers = decision.season_drivers(default_scenario, weather, 0)
         result = decision.schedule_season(decision.SENSOR_DRIVEN,
                                           default_scenario, drivers)
         packets = packets_from_samples(result.samples, "farm/f/telemetry")
