@@ -6,27 +6,19 @@ figures as JSON.
 
 After one warm-up run of each kind, it times ``REPEATS`` runs of the shipped
 scenario with artifacts (to a fresh temporary directory each) and as many in
-memory, alternating the two, and keeps each run's ``RunOutput.timings``:
-``layers`` holds each stage's reference-scaled median, by kind of run. It
-also times the reference kernel of ``perfbench/calibrate.py`` (imported
-read-only) ``KERNEL_RUNS`` times before and after, because the speed of a
-shared host drifts: ``e2e_ref_s`` and ``layers`` pass each median through
-``calibrate.to_reference`` with the median kernel times before and after.
-Between those kernel runs it also times a whole sensor arm alone: the
-season's weather, its ``decision.season_drivers`` and
-``decision.schedule_season`` with SENSOR_DRIVEN, all the work of one arm
-whose inputs no other arm shares. It runs ``REPEATS`` times for each of
-three seasons in turn: the shipped scenario, its wet variant
-(perfbench's season-wet-lossy weather: ``dry_season: false``, rain
-probability 0.3, mean 8 mm) and a season that irrigates nearly every day
-(2 mm cap, 40% trigger). ``kernel_ref_s`` holds each one's reference-scaled
-median and its event count. Then it times ``ingest.ChannelStore.ingest_batch``
-on the rows that the shipped season's ``run_season`` offers to its channel
-(the pub/sub session's deliveries), into a fresh store, ``REPEATS`` times at
-each rate limit of ``INGEST_LIMITS_S`` in turn; ``ingest_ref_s`` holds each
-limit's reference-scaled median and its accepted count. Last, it times one
-run of the tier-1 test command (``suite_s``) and keeps pytest's closing
-summary line.
+memory, alternating the two. Because the speed of a shared host drifts, it
+times the reference kernel of ``perfbench/calibrate.py`` (imported
+read-only) ``KERNEL_RUNS`` times before and after those runs. Last, it times
+one tier-1 test run. The JSON holds:
+
+- ``env``, ``scenario``, ``seed``: versions and cores; scenario name, seed;
+- ``e2e_s``: each kind's run-time median, minimum, IQR and count (``n``);
+- ``reference_kernel_s``: the kernel's median before and after, minimum,
+  run count and ``calibrate.REFERENCE_S``;
+- ``e2e_ref_s`` and ``layers``: each kind's median run time and the median
+  of each stage of ``RunOutput.timings``, through ``calibrate.to_reference``;
+- ``src_loc``: the line count of ``src/agrisim/**/*.py``;
+- ``suite_s``, ``suite_summary``: the tier-1 run's seconds and last line.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import dataclasses  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -50,14 +41,11 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
-from unittest import mock  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 REPEATS = 15
 KERNEL_RUNS = 5
-# the shipped channel's limit, and the wet, lossy variant's
-INGEST_LIMITS_S = (15.0, 600.0)
 
 
 def _calibrate():
@@ -88,31 +76,6 @@ def _summary(times: list[float]) -> dict:
             "iqr": q3 - q1, "n": len(times)}
 
 
-def _sensor_arm_seasons(scenario) -> dict:
-    """The seasons whose sensor arm ``kernel_ref_s`` times, by name."""
-    wet = dataclasses.replace(scenario.season, dry_season=False,
-                              rain_probability=0.3, rain_mean_mm=8.0)
-    return {
-        "shipped": scenario,
-        "wet": dataclasses.replace(scenario, season=wet),
-        "frequent_irrigation": dataclasses.replace(
-            scenario,
-            irrigation=dataclasses.replace(scenario.irrigation, cap_mm=2.0),
-            thresholds=dataclasses.replace(scenario.thresholds,
-                                           soil_moisture_trigger_pct=40.0)),
-    }
-
-
-def _offered_rows(pipeline, ingest, scenario) -> tuple:
-    """The arguments after ``self`` of the one ``ingest_batch`` call that
-    an in-memory ``run_season`` of ``scenario`` makes."""
-    batch = ingest.ChannelStore.ingest_batch
-    with mock.patch.object(ingest.ChannelStore, "ingest_batch",
-                           autospec=True, side_effect=batch) as spy:
-        pipeline.run_season(scenario)
-    return spy.call_args.args[1:]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -121,8 +84,7 @@ def main() -> int:
     import numpy
     import yaml
 
-    from agrisim import decision, ingest, pipeline
-    from agrisim.fieldsim import generate_weather
+    from agrisim import pipeline
     from agrisim.scenario import load_default_scenario
 
     calibrate = _calibrate()
@@ -141,38 +103,16 @@ def main() -> int:
                     times[kind].append(time.perf_counter() - t0)
                     for stage, seconds in out.timings.items():
                         stage_times[kind].setdefault(stage, []).append(seconds)
-    seasons = _sensor_arm_seasons(scenario)
-    arm_times = {name: [] for name in seasons}
-    events = {}
-    for i in range(REPEATS + 1):
-        for name, season in seasons.items():
-            t0 = time.perf_counter()
-            drivers = decision.season_drivers(
-                season, generate_weather(season.season, season.seed),
-                season.seed)
-            arm = decision.schedule_season(decision.SENSOR_DRIVEN, season,
-                                           drivers)
-            if i:
-                arm_times[name].append(time.perf_counter() - t0)
-            events[name] = arm.event_count
-    rows = _offered_rows(pipeline, ingest, scenario)
-    ingest_times = {limit: [] for limit in INGEST_LIMITS_S}
-    accepted = {}
-    for i in range(REPEATS + 1):
-        for limit in INGEST_LIMITS_S:
-            store = ingest.ChannelStore(dataclasses.replace(
-                scenario.channel, min_update_interval_s=limit))
-            t0 = time.perf_counter()
-            mask = store.ingest_batch(*rows)
-            if i:
-                ingest_times[limit].append(time.perf_counter() - t0)
-            accepted[limit] = int(mask.sum())
     after = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
     suite_s, suite_summary = _suite()
 
     e2e = {kind: _summary(t) for kind, t in times.items()}
     kernel = before + after
     k_before, k_after = statistics.median(before), statistics.median(after)
+
+    def scaled(t: list[float]) -> float:
+        return calibrate.to_reference(statistics.median(t), k_before, k_after)
+
     result = {
         "env": {"python": platform.python_version(),
                 "numpy": numpy.__version__, "pyyaml": yaml.__version__,
@@ -184,32 +124,15 @@ def main() -> int:
             "median_before": k_before, "median_after": k_after,
             "min": min(kernel), "n": len(kernel),
             "reference_s": calibrate.REFERENCE_S},
-        "e2e_ref_s": {kind: calibrate.to_reference(s["median"], k_before,
-                                                   k_after)
-                      for kind, s in e2e.items()},
-        "layers": {
-            kind: {stage: calibrate.to_reference(statistics.median(t),
-                                                 k_before, k_after)
-                   for stage, t in stages.items()}
-            for kind, stages in stage_times.items()},
-        "kernel_ref_s": {
-            name: {"sensor_arm_median": calibrate.to_reference(
-                       statistics.median(t), k_before, k_after),
-                   "events": events[name], "n": len(t)}
-            for name, t in arm_times.items()},
-        "ingest_ref_s": {
-            f"limit_{limit:g}s": {
-                "median": calibrate.to_reference(statistics.median(t),
-                                                 k_before, k_after),
-                "rows": len(rows[2]), "accepted": accepted[limit],
-                "n": len(t)}
-            for limit, t in ingest_times.items()},
+        "e2e_ref_s": {kind: scaled(t) for kind, t in times.items()},
+        "layers": {kind: {stage: scaled(t) for stage, t in stages.items()}
+                   for kind, stages in stage_times.items()},
         "src_loc": sum(len(p.read_text().splitlines())
                        for p in (ROOT / "src" / "agrisim").rglob("*.py")),
         "suite_s": suite_s, "suite_summary": suite_summary,
     }
-    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(result, indent=2, sort_keys=True))
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps(result, indent=2))
     return 0
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from agrisim import pipeline
 from agrisim.alerting import AlertingParams
 from agrisim.decision import ALERT_KINDS, HEAT
-from agrisim.errors import ConfigurationError
+from agrisim.errors import ConfigurationError, InputError
 from agrisim.metrics import REPORT_LAYOUT
 from agrisim.transport import PUBSUB, REQRESP
 from agrisim.scenario import (
@@ -574,3 +574,62 @@ def test_every_shipped_key_changes_the_scenario_or_is_rejected(
     changed = manifest != context_manifests[path if path in CONTEXT
                                             else None]
     assert changed != (path in UNREAD_KEYS), UNREAD_KEYS.get(path)
+
+
+def _scaled(value, how):
+    """``value`` times 0, 1/2 (``// 2`` for an int), 2 or -1, elementwise
+    for a list."""
+    if isinstance(value, list):
+        return [_scaled(v, how) for v in value]
+    if how == "half":
+        return value // 2 if isinstance(value, int) else value / 2
+    return {"zero": 0, "double": 2, "negated": -1}[how] * value
+
+
+def _single_leaf_edits():
+    """Each numeric leaf of the shipped mapping times 0, 1/2, 2 and -1, each
+    bool flipped, and each list halved, doubled and negated."""
+    for path in sorted(_leaves(SHIPPED)):
+        value = _get(SHIPPED, path)
+        if isinstance(value, bool):
+            yield pytest.param(path, not value, id=f"{path}-flipped")
+            continue
+        if isinstance(value, list):
+            hows = ("half", "double", "negated")
+        elif isinstance(value, (int, float)):
+            hows = ("zero", "half", "double", "negated")
+        else:
+            continue
+        for how in hows:
+            yield pytest.param(path, _scaled(value, how), id=f"{path}-{how}")
+
+
+def _loads_then_fails(path, value, message):
+    return pytest.param(
+        path, value, id=f"{path}-{value}", marks=pytest.mark.xfail(
+            strict=True, raises=InputError,
+            reason=f"ROADMAP item 5: loads, then fails mid-run: {message}"))
+
+
+@pytest.mark.parametrize("path, value", [
+    *_single_leaf_edits(),
+    _loads_then_fails("yield_model.ky", 7.0,
+                      "baseline yield must be positive"),
+    _loads_then_fails("soil_profile.root_depth_m", 0.034,
+                      "baseline yield must be positive"),
+    _loads_then_fails("season.temp_envelope_c", [-40.0, -20.0],
+                      "ETm must be positive"),
+])
+def test_single_leaf_edit_that_loads_also_runs(path, value):
+    """An edited shipped mapping either fails at load with
+    ``ConfigurationError`` or runs a whole season in memory (ROADMAP item 5).
+    The edits are fixed, and kept apart from the hypothesis test above,
+    because that one draws values such as ``10**6`` that a loaded season
+    would take as a million days."""
+    raw = copy.deepcopy(SHIPPED)
+    _set(raw, path, value)
+    try:
+        scenario = parse_scenario(raw)
+    except ConfigurationError:
+        return
+    pipeline.run_season(scenario)
