@@ -4,45 +4,69 @@ working tree in alternating runs, and write the figures as JSON.
 
     python3 scripts/ab.py REV [--workload W] [--seed N] [--pairs K] [--null]
 
-``REV`` is checked out with ``git worktree add`` under the git-ignored
-``.perfbench/``. The script then runs that tree's ``perfbench/run.py`` and
-the working tree's, ``K`` pairs (default 5), alternating which goes first.
-With ``--null`` it also runs a third tree in each round: a copy of ``REV``
-with one comment line appended to each ``src/`` module that the working
-tree changes, because a text-only edit of a module can move a metric by a
-few percent. The three go in a rotating order.
+Every side is a detached ``git worktree`` of a commit at a sibling path of one
+length under the git-ignored ``.perfbench/`` (``ab-0`` parent, ``ab-1``
+change, ``ab-2`` null), as where a tree sits can move a metric. The change is
+a snapshot commit of the working tree with its untracked files, made on a copy
+of the index: the index, ``HEAD`` and the stash stay as they are. The sides
+run ``perfbench/run.py`` in ``K`` pairs (default 5) in a rotating order.
+``--null`` adds ``REV`` with a comment line appended to each ``src/`` module
+the change alters, as a text-only edit can move a metric a few percent.
 
-For each end-to-end metric it prints and writes to
-``.perfbench/ab-<workload>-seed<n>.json``: the parent's median and
-interquartile range, the change's median and its delta in percent, the
-number of pairs the change wins (by the metric's direction in
-``BENCHMARK.json``), and whether it meets the claim rule: better in at
-least nine tenths of the pairs, and better in the median by more than the
-parent's IQR. With ``--null`` it adds the null variant's median and whether
-the change meets the same rule against the null variant. A run in which any
-side fails an op, or exits with an error, is void: the script stops, writes
-no figures and exits 1. ``REV`` brings its own ``perfbench/``, so when that
-directory differs from the working tree's the two sides run two benchmarks,
-and the output says so. The worktrees are removed at the end.
+For each end-to-end metric it prints, and writes to
+``.perfbench/ab-<workload>-seed<n>.json``, the parent's median and
+interquartile range, the change's median and delta in percent, the pairs the
+change wins (by the metric's direction in ``BENCHMARK.json``), and whether it
+meets the claim rule: better in at least nine tenths of the pairs, and better
+in the median by more than the parent's IQR. ``--null`` adds the null
+variant's median and whether the change meets the same rule against it. A run
+in which any side fails an op, or exits with an error, is void: the script
+stops, writes no figures and exits 1. When ``perfbench/`` differs between the
+sides they run two benchmarks, and the output says so. The trees are removed
+at the end, and before their paths are reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".perfbench"
 NULL_LINE = "# null variant: this line changes the text, not the code\n"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def _git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, env=env,
                           capture_output=True, text=True).stdout.strip()
+
+
+def _snapshot() -> str:
+    """A commit of the working tree, untracked files included, made on a
+    copy of the index so that the index, ``HEAD`` and the stash stay."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # commit-tree needs an identity, and a fresh clone may have none
+        env = {**os.environ, "GIT_INDEX_FILE": f"{tmp}/index", **{
+            f"GIT_{who}_{key}": value for who in ("AUTHOR", "COMMITTER")
+            for key, value in (("NAME", "ab.py"), ("EMAIL", "ab@localhost"))}}
+        Path(env["GIT_INDEX_FILE"]).write_bytes(
+            (ROOT / _git("rev-parse", "--git-path", "index")).read_bytes())
+        _git("add", "-A", env=env)
+        return _git("commit-tree", _git("write-tree", env=env), "-p", "HEAD",
+                    "-m", "ab.py snapshot of the working tree", env=env)
+
+
+def _remove(tree: Path) -> None:
+    for args in (["remove", "--force", str(tree)], ["prune"]):
+        subprocess.run(["git", "worktree", *args], cwd=ROOT,
+                       capture_output=True)
 
 
 def _perfbench(tree: Path, workload: str, seed: int) -> dict:
@@ -89,8 +113,7 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     delta in percent, the pairs it wins and whether it meets the claim rule
     against the parent, and with a null variant, its median and whether the
     change meets the claim rule against it too."""
-    better = {m["name"]: m["better"] for m in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     figures = {}
     for metric in runs["change"][0]["metrics"]:
         values = {side: [r["metrics"][metric]["value"] for r in side_runs]
@@ -121,8 +144,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the parent revision, e.g. HEAD")
     parser.add_argument("--workload", default="all",
-                        choices=["all", "season-dry", "season-wet-lossy",
-                                 "transport-sweep"])
+                        choices=["all", *(w["name"] for w in
+                                          BENCHMARK["workloads"])])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--null", action="store_true",
@@ -136,29 +159,25 @@ def main() -> int:
     rev = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
     out_file = OUT / f"ab-{args.workload}-seed{args.seed}.json"
     out_file.unlink(missing_ok=True)  # a void run leaves no old figures
-
+    commits = {"parent": rev, "change": _snapshot(),
+               **({"null": rev} if args.null else {})}
+    trees = {side: OUT / f"ab-{k}" for k, side in enumerate(commits)}
+    # the src/ modules that both REV and the change hold and that differ
+    touched = _git("diff", "--name-only", "--diff-filter=M", rev,
+                   commits["change"], "--", "src/*.py").split()
+    two_benchmarks = bool(_git("diff", "--name-only", rev, commits["change"],
+                               "--", "perfbench", "BENCHMARK.json"))
+    if two_benchmarks:
+        print("note: perfbench/ differs between REV and the working "
+              "tree, so the two sides run two benchmarks")
     OUT.mkdir(exist_ok=True)
-    trees = {"parent": OUT / f"ab-{rev[:12]}-parent", "change": ROOT}
-    if args.null:
-        trees["null"] = OUT / f"ab-{rev[:12]}-null"
-    added = [t for side, t in trees.items() if side != "change"]
     try:
-        _git("worktree", "prune")  # forget worktrees of an interrupted run
-        for tree in added:
-            _git("worktree", "add", "--detach", str(tree), rev)
-        # the src/ modules that both REV and the working tree hold and
-        # that differ between them
-        touched = _git("diff", "--name-only", "--diff-filter=M", rev, "--",
-                       "src/*.py").split()
+        for side, tree in trees.items():
+            _remove(tree)  # a killed run leaves its tree at this path
+            _git("worktree", "add", "--detach", str(tree), commits[side])
         for name in touched if args.null else []:
             with (trees["null"] / name).open("a", encoding="utf-8") as fh:
                 fh.write(NULL_LINE)
-        two_benchmarks = bool(_git("diff", "--name-only", rev, "--",
-                                   "perfbench", "BENCHMARK.json"))
-        if two_benchmarks:
-            print("note: perfbench/ differs between REV and the working "
-                  "tree, so the two sides run two benchmarks")
-
         sides = list(trees)
         runs = {side: [] for side in sides}
         for k in range(args.pairs):
@@ -168,11 +187,8 @@ def main() -> int:
                                              args.seed))
                 print(f"pair {k + 1}/{args.pairs}: {side} done", flush=True)
     finally:
-        for tree in added:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(tree)], cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT,
-                       capture_output=True)
+        for tree in trees.values():
+            _remove(tree)
 
     figures = compare(runs)
     result = {"rev": rev, "workload": args.workload, "seed": args.seed,
