@@ -22,7 +22,7 @@ import numpy as np
 
 from agrisim import decision, ingest, yamlfile
 from agrisim.errors import AgrisimError, ConfigurationError, InputError
-from agrisim.rows import quoted, write_csv
+from agrisim.rows import write_csv
 
 WHATSAPP_GATEWAY = "whatsapp_gateway"
 SMS = "sms"
@@ -260,8 +260,7 @@ class Dispatcher:
         r, n = self.records, len(self.records)
         write_csv(fh, ["timestamp_s", "gateway", "template_id", "locale",
                        "status", "dedup_key", "text", "detail"],
-                  [list(map(str, r.timestamp_s)), *map(quoted, (
-                      [self.gateway.kind] * n, r.template_id,
-                      [self.alerting.locale] * n, r.status, r.dedup_key,
-                      r.text)), [""] * n])
+                  [r.timestamp_s, [self.gateway.kind] * n, r.template_id,
+                   [self.alerting.locale] * n, r.status, r.dedup_key, r.text,
+                   [""] * n])
         return n

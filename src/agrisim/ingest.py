@@ -4,10 +4,9 @@ channel's counters, CSV export, and JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
 a timestamp per row in whole seconds and one value column per channel field
-(at most eight). Accepted rows are kept as columns. The export goes slice
-by slice: per slice it `repr`s each distinct value of a column once and
-writes both the CSV file and the JSON-lines snapshot from that text through
-the writer of ``agrisim.rows``.
+(at most eight). Accepted rows are kept as columns. The export hands them
+to the one slice loop of ``agrisim.rows``, which turns each slice into text
+once (``rows.cells``) for both the CSV file and the JSON-lines snapshot.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
-from agrisim.rows import SLICE_ROWS, write_csv, write_rows
+from agrisim.rows import write_csv, write_rows
 
 MAX_FIELDS = 8
 
@@ -149,11 +148,10 @@ class ChannelStore:
         object per line as ``json.dumps(entry, sort_keys=True)`` writes it;
         returns the number of entries.
 
-        The rows go out in slices of ``SLICE_ROWS``, and only one slice's
-        text is held at a time: its times by ``repr``, its ids, and each
-        value column by one ``repr`` (which is how ``json.dumps`` writes a
-        finite float) per distinct value. Both files are written from those
-        strings by the one row writer.
+        Both files are two streams of one ``rows.write_rows`` call, so
+        each slice of rows is turned into text once (``rows.cells``: a
+        value column by one ``repr``, as ``json.dumps`` writes a finite
+        float, per distinct value) and only one slice's text is held at a time.
         """
         self._address(channel_id)
         names = self.channel.field_names
@@ -168,15 +166,10 @@ class ChannelStore:
                                      np.zeros((len(names), 0)))]
         times = np.concatenate([t for t, _ in batches])
         values = np.concatenate([v for _, v in batches], axis=1)
-        for lo in range(0, len(times), SLICE_ROWS):
-            hi = min(lo + SLICE_ROWS, len(times))
-            fields = list(map(_reprs, values[:, lo:hi]))
-            created_at = list(map(repr, times[lo:hi].tolist()))
-            ids = list(map(str, range(lo + 1, hi + 1)))
-            # no repr holds a comma, quote or line break, so none is quoted
-            write_rows(csv_fh, csv_seps, [created_at, ids, *fields])
-            write_rows(jsonl_fh, jsonl_seps,
-                       [created_at, ids, *(fields[j] for j in order)])
+        # the JSON lines reuse the CSV cells: a number's cell is never quoted
+        write_rows([(csv_fh, csv_seps, range(len(names) + 2)),
+                    (jsonl_fh, jsonl_seps, [0, 1, *(j + 2 for j in order)])],
+                   [times, range(1, len(times) + 1), *values])
         return len(times)
 
 
@@ -237,12 +230,3 @@ def due_mask(times: np.ndarray, last: int | None, limit) -> np.ndarray:
             kept[jump[kept]] = True
             jump = jump[jump]
     return kept[:n]
-
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """The ``repr`` of each value of a float column, per export slice, with
-    one ``repr`` call per distinct value. Values are told apart by their
-    bits, since comparing them as floats would merge -0.0 with 0.0."""
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = list(map(repr, distinct.view(np.float64).tolist()))
-    return np.array(text, dtype=object)[inverse].tolist()

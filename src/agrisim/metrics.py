@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from agrisim.errors import ConfigurationError, InputError
-from agrisim.rows import quoted, write_csv
+from agrisim.rows import write_csv
 
 # report row kinds; each has its own status rule
 ROW_ALERT_ABOVE = "alert_above"      # environmental: above threshold is bad
@@ -185,14 +185,11 @@ def format_report_table(report: MetricReport) -> str:
 
 
 def export_report_csv(report: MetricReport, fh) -> None:
-    rows = report.rows
-    write_csv(fh, ["parameter", "recorded", "threshold", "unit", "status"], [
-        quoted([r.parameter for r in rows]), [repr(r.recorded) for r in rows],
-        [repr(r.threshold) for r in rows], quoted([r.unit for r in rows]),
-        quoted([r.status for r in rows])])
+    names = ["parameter", "recorded", "threshold", "unit", "status"]
+    write_csv(fh, names,
+              [[getattr(r, name) for r in report.rows] for name in names])
 
 
 def export_radar_csv(report: MetricReport, fh) -> None:
     names, *values = zip(*radar_data(report))
-    write_csv(fh, ["metric", "recorded", "target", "ratio"],
-              [quoted(names), *(list(map(repr, v)) for v in values)])
+    write_csv(fh, ["metric", "recorded", "target", "ratio"], [names, *values])

@@ -27,7 +27,7 @@ import numpy as np
 
 from agrisim import alerting, decision, ingest, metrics, transport
 from agrisim.fieldsim import depletion_to_moisture_pct, generate_weather
-from agrisim.rows import quoted, write_csv
+from agrisim.rows import write_csv
 from agrisim.scenario import Scenario
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -221,24 +221,24 @@ def _write_ground_truth_csv(fh, weather, arm: decision.SeasonResult,
     names = ["day_index", "day_of_year", "t_min_c", "t_max_c", "rh_mean_pct",
              "rain_mm"]
     write_csv(fh, [*names, "depletion_mm", "moisture_pct"], [
-        *([repr(getattr(w, name)) for w in weather] for name in names),
-        list(map(repr, depletion)), list(map(repr, moisture.tolist()))])
+        *([getattr(w, name) for w in weather] for name in names),
+        depletion, moisture])
 
 
 def _write_irrigation_log(fh, system: decision.SeasonResult,
                           baseline: decision.SeasonResult):
-    rows = [(repr(e.day_index), arm.policy, repr(e.depth_mm), e.reason)
+    rows = [(e.day_index, arm.policy, e.depth_mm, e.reason)
             for arm in (system, baseline) for e in arm.events]
     write_csv(fh, ["day", "policy", "depth_mm", "trigger_reason"],
-              [quoted([row[k] for row in rows]) for k in range(4)])
+              [[row[k] for row in rows] for k in range(4)])
 
 
 def _write_transport_csv(fh, stats_by_protocol: dict):
     protocols = [transport.PUBSUB, transport.REQRESP]
     names = ["attempted", "delivered", "retransmissions", "bytes_sent",
              "energy_mwh", "mean_latency_s", "delivery_rate"]
-    write_csv(fh, ["protocol", *names], [quoted(protocols), *(
-        [repr(getattr(stats_by_protocol[proto], name)) for proto in protocols]
+    write_csv(fh, ["protocol", *names], [protocols, *(
+        [getattr(stats_by_protocol[proto], name) for proto in protocols]
         for name in names)])
 
 
