@@ -195,13 +195,15 @@ class Dispatcher:
         records. Each distinct (template, formatted parameters) renders
         once. Each dedup key sends the alerts that ``ingest.due_mask``
         keeps, the key's last send carried from earlier calls, and
-        suppresses the rest. A kind outside ``ALERT_KINDS``, a time column
-        that is not whole seconds in the int64 range, or a time out of
-        order raises ``InputError`` before anything is recorded."""
+        suppresses the rest. A kind that is not an integer index into
+        ``ALERT_KINDS``, a time column that is not whole seconds in the int64
+        range, or a time out of order raises ``InputError`` before anything
+        is recorded."""
         kind, times = alerts.kind, ingest.time_column(alerts.timestamp_s)
-        if len(kind) and not 0 <= kind.min() <= kind.max() < len(
-                _ALERT_TEMPLATES):
-            raise InputError("alert kinds must index ALERT_KINDS")
+        if kind.dtype.kind not in "iu" or len(kind) and not (
+                0 <= kind.min() <= kind.max() < len(_ALERT_TEMPLATES)):
+            raise InputError("alert kinds must be integers indexing "
+                             "ALERT_KINDS")
         template_id, key, text = (np.empty(len(kind), dtype=object)
                                   for _ in range(3))
         status = np.full(len(kind), SUPPRESSED_DUPLICATE, dtype=object)

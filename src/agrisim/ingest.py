@@ -89,13 +89,13 @@ class ChannelStore:
 
         ``timestamps_s`` is an integer column of whole seconds in the int64
         range, and ``columns`` holds one value column per channel field,
-        each as long as it. A time column that is not whole seconds, a
-        value column of the wrong count or length, a non-finite value (JSON
-        has no NaN or infinity), or a time earlier than the row before it
-        raises ``InputError`` and stores and counts nothing, whatever the
-        write key. A wrong write key on a well-formed batch rejects every
-        row and returns None; otherwise the result is the mask of accepted
-        rows. A row is rate-rejected when it comes less than
+        each as long as it. A time column that is not whole seconds, value
+        columns of the wrong count or length, a value that is not a finite
+        number (JSON has no NaN or infinity), or a time earlier than the row
+        before it raises ``InputError`` and stores and counts nothing,
+        whatever the write key. A wrong write key on a well-formed batch
+        rejects every row and returns None; otherwise the result is the mask
+        of accepted rows. A row is rate-rejected when it comes less than
         ``min_update_interval_s`` after the last accepted row, in this batch
         or an earlier one. Rejections are counted so attempts always
         reconcile: accepted + rejected_auth + rejected_rate == rows offered.
@@ -106,7 +106,7 @@ class ChannelStore:
         times = time_column(timestamps_s)
         try:
             values = np.asarray(columns, dtype=np.float64)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"value columns are not numeric columns of one "
                              f"length: {exc}") from None
         width = len(self.channel.field_names)

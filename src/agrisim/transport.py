@@ -153,58 +153,31 @@ def _deliveries(n: int, max_attempts: int, loss_prob: float,
     return attempts, delivered
 
 
-def _one_decimal_steps() -> np.ndarray:
-    """``steps[k - 1]`` is the smallest double whose ``f"{v:.1f}"`` text has
-    ``3 + k`` characters, for k = 1 .. 16.
-
-    Each starts at the double nearest ``10**k - 0.05`` (``float`` parses a
-    decimal literal correctly rounded) and is moved with ``math.nextafter``
-    until Python's own formatting puts it at the edge.
-    """
-    steps = []
-    for k in range(1, 17):
-        v = float(f"{10 ** k - 1}.95")
-        while len(f"{v:.1f}") < 3 + k:
-            v = math.nextafter(v, math.inf)
-        while len(f"{math.nextafter(v, 0.0):.1f}") == 3 + k:
-            v = math.nextafter(v, 0.0)
-        steps.append(v)
-    return np.array(steps)
-
-
-_STEPS = _one_decimal_steps()
-# at and above this magnitude a value has more digits than _STEPS covers
-_EXACT_BELOW = 1e17
-
-
-def _one_decimal_widths(column: np.ndarray) -> np.ndarray:
-    """``len(f"{v:.1f}")`` of each value, without formatting any.
-
-    The text is a sign for a negative value (``-0.0`` and ``-0.04`` print as
-    ``"-0.0"``), the integer digits, and ``".d"``; each step of ``_STEPS``
-    that the magnitude reaches adds one digit. Only the steps up to the
-    column's largest magnitude, NaN aside, are compared: two for readings
-    in [0, 100]. Non-finite values and magnitudes of ``_EXACT_BELOW`` or more
-    are formatted by Python.
-    """
-    magnitude = np.abs(column)
-    widths = 3 + np.signbit(column)
-    # fmax skips NaN; the initial 0.0 lets an empty column reduce
-    top = np.fmax.reduce(magnitude, initial=0.0)
-    for step in _STEPS[_STEPS <= top].tolist():
-        widths += magnitude >= step
-    exact = ~(magnitude < _EXACT_BELOW)
-    if exact.any():
-        widths[exact] = [len(f"{v:.1f}") for v in column[exact].tolist()]
-    return widths
+# the smallest double that prints as "10.0"; 9.95 itself prints as "9.9"
+_PRINTS_AS_TEN = math.nextafter(9.95, math.inf)
 
 
 def _payload_bytes(columns) -> np.ndarray:
     """Per-reading length in bytes of the wire text
     ``moisture=<m>,temp=<t>,humidity=<h>``, each value written as
-    ``f"{v:.1f}"``, from the moisture, temp and humidity columns."""
-    names = len(",".join(f"{name}=" for name in PAYLOAD_FIELDS))
-    return names + sum(_one_decimal_widths(column) for column in columns)
+    ``f"{v:.1f}"``, from the moisture, temp and humidity columns.
+
+    Sensors clip their readings inside [-100, 100]. There a value's text is
+    a sign if negative (``-0.04`` prints as ``"-0.0"``), ``"0.0"``, one more
+    digit from ``_PRINTS_AS_TEN`` on and another from 99.95 (``"100.0"``)
+    on. A NaN, infinite or larger reading raises ``InputError``.
+    """
+    shortest = len(",".join(f"{name}=0.0" for name in PAYLOAD_FIELDS))
+    # a payload has at most 43 bytes; bools add to uint8 faster than to int64
+    widths = np.full(len(columns[0]), shortest, dtype=np.uint8)
+    for name, column in zip(PAYLOAD_FIELDS, columns):
+        magnitude = np.abs(column)
+        if not magnitude.max(initial=0.0) <= 100.0:  # NaN fails it too
+            raise InputError(f"{name} readings must be in [-100, 100]")
+        widths += np.signbit(column)
+        widths += magnitude >= _PRINTS_AS_TEN
+        widths += magnitude >= 99.95
+    return widths
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -230,7 +203,8 @@ def run_session(readings, protocol: str, qos: int, link: LinkModel,
     Latency is the protocol constant per delivered packet. ``on_result``, if
     given, is called once with the per-packet ``attempts`` and ``delivered``
     arrays, in reading order, so a downstream consumer can see individual
-    deliveries.
+    deliveries. A reading that is NaN, infinite or beyond the sensors' clip
+    range [-100, 100] raises ``InputError`` before any trial is drawn.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol: {protocol}")
@@ -242,6 +216,7 @@ def run_session(readings, protocol: str, qos: int, link: LinkModel,
                    for attr in _READING_ATTRS]
     else:
         columns = [getattr(readings, attr) for attr in _READING_ATTRS]
+    payload_bytes = _payload_bytes(columns)
     max_attempts = 1 if qos == 0 else 1 + link.max_retries
     attempts, delivered = _deliveries(n, max_attempts, link.loss_prob, rng)
     n_delivered = int(np.count_nonzero(delivered))
@@ -249,7 +224,7 @@ def run_session(readings, protocol: str, qos: int, link: LinkModel,
     stats = TransportStats(
         attempted=n, delivered=n_delivered,
         retransmissions=int(attempts.sum()) - n,
-        bytes_sent=int(np.dot(_payload_bytes(columns), attempts)),
+        bytes_sent=int(np.dot(payload_bytes, attempts)),
         energy_mwh=_sum_in_order(per_msg * attempts),
         latency_sum_s=_sum_in_order(
             np.full(n_delivered, link.latency_s[protocol], dtype=np.float64)))

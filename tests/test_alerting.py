@@ -237,12 +237,16 @@ class TestTemplateMapping:
 
     def test_unknown_kind_rejected(self):
         d = make_dispatcher()
-        for kind in (-1, len(decision.ALERT_KINDS)):
+        for kind in (-1, len(decision.ALERT_KINDS), 1.5):
             with pytest.raises(InputError):
                 d.dispatch_alert(kind, 0.0, 0.0)
             with pytest.raises(InputError):
                 d.dispatch(alert_columns([(LOW, 0.0, 0.0, 0),
                                           (kind, 0.0, 0.0, 0)]))
+        empty = np.array([], dtype=np.float64)
+        with pytest.raises(InputError):
+            d.dispatch(decision.Alerts(empty, empty, empty,
+                                       np.array([], dtype=np.int64)))
         assert len(d.records) == 0
 
 

@@ -199,6 +199,7 @@ class TestIngest:
         [[40.0], [22.0], [45.0], [1.0]],   # too many fields
         [[40.0, 41.0], [22.0, 22.0], [45.0, 45.0]],  # longer than the times
         [[40.0], [22.0, 23.0], [45.0]],    # ragged
+        [[{}], [22.0], [45.0]],            # not a number
     ])
     def test_malformed_columns_rejected(self, columns):
         store = make_store()

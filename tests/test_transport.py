@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agrisim import decision, transport
+from agrisim import decision, fieldsim, transport
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.fieldsim import generate_weather
 from agrisim.pipeline import packets_from_samples
@@ -30,6 +30,7 @@ from agrisim.transport import (
 )
 
 SEASON_PACKETS = 17_280
+TOPIC = "farm/field-1/telemetry"
 
 
 def _packets(n):
@@ -117,17 +118,16 @@ def reference_session(packets, protocol, qos, link, energy, rng, days):
 
 # values whose one-decimal text differs in length from their neighbours': the
 # two zeros ("-0.0" is 4 bytes), a negative that rounds to "-0.0", the float
-# neighbours of 9.95 and 99.95 (one side gains a digit), and large magnitudes
+# neighbours of 9.95 and 99.95 (one side gains a digit), and the range's ends
 PAYLOAD_VALUES = [
-    0.0, -0.0, -0.04, 0.04, 22.0, 45.0, -12.3, 1e6, 1e6 + 0.05, 123456789.0,
-    1e16, 1e300, -1e6, math.inf, -math.inf, math.nan,
+    0.0, -0.0, -0.04, 0.04, 22.0, 45.0, -12.3, 100.0, -100.0,
     *(float(np.nextafter(v, to)) for v in (9.95, 99.95)
       for to in (0.0, math.inf)), 9.95, 99.95,
 ]
-payload_value = st.sampled_from(PAYLOAD_VALUES) | st.floats(-200.0, 200.0)
+payload_value = st.sampled_from(PAYLOAD_VALUES) | st.floats(-100.0, 100.0)
 # a season of readings: the edge values in turn as moisture, a temperature
-# ramp across 9.95 and 99.95, and a constant humidity
-SEASON_VALUES = [(PAYLOAD_VALUES[i % len(PAYLOAD_VALUES)], 0.1 * (i % 1009),
+# ramp from 0 to 100 across 9.95 and 99.95, and a constant humidity
+SEASON_VALUES = [(PAYLOAD_VALUES[i % len(PAYLOAD_VALUES)], 0.1 * (i % 1001),
                   45.0) for i in range(SEASON_PACKETS)]
 
 
@@ -185,53 +185,80 @@ class TestBatchedSession:
 
 
 def _width_edges():
-    """Every step of the width table and its float neighbours, the signed
-    zeros, tiny and huge magnitudes, and the non-finite values."""
-    values = [0.0, -0.0, -0.04, -0.05, 0.04, 0.05, 5e-324, -5e-324,
-              2.2250738585072014e-308, -2.2250738585072014e-308, math.inf,
-              -math.inf, math.nan, 1e300, -1e300, 1e17, -1e17]
-    for step in transport._STEPS.tolist():
-        below = math.nextafter(step, 0.0)
-        values += [step, below, math.nextafter(below, 0.0),
-                   math.nextafter(step, math.inf)]
-    values += [-v for v in values]
+    """Each tenth and each halfway point in [-100, 100] and their float
+    neighbours inside it, the signed zeros, negatives that print as "-0.0"
+    and the smallest magnitudes."""
+    points = [k / 10 for k in range(-1000, 1001)]
+    points += [(2 * k + 1) / 20 for k in range(-1000, 1000)]
+    values = [0.0, -0.0, -0.04, -0.05, 5e-324, -5e-324, 100.0, -100.0]
+    for v in points:
+        values += [v, math.nextafter(v, -100.0), math.nextafter(v, 100.0)]
     return values
+
+
+def _widths_and_oracle(values):
+    """``_payload_bytes`` of three columns made from ``values``, and the
+    length of each row's ``payload`` text."""
+    column = np.array(values, dtype=np.float64)
+    samples = decision.Samples(np.zeros(len(values), dtype=np.int64), column,
+                               np.roll(column, 1), -column)
+    columns = [samples.moisture_pct, samples.temp_c, samples.humidity_pct]
+    return (transport._payload_bytes(columns).tolist(),
+            [len(payload(p)) for p in packets_from_samples(samples, TOPIC)])
 
 
 class TestPayloadWidths:
     def test_matches_python_formatting_on_every_edge(self):
-        values = _width_edges()
-        widths = transport._one_decimal_widths(np.array(values))
-        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
+        widths, oracle = _widths_and_oracle(_width_edges())
+        assert widths == oracle
 
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
-                    | st.sampled_from(PAYLOAD_VALUES), max_size=200))
+    @given(st.lists(payload_value, max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_matches_python_formatting(self, values):
-        widths = transport._one_decimal_widths(
-            np.array(values, dtype=np.float64))
-        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
+        widths, oracle = _widths_and_oracle(values)
+        assert widths == oracle
 
-    # each column compares only the steps up to its own largest magnitude,
-    # so the columns below are sized one at a time
-    @pytest.mark.parametrize("values", [
-        [math.nan, 9.94, 9.95, 9.96, math.nan, 99.94, 99.95, 99.96, math.nan],
-        [9.949999999999999, math.nan, -9.95, 99.94999999999999, -99.95],
-        [math.nan, 5.0, math.nan],
-        [math.nan],
-        [math.nan, math.nan, -math.nan],
-        [],
-        [math.inf, 0.5, -math.inf, -3.2, 9.0],
-        [-math.inf, 1.0],
-        [1e17, 1.0, -2.5, 9.9],
-        [3.0, -1e17, 0.04],
-    ], ids=["nan-around-steps", "nan-signed-steps", "nan-one-digit",
-            "one-nan", "all-nan", "empty", "inf-small", "neg-inf-small",
-            "huge-single-digits", "neg-huge-single-digits"])
-    def test_in_range_bound_per_column(self, values):
-        widths = transport._one_decimal_widths(
-            np.array(values, dtype=np.float64))
-        assert widths.tolist() == [len(f"{v:.1f}") for v in values]
+
+class TestReadingRange:
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, math.nextafter(100.0, math.inf),
+        -math.nextafter(100.0, math.inf), 1e300])
+    def test_reading_out_of_range_rejected_before_any_trial(self, value):
+        for field in range(3):
+            rows = [[40.0, 22.0, 45.0] for _ in range(3)]
+            rows[1][field] = value
+            samples = decision.Samples(300 * np.arange(3),
+                                       *np.array(rows).T)
+            packets = packets_from_samples(samples, TOPIC)
+            for readings in (samples, packets):
+                rng = np.random.default_rng(7)
+                state = rng.bit_generator.state
+                with pytest.raises(InputError):
+                    run_session(readings, PUBSUB, 1, LinkModel(),
+                                EnergyModel(), rng)
+                assert rng.bit_generator.state == state
+
+    def test_clipped_sensor_readings_are_sent(self):
+        # readings at sigma = 1e6 around true values at each clip edge,
+        # sized as the per-packet loop sizes them
+        z = np.random.default_rng(3).standard_normal((3, 600))
+        z[:, :5] = [-1e-6, 0.0, 1e-6, -1.0, 1.0]
+        truth = np.repeat([0.0, 100.0], 300)
+        moisture = fieldsim.sample_soil_sensor(
+            truth, fieldsim.SensorSpec(noise_sigma=1e6), z[0])
+        temp, rh = fieldsim.sample_air_sensor(
+            np.repeat([fieldsim.SENSOR_TEMP_MIN_C,
+                       fieldsim.SENSOR_TEMP_MAX_C], 300),
+            truth, 1e6, z[1], z[2])
+        samples = decision.Samples(300 * np.arange(600), moisture, temp, rh)
+        packets = packets_from_samples(samples, TOPIC)
+        link = LinkModel(loss_prob=0.3)
+        want, *_ = reference_session(packets, PUBSUB, 1, link, EnergyModel(),
+                                     np.random.default_rng(5), 0.0)
+        for readings in (samples, packets):
+            got = run_session(readings, PUBSUB, 1, link, EnergyModel(),
+                              np.random.default_rng(5))
+            assert got.bytes_sent == want.bytes_sent
 
 
 class TestPublish:
