@@ -197,9 +197,12 @@ class Dispatcher:
         keeps, the key's last send carried from earlier calls, and
         suppresses the rest. A kind that is not an integer index into
         ``ALERT_KINDS``, a time column that is not whole seconds in the int64
-        range, or a time out of order raises ``InputError`` before anything
-        is recorded."""
+        range, a time out of order, or columns that are not 1-D and of one
+        length raise ``InputError`` before anything is recorded."""
         kind, times = alerts.kind, ingest.time_column(alerts.timestamp_s)
+        if any(np.shape(c) != times.shape
+               for c in (kind, alerts.observed, alerts.threshold)):
+            raise InputError("alert columns must be 1-D and of one length")
         if kind.dtype.kind not in "iu" or len(kind) and not (
                 0 <= kind.min() <= kind.max() < len(_ALERT_TEMPLATES)):
             raise InputError("alert kinds must be integers indexing "

@@ -127,6 +127,11 @@ def _deliveries(n: int, max_attempts: int, loss_prob: float,
     consumes exactly the trials of a packet-at-a-time loop, in its order. At
     one attempt per packet every trial finishes its packet, so the first
     block is the whole session: ``n`` trials, each packet's only one.
+
+    A block that loses no packet, each success within ``max_attempts``
+    trials, fills consecutive rows from its first unsent one; otherwise a
+    delivered packet's row is that row plus its rank plus the lost packets
+    before it.
     """
     if max_attempts == 1:
         return np.ones(n, dtype=np.int64), rng.random(n) >= loss_prob
@@ -137,16 +142,26 @@ def _deliveries(n: int, max_attempts: int, loss_prob: float,
         block = n - done
         ok = np.flatnonzero(rng.random(block) >= loss_prob)
         if ok.size:
-            # a run of r lost trials before a success is r // M lost packets
-            # of M trials each, then one delivered packet of r % M + 1 trials
-            runs = ok.copy()
-            runs[1:] -= ok[:-1] + 1
-            runs[0] += carry
-            lost = runs // max_attempts
-            rows = done + np.cumsum(lost) + np.arange(ok.size)
-            attempts[rows] = runs - lost * max_attempts + 1
-            delivered[rows] = True
-            done, carry, block = int(rows[-1]) + 1, 0, block - 1 - int(ok[-1])
+            # the trials up to and including each success
+            tries = np.empty_like(ok)
+            tries[0] = ok[0] + 1 + carry
+            np.subtract(ok[1:], ok[:-1], out=tries[1:])
+            end = done + ok.size
+            big = np.flatnonzero(tries > max_attempts)
+            if big.size:
+                # t trials: (t - 1) // M lost packets of M, then a delivery
+                lost = (tries[big] - 1) // max_attempts
+                tries[big] -= lost * max_attempts
+                shift = np.zeros(ok.size, dtype=np.int64)
+                shift[big] = lost
+                rows = np.cumsum(shift) + np.arange(done, end)
+                attempts[rows] = tries
+                delivered[rows] = True
+                end = int(rows[-1]) + 1
+            else:
+                attempts[done:end] = tries
+                delivered[done:end] = True
+            done, carry, block = end, 0, block - 1 - int(ok[-1])
         # lost trials after the block's last success carry into the next
         lost_packets, carry = divmod(carry + block, max_attempts)
         done += lost_packets
@@ -203,19 +218,25 @@ def run_session(readings, protocol: str, qos: int, link: LinkModel,
     Latency is the protocol constant per delivered packet. ``on_result``, if
     given, is called once with the per-packet ``attempts`` and ``delivered``
     arrays, in reading order, so a downstream consumer can see individual
-    deliveries. A reading that is NaN, infinite or beyond the sensors' clip
-    range [-100, 100] raises ``InputError`` before any trial is drawn.
+    deliveries. A ``Samples`` whose time and reading columns are not 1-D
+    and of one length, or a reading that is NaN, infinite or beyond the
+    sensors' clip range [-100, 100], raises ``InputError`` before any trial
+    is drawn.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol: {protocol}")
     if qos not in (0, 1):
         raise InputError(f"qos must be 0 or 1: {qos}")
-    n = len(readings)
     if isinstance(readings, list):  # perfbench's transport-sweep sends these
+        n = len(readings)
         columns = [np.fromiter(map(attrgetter(attr), readings), np.float64, n)
                    for attr in _READING_ATTRS]
     else:
         columns = [getattr(readings, attr) for attr in _READING_ATTRS]
+        n = np.size(readings.timestamp_s)
+        if any(np.shape(c) != (n,) for c in (readings.timestamp_s, *columns)):
+            raise InputError("a Samples' time and reading columns must be "
+                             "1-D and of one length")
     payload_bytes = _payload_bytes(columns)
     max_attempts = 1 if qos == 0 else 1 + link.max_retries
     attempts, delivered = _deliveries(n, max_attempts, link.loss_prob, rng)

@@ -247,6 +247,17 @@ class TestTemplateMapping:
         with pytest.raises(InputError):
             d.dispatch(decision.Alerts(empty, empty, empty,
                                        np.array([], dtype=np.int64)))
+        # columns that are not 1-D and of one length
+        kinds, times = np.array([LOW, HEAT]), np.array([0, 10])
+        for alerts in (
+                decision.Alerts(kinds, np.array([1.0]), np.array([1.0, 2.0]),
+                                times),
+                decision.Alerts(kinds.reshape(2, 1), np.array([1.0, 2.0]),
+                                np.array([1.0, 2.0]), times),
+                decision.Alerts(kinds, np.array([1.0, 2.0]),
+                                np.array([1.0, 2.0, 3.0]), times)):
+            with pytest.raises(InputError):
+                d.dispatch(alerts)
         assert len(d.records) == 0
 
 

@@ -134,9 +134,11 @@ SEASON_VALUES = [(PAYLOAD_VALUES[i % len(PAYLOAD_VALUES)], 0.1 * (i % 1001),
 def _season_examples(test):
     """``test`` with season-length sessions as explicit examples: the
     many-block sessions that ``run_season`` sends, with and without
-    retries, from a lossless to a nearly dead link."""
-    for loss in (0.0, 0.2, 0.95):
-        for max_retries in (0, 5):
+    retries, from a lossless to a nearly dead link. With 5 retries at loss
+    0.02 no block loses a packet; with 1 retry at loss 0.2 the first block
+    does."""
+    for loss in (0.0, 0.02, 0.2, 0.95):
+        for max_retries in (0, 1, 5):
             test = example(loss=loss, qos=1, max_retries=max_retries,
                            seed=42, protocol=PUBSUB,
                            per_msg=850.0 / SEASON_PACKETS,
@@ -237,6 +239,20 @@ class TestReadingRange:
                     run_session(readings, PUBSUB, 1, LinkModel(),
                                 EnergyModel(), rng)
                 assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("times, values", [
+        (300 * np.arange(3), [[40.0, 22.0]] * 3),
+        (300 * np.arange(2), [[40.0, 22.0, 45.0]] * 3),
+        (300 * np.arange(3), [[[40.0]] * 3, [22.0] * 3, [45.0] * 3]),
+        (300 * np.arange(3).reshape(3, 1), [[40.0, 22.0, 45.0]] * 3),
+    ], ids=["short-values", "long-values", "2d-moisture", "2d-times"])
+    def test_misshapen_columns_rejected_before_any_trial(self, times, values):
+        samples = decision.Samples(times, *map(np.array, values))
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(InputError):
+            run_session(samples, PUBSUB, 1, LinkModel(), EnergyModel(), rng)
+        assert rng.bit_generator.state == state
 
     def test_clipped_sensor_readings_are_sent(self):
         # readings at sigma = 1e6 around true values at each clip edge,
