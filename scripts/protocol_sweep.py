@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from agrisim import decision, transport
+from agrisim.errors import ConfigurationError
 
 
 def readings(n):
@@ -28,13 +29,20 @@ def main() -> int:
     parser.add_argument("--losses", type=float, nargs="+",
                         default=[0.0, 0.01, 0.02, 0.05, 0.1, 0.2])
     args = parser.parse_args()
+    if args.packets < 0:
+        parser.error("--packets must be non-negative")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
+    try:
+        links = [transport.LinkModel(loss_prob=loss) for loss in args.losses]
+    except ConfigurationError as exc:
+        parser.error(f"--losses: {exc}")
 
     stream = readings(args.packets)
     energy = transport.EnergyModel()
     print(f"{'loss':>6} {'qos':>3} {'protocol':>8} {'rate':>8} "
           f"{'energy_mwh':>10} {'latency_s':>9} {'retx':>6}")
-    for loss in args.losses:
-        link = transport.LinkModel(loss_prob=loss)
+    for loss, link in zip(args.losses, links):
         for qos in (0, 1):
             for proto in (transport.PUBSUB, transport.REQRESP):
                 stats = transport.run_session(

@@ -3,10 +3,11 @@ rate-limited ingestion into an append-only in-memory time series, the
 channel's counters, CSV export, and JSON-lines snapshots.
 
 An ingest call mirrors a batch of REST channel-update requests: a write key,
-a timestamp per row in whole seconds and one value column per channel field
-(at most eight). Accepted rows are kept as columns. The export hands them
-to the one slice loop of ``agrisim.rows``, which turns each slice into text
-once (``rows.cells``) for both the CSV file and the JSON-lines snapshot.
+a timestamp per row in whole seconds and one value column for each of the
+three payload fields that ``agrisim.transport`` names. Accepted rows are kept
+as columns. The export hands them to the one slice loop of ``agrisim.rows``,
+which turns each slice into text once (``rows.cells``) for both the CSV file
+and the JSON-lines snapshot.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from agrisim.errors import ConfigurationError, InputError
 from agrisim.rows import write_csv, write_rows
-
-MAX_FIELDS = 8
+from agrisim.transport import PAYLOAD_FIELDS
 
 ACCEPTED = "ACCEPTED"
 REJECTED_AUTH = "REJECTED_AUTH"
@@ -39,16 +39,11 @@ class ChannelNotFound(InputError):
 class Channel:
     channel_id: str
     write_key: str
-    field_names: tuple[str, ...]
     min_update_interval_s: float = 15.0
 
     def __post_init__(self):
         if not self.write_key:
             raise ConfigurationError("write_key must be non-empty")
-        if not 0 < len(self.field_names) <= MAX_FIELDS:
-            raise ConfigurationError(f"1..{MAX_FIELDS} fields required")
-        if len(set(self.field_names)) != len(self.field_names):
-            raise ConfigurationError("field names must be unique")
         # due_mask's limit: the comparison is False for NaN and exact for an
         # int too large for a float
         if not 0 <= self.min_update_interval_s <= sys.float_info.max:
@@ -88,7 +83,7 @@ class ChannelStore:
         """Append the rows that pass auth and the rate limit, in order.
 
         ``timestamps_s`` is an integer column of whole seconds in the int64
-        range, and ``columns`` holds one value column per channel field,
+        range, and ``columns`` holds one value column per payload field,
         each as long as it. A time column that is not whole seconds, value
         columns of the wrong count or length, a value that is not a finite
         number (JSON has no NaN or infinity), or a time earlier than the row
@@ -109,7 +104,7 @@ class ChannelStore:
         except (TypeError, ValueError) as exc:
             raise InputError(f"value columns are not numeric columns of one "
                              f"length: {exc}") from None
-        width = len(self.channel.field_names)
+        width = len(PAYLOAD_FIELDS)
         if values.shape != (width, len(times)):
             raise InputError(f"expected {width} value columns of "
                              f"{len(times)} rows, got shape {values.shape}")
@@ -154,7 +149,7 @@ class ChannelStore:
         float, per distinct value) and only one slice's text is held at a time.
         """
         self._address(channel_id)
-        names = self.channel.field_names
+        names = PAYLOAD_FIELDS
         order = sorted(range(len(names)), key=names.__getitem__)
         jsonl_seps = ['{"created_at": ', ', "entry_id": ', *(
             (", " if k else ', "values": {') + json.dumps(names[j]) + ": "

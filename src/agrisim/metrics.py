@@ -109,11 +109,6 @@ class MetricRow:
     status: str
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    rows: tuple[MetricRow, ...]
-
-
 def row_status(recorded: float, threshold: float, kind: str) -> str:
     """Status of one report row; a pure function of (value, threshold, kind)."""
     if kind == ROW_ALERT_ABOVE:
@@ -141,7 +136,7 @@ REPORT_LAYOUT = (
 
 
 def build_report(observations: dict[str, float],
-                 thresholds: dict[str, float]) -> MetricReport:
+                 thresholds: dict[str, float]) -> tuple[MetricRow, ...]:
     """Build the threshold-validation table.
 
     ``observations`` and ``thresholds`` map the standard parameter names to
@@ -155,16 +150,17 @@ def build_report(observations: dict[str, float],
         threshold = thresholds[parameter]
         rows.append(MetricRow(parameter, recorded, threshold, unit,
                               row_status(recorded, threshold, kind)))
-    return MetricReport(tuple(rows))
+    return tuple(rows)
 
 
-def radar_data(report: MetricReport) -> list[tuple[str, float, float, float]]:
+def radar_data(report: tuple[MetricRow, ...]
+               ) -> list[tuple[str, float, float, float]]:
     """Normalized (name, recorded, target, recorded/target) rows for external
     plotting."""
-    if not report.rows:
+    if not report:
         raise InputError("empty report")
     out = []
-    for r in report.rows:
+    for r in report:
         if r.threshold == 0.0:
             raise InputError(f"zero target for {r.parameter}")
         out.append((r.parameter, r.recorded, r.threshold,
@@ -172,11 +168,11 @@ def radar_data(report: MetricReport) -> list[tuple[str, float, float, float]]:
     return out
 
 
-def format_report_table(report: MetricReport) -> str:
+def format_report_table(report: tuple[MetricRow, ...]) -> str:
     """Aligned text rendering of the validation table."""
     header = ("Parameter", "Recorded Value", "Threshold/Target", "Unit", "Status")
     body = [(r.parameter, f"{r.recorded:.1f}", f"{r.threshold:.1f}", r.unit,
-             r.status) for r in report.rows]
+             r.status) for r in report]
     widths = [max(len(row[i]) for row in [header, *body])
               for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(row, widths)).rstrip()
@@ -184,12 +180,12 @@ def format_report_table(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report_csv(report: MetricReport, fh) -> None:
+def export_report_csv(report: tuple[MetricRow, ...], fh) -> None:
     names = ["parameter", "recorded", "threshold", "unit", "status"]
     write_csv(fh, names,
-              [[getattr(r, name) for r in report.rows] for name in names])
+              [[getattr(r, name) for r in report] for name in names])
 
 
-def export_radar_csv(report: MetricReport, fh) -> None:
+def export_radar_csv(report: tuple[MetricRow, ...], fh) -> None:
     names, *values = zip(*radar_data(report))
     write_csv(fh, ["metric", "recorded", "target", "ratio"], [names, *values])

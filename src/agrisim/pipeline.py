@@ -36,7 +36,7 @@ MANIFEST_NAME = "manifest.jsonl"
 @dataclass
 class RunOutput:
     totals: metrics.SeasonTotals
-    report: metrics.MetricReport
+    report: tuple[metrics.MetricRow, ...]
     observations: dict[str, float]
     system_arm: decision.SeasonResult
     baseline_arm: decision.SeasonResult
@@ -62,12 +62,13 @@ def packets_from_samples(samples: decision.Samples,
 
     ``run_season`` sends the sample columns themselves; this builds the
     per-packet form that ``transport.run_session`` also accepts."""
+    readings = [getattr(samples, attr).tolist()
+                for attr in transport.READING_ATTRS]
     return [transport.TelemetryPacket(
-        sequence_no=i + 1, timestamp_s=ts, moisture_pct=m, temp_c=t,
-        humidity_pct=rh, topic=topic)
-        for i, (ts, m, t, rh) in enumerate(zip(
-            samples.timestamp_s.tolist(), samples.moisture_pct.tolist(),
-            samples.temp_c.tolist(), samples.humidity_pct.tolist()))]
+        sequence_no=i + 1, timestamp_s=ts, topic=topic,
+        **dict(zip(transport.READING_ATTRS, values)))
+        for i, (ts, *values) in enumerate(zip(samples.timestamp_s.tolist(),
+                                              *readings))]
 
 
 def _weather_digest(weather) -> str:
@@ -119,9 +120,8 @@ def run_season(scenario: Scenario, out_dir=None) -> RunOutput:
         store.ingest_batch(
             scenario.channel.channel_id, scenario.channel.write_key,
             samples.timestamp_s[delivered],
-            [column[delivered] for column in (samples.moisture_pct,
-                                              samples.temp_c,
-                                              samples.humidity_pct)])
+            [getattr(samples, attr)[delivered]
+             for attr in transport.READING_ATTRS])
     with _stage(timings, "reqresp_session"):
         stats_reqresp = transport.run_session(
             samples, transport.REQRESP, scenario.qos, scenario.link,

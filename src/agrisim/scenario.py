@@ -148,18 +148,18 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _build(cls, raw: dict, where: str, skip=frozenset(), **fixed):
+def _build(cls, raw: dict, where: str, skip=frozenset()):
     """The config dataclass ``cls`` built from the section at ``where``: its
-    keys are the fields not in ``fixed`` plus ``skip`` (read by the caller),
-    the fields without a default are required, and values are ``_typed``."""
-    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    keys are the fields plus ``skip`` (read by the caller), the fields
+    without a default are required, and values are ``_typed``."""
+    fields = dataclasses.fields(cls)
     required = {f.name for f in fields
                 if f.default is MISSING and f.default_factory is MISSING}
     sec = _section(raw, where, {f.name for f in fields} | skip, required)
     hints = _hints(cls)
     kwargs = {k: _typed(v, hints[k], f"{where}.{k}")
               for k, v in sec.items() if k not in skip}
-    return cls(**kwargs, **fixed)
+    return cls(**kwargs)
 
 
 def _per_protocol(raw: dict, where: str, default=None) -> dict:
@@ -232,8 +232,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         baseline=_build(BaselinePolicyParams, raw, "baseline"),
         economics=_build(EconomicParams, raw, "economics"),
         yield_model=_build(YieldModelParams, raw, "yield_model"),
-        channel=_build(Channel, raw, "channel",
-                       field_names=transport.PAYLOAD_FIELDS),
+        channel=_build(Channel, raw, "channel"),
         gateway=_build(GatewayConfig, raw, "gateway"),
         alerting=_build(AlertingParams, raw, "alerting"),
         report_targets={**_REPORT_TARGETS, **{

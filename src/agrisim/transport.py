@@ -27,7 +27,7 @@ PROTOCOLS = (PUBSUB, REQRESP)
 # payload field order is part of the wire format; changing it breaks goldens
 PAYLOAD_FIELDS = ("moisture", "temp", "humidity")
 # the reading each payload field carries, on a packet and on decision.Samples
-_READING_ATTRS = ("moisture_pct", "temp_c", "humidity_pct")
+READING_ATTRS = ("moisture_pct", "temp_c", "humidity_pct")
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,9 +230,9 @@ def run_session(readings, protocol: str, qos: int, link: LinkModel,
     if isinstance(readings, list):  # perfbench's transport-sweep sends these
         n = len(readings)
         columns = [np.fromiter(map(attrgetter(attr), readings), np.float64, n)
-                   for attr in _READING_ATTRS]
+                   for attr in READING_ATTRS]
     else:
-        columns = [getattr(readings, attr) for attr in _READING_ATTRS]
+        columns = [getattr(readings, attr) for attr in READING_ATTRS]
         n = np.size(readings.timestamp_s)
         if any(np.shape(c) != (n,) for c in (readings.timestamp_s, *columns)):
             raise InputError("a Samples' time and reading columns must be "

@@ -145,7 +145,7 @@ def test_07_validation_table_reproduction(announce):
         report = metrics.build_report(observations, thresholds)
         expected = ["Alert", "Within Range", "Above Threshold", "Exceeded",
                     "Exceeded", "Exceeded", "Exceeded"]
-        assert [r.status for r in report.rows] == expected
+        assert [r.status for r in report] == expected
         ok = True
     finally:
         announce(7, "validation-table", ok)

@@ -21,7 +21,6 @@ from agrisim.metrics import (
     STATUS_EXCEEDED,
     STATUS_WITHIN,
     EconomicParams,
-    MetricReport,
     build_report,
     export_report_csv,
     format_report_table,
@@ -170,8 +169,8 @@ class TestEconomics:
 class TestReport:
     def test_validation_table_statuses(self):
         report = build_report(VALIDATION_OBSERVATIONS, VALIDATION_THRESHOLDS)
-        assert len(report.rows) == 7
-        for row in report.rows:
+        assert len(report) == 7
+        for row in report:
             assert row.status == VALIDATION_STATUSES[row.parameter]
 
     def test_missing_parameter_rejected(self):
@@ -207,9 +206,12 @@ class TestReport:
         assert by_name["Water Usage"] == pytest.approx(27.3 / 25.0)
 
     def test_radar_rejects_zero_target(self):
-        report = MetricReport(rows=())
-        with pytest.raises(InputError):
+        thresholds = {**VALIDATION_THRESHOLDS, "Humidity": 0.0}
+        report = build_report(VALIDATION_OBSERVATIONS, thresholds)
+        with pytest.raises(InputError, match="zero target for Humidity"):
             radar_data(report)
+        with pytest.raises(InputError, match="empty report"):
+            radar_data(())
 
     def test_table_render_contains_all_rows(self):
         report = build_report(VALIDATION_OBSERVATIONS, VALIDATION_THRESHOLDS)
